@@ -3,9 +3,10 @@
 One umbrella command with four subcommands (pi-wh, ahss, cohomology,
 verify), each also installed as a standalone script.  Exit codes are part
 of the contract: 0 success, 1 internal inconsistency (an oracle
-disagreed), 2 precondition failure (bad flags, irregular prime), 3 window
-or range violation.  JSON output is byte-stable for fixed flags; csv,
-ascii-chart and svg-chart are pure projections of the same payload.
+disagreed), 2 precondition failure (bad flags, irregular prime) or I/O
+failure, 3 window or range violation.  JSON output is byte-stable for
+fixed flags; csv, ascii-chart and svg-chart are pure projections of the
+same payload.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import emit, render
 from . import verify as verify_mod
 from ._version import __version__
 from .arith import OddPrime
-from .errors import InconsistencyError, PreconditionError, WindowError
+from .errors import InconsistencyError, WindowError
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -107,20 +108,42 @@ def _render(fmt: str, command: str, payload: dict) -> str:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write to stdout or to `out`.  A new or regular file (symlinks
+    followed) is written beside itself and renamed into place with the old
+    mode and owner, so a failed write leaves no partial file.  A device or
+    FIFO, or a file whose directory or owner forbids that, is written
+    through directly."""
+    if not out:
         sys.stdout.write(text)
+        return
+    path = os.path.realpath(out)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        regular = not os.path.exists(out) or os.path.isfile(out)
+        try:
+            if regular:
+                old = os.stat(out) if os.path.exists(out) else None
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                if old is not None:
+                    os.chmod(tmp, old.st_mode & 0o7777)
+                    os.chown(tmp, old.st_uid, old.st_gid)
+                os.replace(tmp, path)
+        except PermissionError:
+            regular = False
+        if not regular:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    tokens = [tok.strip() for tok in args.p.split(",") if tok.strip()]
-    primes = [OddPrime(int(tok)) for tok in tokens] or [
-        OddPrime(3),
-        OddPrime(5),
-        OddPrime(7),
-    ]
+    tokens = [int(tok) for tok in args.p.split(",") if tok.strip()]
+    primes = [OddPrime(n) for n in dict.fromkeys(tokens or (3, 5, 7))]
     results = verify_mod.run_checks(primes, deep=args.deep)
     sys.stdout.write(verify_mod.format_matrix(results) + "\n")
     failed = any(r.status == verify_mod.FAIL for r in results)
@@ -148,10 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     except WindowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WINDOW
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # PreconditionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -14,7 +14,9 @@ projective classes, where P^s(y^k) = C(k, s) y^(k+(p-1)s) and b(y^k) = 0,
 provides an independent oracle, as does the generating-function dimension
 count of the dual algebra.
 
-All linear algebra is exact over F_p on dictionaries keyed by words.
+Quotient-module dimensions come from Poincare series of the dual algebra;
+exact F_p elimination on dictionaries keyed by words (`_ideal_rows`,
+`_fp_rank`) is kept as the route `verify` checks those series against.
 """
 
 from __future__ import annotations
@@ -142,36 +144,26 @@ def _adem(pp: int, a: int, eps: int, b: int) -> tuple[tuple[Word, int], ...]:
     """Expansion of the inadmissible factor P^a P^b (eps=0, a < p*b) or
     P^a b P^b (eps=1, a <= p*b) as admissible words with coefficients."""
     p = OddPrime(pp)
-    out: dict[Word, int] = {}
-
-    def add(word: Word, coeff: int) -> None:
-        coeff %= pp
-        if coeff:
-            out[word] = (out.get(word, 0) + coeff) % pp
-            if not out[word]:
-                del out[word]
-
+    out: dict[Word, int] = {}  # no word arises twice
     if eps == 0:
         for t in range(a // pp + 1):
             c = binom_mod_p(p, (pp - 1) * (b - t) - 1, a - pp * t)
-            if c == 0:
-                continue
-            sign = -1 if (a + t) % 2 else 1
-            word = (a + b,) if t == 0 else (a + b - t, t)
-            add(word, sign * c)
+            if c:
+                sign = -1 if (a + t) % 2 else 1
+                out[(a + b,) if t == 0 else (a + b - t, t)] = sign * c % pp
     else:
         for t in range(a // pp + 1):
             c = binom_mod_p(p, (pp - 1) * (b - t), a - pp * t)
             if c:
                 sign = -1 if (a + t) % 2 else 1
                 word = (0, a + b) if t == 0 else (0, a + b - t, t)
-                add(word, sign * c)
+                out[word] = sign * c % pp
             if a - pp * t - 1 >= 0:
                 c = binom_mod_p(p, (pp - 1) * (b - t) - 1, a - pp * t - 1)
                 if c:
                     sign = 1 if (a + t) % 2 else -1
                     word = (a + b, 0) if t == 0 else (a + b - t, 0, t)
-                    add(word, sign * c)
+                    out[word] = sign * c % pp
     return tuple(sorted(out.items()))
 
 
@@ -206,8 +198,7 @@ def _nf(pp: int, word: Word) -> tuple[tuple[Word, int], ...]:
     acc: dict[Word, int] = {}
     for mid, c in _adem(pp, a, eps, b):
         for w2, c2 in _nf(pp, prefix + mid + suffix):
-            key = w2
-            acc[key] = (acc.get(key, 0) + c * c2) % pp
+            acc[w2] = (acc.get(w2, 0) + c * c2) % pp
     return tuple(sorted((w, c) for w, c in acc.items() if c))
 
 
@@ -252,12 +243,9 @@ def admissible_basis(p: OddPrime, max_degree: int) -> list[AdmissibleMonomial]:
                 for tail in chains(budget - base - 1, (s - 1) // pp):
                     yield (s, 0) + tail
 
-    words: list[Word] = []
-    for chain in chains(max_degree, max_degree):
-        words.append(chain)
+    words = list(chains(max_degree, max_degree))
     if max_degree >= 1:
-        for chain in chains(max_degree - 1, max_degree):
-            words.append((0,) + chain)
+        words += [(0,) + chain for chain in chains(max_degree - 1, max_degree)]
     words.sort(key=lambda w: (word_degree(p, w), w))
     return [AdmissibleMonomial(w) for w in words]
 
@@ -310,31 +298,30 @@ def act_word_on_projective(p: OddPrime, word: Word, k: int):
     return coeff, k
 
 
-def act_on_projective(
-    p: OddPrime, mono: AdmissibleMonomial, a: int, suspensions: int = 0
-):
+def act_on_projective(p: OddPrime, mono: AdmissibleMonomial, a: int):
     """Action of a monomial on the class y^a of the stunted projective
     spectrum with cells from complex degree a >= -1 up.  Returns
-    (coefficient, target exponent) or None.  Suspensions shift degrees
-    only; the operations commute with them, so the result is unchanged."""
+    (coefficient, target exponent) or None."""
     if a < -1:
         raise PreconditionError(f"projective classes need a >= -1, got {a}")
-    del suspensions
     return act_word_on_projective(p, mono.word, a)
 
 
-def _combo_acts_trivially(p: OddPrime, row: dict[Word, int], a: int) -> bool:
-    total = 0
-    target = None
-    for w, c in row.items():
-        hit = act_word_on_projective(p, w, a)
-        if hit is None:
-            continue
-        coeff, exponent = hit
-        if target is None:
-            target = exponent
-        total = (total + c * coeff) % p.p
-    return total == 0
+def live_words(p: OddPrime, a: int, max_degree: int):
+    """Yield the admissible words of degree <= max_degree acting nonzero
+    on y^a.  The Bockstein kills every y^k, so these are power chains
+    P^(s1) ... P^(sn) with s_i >= p*s_(i+1); they are grown right to left,
+    and a branch is cut as soon as its Lucas binomial C(k, s) vanishes."""
+
+    def grow(word: Word, k: int, low: int, budget: int):
+        yield word
+        for s in range(low, budget // p.q + 1):
+            if binom_mod_p(p, k, s):
+                yield from grow(
+                    (s,) + word, k + (p.p - 1) * s, p.p * s, budget - p.q * s
+                )
+
+    return grow((), a, 1, max_degree)
 
 
 def annihilator_basis(
@@ -459,14 +446,6 @@ QUOTIENT_SPECS = (
 )
 
 
-def _basis_dims(p: OddPrime, max_degree: int) -> dict[int, int]:
-    dims: dict[int, int] = {}
-    for mono in admissible_basis(p, max_degree):
-        d = mono.degree(p)
-        dims[d] = dims.get(d, 0) + 1
-    return dims
-
-
 def quotient_module_dims(
     p: OddPrime, spec: str, max_degree: int, a: int | None = None
 ) -> dict[int, int]:
@@ -484,8 +463,12 @@ def quotient_module_dims(
           exponents k >= a, k = a mod p-1 (internal degree 2k), modulo the
           cyclic submodule on y^a (pass a).
 
-    For the annihilator quotients the ideal is verified to annihilate the
-    defining class row by row (the containment is checked, not assumed).
+    Each piece is a Poincare series of the dual algebra, polynomial on the
+    xi_i tensor exterior on the tau_i: A//E1 drops tau_0 and tau_1, A//E0
+    drops tau_0, and A//A1 also trades xi_1 for xi_1^p.  An annihilator
+    quotient subtracts one class in each degree holding a live word, since
+    the action lands in at most one class per degree; for y^(-1) the live
+    words are 1 and the single powers, one in each degree divisible by q.
     """
     if spec not in QUOTIENT_SPECS:
         raise PreconditionError(f"unknown quotient spec {spec!r}")
@@ -495,62 +478,32 @@ def quotient_module_dims(
     if spec == "CP[a]/A(y^a)":
         if a is None or a < -1:
             raise PreconditionError("CP[a]/A(y^a) needs a >= -1")
-        if a >= 0 and max_degree < 2 * a:
-            return {}
-        hit = set()
-        for mono in admissible_basis(p, max_degree - 2 * a):
-            image = act_on_projective(p, mono, a)
-            if image is not None:
-                hit.add(image[1])
-        dims: dict[int, int] = {}
-        k = a
-        while 2 * k <= max_degree:
-            if k not in hit:
-                dims[2 * k] = 1
-            k += p.p - 1
-        return dims
+        # a live word of degree d carries y^a (degree 2a) to degree 2a + d
+        live = live_words(p, a, max_degree - 2 * a)
+        hit = {2 * a + word_degree(p, w) for w in live}
+        return {d: 1 for d in range(2 * a, max_degree + 1, p.q) if d not in hit}
+    if spec == "C_a/A(b,Q1)" and (a is None or a < 1):
+        raise PreconditionError("C_a/A(b,Q1) needs a >= 1")
 
-    beta = adem_normalize(p, BETA)
-    if spec in ("A//E1", "C/A(b,Q1)", "C_a/A(b,Q1)"):
-        generators = [beta, milnor_primitive(p, 1).expansion]
-    elif spec == "C/A(b)":
-        generators = [beta]
-    else:  # A//A1, I(A)/A(b,P1)
-        generators = [beta, adem_normalize(p, (1,))]
-
-    if spec in ("C/A(b)", "C/A(b,Q1)", "C_a/A(b,Q1)"):
-        if spec.startswith("C_a"):
-            if a is None or a < 1:
-                raise PreconditionError("C_a/A(b,Q1) needs a >= 1")
-            target = a
-        else:
-            target = -1
-        numerator: dict[int, int] = {}
-        for mono in annihilator_basis(p, target, max_degree, verify_span=True):
-            d = mono.degree(p)
-            numerator[d] = numerator.get(d, 0) + 1
-    else:
-        numerator = _basis_dims(p, max_degree)
+    series = milnor_dual_dims(
+        p, max_degree, first_exterior=1 if spec == "C/A(b)" else 2
+    )
+    coeffs = [series.get(d, 0) for d in range(max_degree + 1)]
+    if spec in ("A//A1", "I(A)/A(b,P1)"):
+        # times (1 - t^q) / (1 - t^(pq)): P(xi_1) becomes P(xi_1^p)
+        for d in range(max_degree, p.q - 1, -1):
+            coeffs[d] -= coeffs[d - p.q]
+        for d in range(p.p * p.q, max_degree + 1):
+            coeffs[d] += coeffs[d - p.p * p.q]
         if spec == "I(A)/A(b,P1)":
-            del numerator[0]
-        target = None
-
-    rows = _ideal_rows(p, generators, max_degree)
-    if target is not None:
-        for d, degree_rows in rows.items():
-            for row in degree_rows:
-                if not _combo_acts_trivially(p, row, target):
-                    raise InconsistencyError(
-                        f"left ideal is not contained in the annihilator of "
-                        f"y^{target}: a degree-{d} element acts nonzero"
-                    )
-    dims = {}
-    for d in sorted(numerator):
-        val = numerator[d] - _fp_rank(p, rows.get(d, []))
-        if val < 0:
+            coeffs[0] = 0
+    elif spec != "A//E1":
+        target = a if spec == "C_a/A(b,Q1)" else -1
+        for d in {word_degree(p, w) for w in live_words(p, target, max_degree)}:
+            coeffs[d] -= 1
+    for d, c in enumerate(coeffs):
+        if c < 0:
             raise InconsistencyError(
                 f"{spec}: ideal exceeds numerator in degree {d}"
             )
-        if val:
-            dims[d] = val
-    return dims
+    return {d: c for d, c in enumerate(coeffs) if c}

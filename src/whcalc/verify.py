@@ -2,8 +2,9 @@
 
 Every numeric claim the package makes is recomputed here along at least
 one second route — closed forms against the chart engine, admissible
-counts against the dual generating function, literal Steenrod composites
-against normalized expansions, rank-nullity bookkeeping for the
+counts against the dual generating function, quotient series against
+F_p elimination, literal Steenrod composites against normalized
+expansions, rank-nullity bookkeeping for the
 connecting map, and byte-exact regeneration of the pinned emissions.
 The suite reports a pass/fail matrix per prime; irregular primes are
 rejected before any check runs.
@@ -28,11 +29,17 @@ from .ahss import (
 from .arith import OddPrime, ensure_regular
 from .errors import WhcalcError
 from .steenrod import (
+    BETA,
+    _fp_rank,
+    _ideal_rows,
     act_word_on_projective,
     adem_normalize,
     admissible_basis,
     annihilator_basis,
+    live_words,
     milnor_dual_dims,
+    milnor_primitive,
+    quotient_module_dims,
     word_degree,
 )
 from .stems import all_torsion_classes
@@ -41,6 +48,8 @@ from .whcohomology import (
     COKER_MAIN_PIECE,
     HP_PIECE,
     SIGMA_C_PIECE,
+    _add,
+    _odd_summand_indices,
     delta_star_rank_data,
     delta_star_report,
     h_wh_report,
@@ -166,7 +175,10 @@ def _check_conservation(p: OddPrime, deep: bool) -> str:
 
 
 def _check_basis_counts(p: OddPrime, deep: bool) -> str:
-    """Admissible-monomial counts per degree == dual generating function."""
+    """Admissible-monomial counts per degree == dual generating function;
+    by F_p elimination, the ranks of the left ideals A(b), A(b,Q1) and
+    A(b,P1) == the algebra minus their quotient series, and A(b,Q1) kills
+    every y^a the cohomology report uses, row by row."""
     bound = {3: 120, 5: 200}.get(p.p, 100) if deep else 48
     counts = Counter(m.degree(p) for m in admissible_basis(p, bound))
     dual = milnor_dual_dims(p, bound)
@@ -177,37 +189,62 @@ def _check_basis_counts(p: OddPrime, deep: bool) -> str:
             if counts.get(d, 0) != dual.get(d, 0)
         )
         raise _Failure(f"counts differ in degrees {bad[:5]}")
+    beta = adem_normalize(p, BETA)
+    q1_rows = _ideal_rows(p, [beta, milnor_primitive(p, 1).expansion], bound)
+    for ideal, rows, quotient in (
+        ("A(b)", _ideal_rows(p, [beta], bound),
+         milnor_dual_dims(p, bound, first_exterior=1)),
+        ("A(b,Q1)", q1_rows, quotient_module_dims(p, "A//E1", bound)),
+        ("A(b,P1)", _ideal_rows(p, [beta, adem_normalize(p, (1,))], bound),
+         quotient_module_dims(p, "A//A1", bound)),
+    ):
+        for d in range(bound + 1):
+            rank = _fp_rank(p, rows.get(d, []))
+            want = dual.get(d, 0) - quotient.get(d, 0)
+            if rank != want:
+                raise _Failure(
+                    f"{ideal} has rank {rank} in degree {d}; the algebra "
+                    f"minus its quotient series gives {want}"
+                )
+    for a in (-1, *_odd_summand_indices(p)):
+        for d, degree_rows in q1_rows.items():
+            if any(_action_dict(p, row, a) for row in degree_rows):
+                raise _Failure(f"A(b,Q1) acts nonzero on y^{a} in degree {d}")
     return f"per-degree counts match the dual dimensions to degree {bound}"
 
 
 def _check_annihilators(p: OddPrime, deep: bool) -> str:
-    """The non-annihilating admissibles for y^-1 are exactly 1 and the
-    single powers; at p=5 also the y^1 characterization by power chains."""
+    """The live words for each y^a the report uses are exactly the
+    complement of the annihilator; for y^-1 they are 1 and the single
+    powers, and at p=5 the y^1 ones are the descending power chains."""
     bound = {3: 120, 5: 200}.get(p.p, 80) if deep else 40
     words = {m.word for m in admissible_basis(p, bound)}
-    ann = {m.word for m in annihilator_basis(p, -1, bound, verify_span=True)}
+    live: dict[int, set] = {}
+    for a in (-1, *_odd_summand_indices(p)):
+        ann = {m.word for m in annihilator_basis(p, a, bound, verify_span=True)}
+        live[a] = set(live_words(p, a, bound))
+        if live[a] != words - ann:
+            bad = sorted(live[a] ^ (words - ann))[:3]
+            raise _Failure(f"y^{a} live words and annihilator differ on {bad}")
     expected = {()} | {(i,) for i in range(1, bound // p.q + 1)}
-    if words - ann != expected:
+    if live[-1] != expected:
         raise _Failure(
             f"y^-1 complement mismatch: "
-            f"{sorted(words - ann - expected)[:3]} unexpected, "
-            f"{sorted(expected - (words - ann))[:3]} missing"
+            f"{sorted(live[-1] - expected)[:3]} unexpected, "
+            f"{sorted(expected - live[-1])[:3]} missing"
         )
     details = [f"y^-1 complement is 1 and the single powers to degree {bound}"]
     if deep and p.p == 5:
-        ann1 = {
-            m.word for m in annihilator_basis(p, 1, bound, verify_span=True)
-        }
         chains = {()}
         chain = (1,)
         while word_degree(p, chain) <= bound:
             chains.add(chain)
             chain = (p.p * chain[0],) + chain
-        if words - ann1 != chains:
+        if live[1] != chains:
             raise _Failure(
                 f"y^1 complement mismatch: "
-                f"{sorted(words - ann1 - chains)[:3]} unexpected, "
-                f"{sorted(chains - (words - ann1))[:3]} missing"
+                f"{sorted(live[1] - chains)[:3]} unexpected, "
+                f"{sorted(chains - live[1])[:3]} missing"
             )
         details.append("y^1 complement is the descending power chains")
     return "; ".join(details)
@@ -222,9 +259,9 @@ def _raw_pairs(p: OddPrime, max_degree: int):
                 yield word
 
 
-def _action_dict(p: OddPrime, combo, a: int) -> dict[int, int]:
+def _action_dict(p: OddPrime, combo: dict, a: int) -> dict[int, int]:
     out: dict[int, int] = {}
-    for w, c in combo.word_dict().items():
+    for w, c in combo.items():
         hit = act_word_on_projective(p, w, a)
         if hit is None:
             continue
@@ -243,9 +280,8 @@ def _check_adem_action(p: OddPrime, deep: bool) -> str:
         combo = adem_normalize(p, word)
         for a in range(-1, a_top + 1):
             hit = act_word_on_projective(p, word, a)
-            literal = {} if hit is None else {hit[1]: hit[0] % p.p}
-            literal = {k: v for k, v in literal.items() if v}
-            normalized = _action_dict(p, combo, a)
+            literal = {} if hit is None else {hit[1]: hit[0]}
+            normalized = _action_dict(p, combo.word_dict(), a)
             if literal != normalized:
                 raise _Failure(
                     f"word {word} on y^{a}: literal {literal}, "
@@ -255,14 +291,6 @@ def _check_adem_action(p: OddPrime, deep: bool) -> str:
     return f"{checked} (word, class) actions agree"
 
 
-def _totals(named: dict[str, dict[int, int]]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for dims in named.values():
-        for d, v in dims.items():
-            out[d] = out.get(d, 0) + v
-    return out
-
-
 def _check_delta_rank(p: OddPrime, deep: bool) -> str:
     """Rank-nullity for the connecting map: in every degree
     cok - ker == target - source, with cok == target - source alone in
@@ -270,10 +298,10 @@ def _check_delta_rank(p: OddPrime, deep: bool) -> str:
     bound = max(30, 2 * p.p * p.p + 10) if deep else 30
     report = delta_star_report(p, bound)
     rank = delta_star_rank_data(p, bound)
-    cok = _totals(report["coker"])
-    ker_block = _totals(report["ker"])  # desuspended kernel: ker(d)=block(d-1)
-    src = _totals(rank["source"])
-    tgt = _totals(rank["target"])
+    cok = _add(*report["coker"].values())
+    ker_block = _add(*report["ker"].values())  # desuspended kernel: ker(d)=block(d-1)
+    src = _add(*rank["source"].values())
+    tgt = _add(*rank["target"].values())
     for d in range(0, bound + 1):
         lhs = cok.get(d, 0) - ker_block.get(d - 1, 0)
         rhs = tgt.get(d, 0) - src.get(d, 0)
@@ -293,7 +321,7 @@ def _check_cohomology_additivity(p: OddPrime, deep: bool) -> str:
     """Report total == sum of the pieces; p=3 carries no kernel block."""
     bound = 60 if deep else 30
     report = h_wh_report(p, bound)
-    if _totals(report.pieces) != report.total:
+    if _add(*report.pieces.values()) != report.total:
         raise _Failure("total differs from the sum of the pieces")
     if p.p == 3:
         want = {SIGMA_C_PIECE, HP_PIECE, COKER_MAIN_PIECE}
@@ -320,16 +348,12 @@ def _check_golden(p: OddPrime, deep: bool) -> str | None:
     builders = _GOLDEN_BUILDERS.get(p.p)
     if builders is None:
         return None
+    golden = resources.files("whcalc").joinpath("golden")
     for fname, build in builders:
         command, payload = build(p)
         text = emit.envelope_text(command, payload)
         try:
-            ref = (
-                resources.files("whcalc")
-                .joinpath("golden")
-                .joinpath(fname)
-                .read_text("utf-8")
-            )
+            ref = golden.joinpath(fname).read_text("utf-8")
         except FileNotFoundError:
             raise _Failure(f"pinned emission {fname} is missing") from None
         if text != ref:
@@ -368,14 +392,10 @@ def run_checks(primes: list[OddPrime], deep: bool = False) -> list[CheckResult]:
                     CheckResult(p.p, name, FAIL, f"{type(exc).__name__}: {exc}")
                 )
             else:
+                status = SKIP if detail is None else PASS
                 if detail is None:
-                    results.append(
-                        CheckResult(
-                            p.p, name, SKIP, "no pinned emissions for this prime"
-                        )
-                    )
-                else:
-                    results.append(CheckResult(p.p, name, PASS, detail))
+                    detail = "no pinned emissions for this prime"
+                results.append(CheckResult(p.p, name, status, detail))
     return results
 
 

@@ -1,8 +1,11 @@
 """CLI contract: exit codes, byte stability, projections, golden files."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 from importlib import resources
 
 import pytest
@@ -70,6 +73,65 @@ def test_out_matches_stdout(capsys, tmp_path):
     assert code == code2 == 0
     assert out2 == ""
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "pi-wh", "--p", "3", "--max-degree", "5", "--out", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}")
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "taken").mkdir()  # os.replace onto a directory fails
+    code, _, err = run_cli(
+        capsys, "pi-wh", "--p", "3", "--max-degree", "5",
+        "--out", str(tmp_path / "taken"),
+    )
+    assert code == 2
+    assert list(tmp_path.iterdir()) == [tmp_path / "taken"]
+
+
+def test_out_keeps_links_modes_and_special_files(capsys, tmp_path):
+    argv = ["pi-wh", "--p", "3", "--max-degree", "5"]
+    _, expected, _ = run_cli(capsys, *argv)
+    real = tmp_path / "real.json"
+    real.write_text("old", encoding="utf-8")
+    real.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    assert run_cli(capsys, *argv, "--out", str(link))[0] == 0
+    assert link.is_symlink() and link.resolve() == real
+    assert real.read_text(encoding="utf-8") == expected
+    assert real.stat().st_mode & 0o7777 == 0o640
+    assert sorted(tmp_path.iterdir()) == [link, real]
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(
+        target=lambda: got.append(fifo.read_text(encoding="utf-8")),
+        daemon=True,
+    )
+    reader.start()
+    assert run_cli(capsys, *argv, "--out", str(fifo))[0] == 0
+    reader.join(timeout=30)
+    assert got == [expected]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_out_through_a_link_to_a_pipe(tmp_path):
+    link = tmp_path / "stdout"
+    link.symlink_to("/proc/self/fd/1")  # resolves in the child to its pipe
+    argv = ["-m", "whcalc", "pi-wh", "--p", "3", "--max-degree", "5"]
+    direct = subprocess.run([sys.executable, *argv], capture_output=True)
+    linked = subprocess.run(
+        [sys.executable, *argv, "--out", str(link)], capture_output=True
+    )
+    assert (linked.returncode, linked.stderr) == (0, b"")
+    assert linked.stdout == direct.stdout
+    assert link.is_symlink()
 
 
 def test_projections_rerender_from_json_payload(capsys):
@@ -183,6 +245,8 @@ def test_verify_default_primes(capsys, monkeypatch):
     assert seen == {"primes": [3, 5, 7], "deep": False}
     assert run_cli(capsys, "verify", "--p", "3,5", "--deep")[0] == 0
     assert seen == {"primes": [3, 5], "deep": True}
+    assert run_cli(capsys, "verify", "--p", "5,3,,3, 5")[0] == 0
+    assert seen == {"primes": [5, 3], "deep": False}
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

@@ -16,6 +16,7 @@ from whcalc.steenrod import (
     annihilator_basis,
     is_admissible,
     left_ideal_dims,
+    live_words,
     milnor_dual_dims,
     milnor_primitive,
     quotient_module_dims,
@@ -98,7 +99,6 @@ def test_action_examples():
     assert act_word_on_projective(P3, (3, 1), 1) == (1, 9)
     mono = AdmissibleMonomial.parse("P3 P1")
     assert act_on_projective(P3, mono, 1) == (1, 9)
-    assert act_on_projective(P3, mono, 1, suspensions=7) == (1, 9)
     with pytest.raises(PreconditionError):
         act_on_projective(P3, mono, -2)
 
@@ -121,6 +121,16 @@ def test_annihilator_span_check_clean_for_small_a():
     for a in (-1, 1, 2, 3):
         annihilator_basis(P3, a, 30, verify_span=True)
         annihilator_basis(P5, a, 30, verify_span=True)
+
+
+def test_live_words_are_the_annihilator_complement():
+    for pp in (3, 5, 7, 11):
+        p = OddPrime(pp)
+        bound = 20 * p.q
+        words = {m.word for m in admissible_basis(p, bound)}
+        for a in (-1, *range(1, pp - 3, 2)):
+            ann = annihilator_basis(p, a, bound, verify_span=True)
+            assert set(live_words(p, a, bound)) == words - {m.word for m in ann}
 
 
 def test_milnor_primitives():
