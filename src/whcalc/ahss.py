@@ -46,6 +46,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .arith import OddPrime, vp_factorial
 from .errors import InconsistencyError, PreconditionError, WindowError
@@ -97,6 +98,17 @@ class ChartPage:
     max_total_degree: int
     cells: dict[tuple[int, int], tuple[ChartClass, ...]]
     kill_ledger: dict[int, int] | None = field(default=None, repr=False)
+
+    @cached_property
+    def torsion_by_degree(self) -> dict[int, int]:
+        """Torsion valuation above the axis per total degree, summed over
+        the cells in one pass the first time it is read.  Degrees without
+        torsion are absent."""
+        sums: dict[int, int] = defaultdict(int)
+        for (s, t), summands in self.cells.items():
+            if t > 0:
+                sums[s + t] += sum(c.valuation for c in summands)
+        return dict(sums)
 
 
 def chart_window(p: OddPrime, target: ChartTarget) -> int:
@@ -182,20 +194,21 @@ def run_differentials(page: ChartPage) -> ChartPage:
             del tors[key]
             ledger[total] += 1
 
-    # R1: axis rule.
+    # R1: axis rule.  R1 in total degree 2n-1 touches only the cells of
+    # that degree, so the eligible cells are bucketed by degree up front.
+    eligible: dict[int, list[tuple[int, str, int]]] = defaultdict(list)
+    for (name, k), (theta, _) in tors.items():
+        if theta.kind != IM_J or k < 1:
+            continue
+        if theta.index == 1 and k % pp == 0:
+            continue  # length-q differential coefficient k vanishes mod p
+        eligible[2 * k + theta.degree].append((theta.index, name, k))
     for n in range(1, (max_total + 1) // 2 + 1):
         total = 2 * n - 1
         budget = vp_factorial(p, n)
         if budget == 0:
             continue
-        eligible = []
-        for (name, k), (theta, val) in tors.items():
-            if theta.kind != IM_J or k < 1 or 2 * k + theta.degree != total:
-                continue
-            if theta.index == 1 and k % pp == 0:
-                continue  # length-q differential coefficient k vanishes mod p
-            eligible.append((theta.index, name, k))
-        for _, name, k in sorted(eligible):
+        for _, name, k in sorted(eligible.get(total, ())):
             if budget == 0:
                 break
             take = min(budget, tors[(name, k)][1])
@@ -281,21 +294,7 @@ def einf_valuation(page: ChartPage, total_degree: int) -> int:
             f"total degree {total_degree} beyond the stored window "
             f"{page.max_total_degree}"
         )
-    total = 0
-    for (s, t), summands in page.cells.items():
-        if t > 0 and s + t == total_degree:
-            total += sum(c.valuation for c in summands)
-    return total
-
-
-def page_aggregate(page: ChartPage, total_degree: int) -> int:
-    """Torsion aggregate of any page in one total degree (test helper)."""
-    return sum(
-        c.valuation
-        for (s, t), summands in page.cells.items()
-        if t > 0 and s + t == total_degree
-        for c in summands
-    )
+    return page.torsion_by_degree.get(total_degree, 0)
 
 
 def j_order_valuation(p: OddPrime, n: int) -> int:

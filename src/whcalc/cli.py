@@ -19,7 +19,7 @@ from . import emit, render
 from . import verify as verify_mod
 from ._version import __version__
 from .arith import OddPrime
-from .errors import InconsistencyError, WindowError
+from .errors import InconsistencyError, PreconditionError, WindowError
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -143,7 +143,9 @@ def _write(text: str, out: str | None) -> None:
 
 def _run_verify(args: argparse.Namespace) -> int:
     tokens = [int(tok) for tok in args.p.split(",") if tok.strip()]
-    primes = [OddPrime(n) for n in dict.fromkeys(tokens or (3, 5, 7))]
+    if not tokens:
+        raise PreconditionError(f"--p {args.p!r} names no prime")
+    primes = [OddPrime(n) for n in dict.fromkeys(tokens)]
     results = verify_mod.run_checks(primes, deep=args.deep)
     sys.stdout.write(verify_mod.format_matrix(results) + "\n")
     failed = any(r.status == verify_mod.FAIL for r in results)

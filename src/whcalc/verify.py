@@ -21,9 +21,7 @@ from .ahss import (
     ChartTarget,
     build_e2,
     chart_window,
-    einf_valuation,
     j_order_valuation,
-    page_aggregate,
     run_differentials,
 )
 from .arith import OddPrime, ensure_regular
@@ -85,8 +83,8 @@ def _check_torsion_vs_charts(p: OddPrime, deep: bool) -> str:
     table = {e.degree: e.valuation for e in profile.entries}
     for d in range(1, top + 1):
         sigma = sigma_c_torsion(p, d)
-        engine = (sigma.valuation if sigma else 0) + einf_valuation(
-            chart, d - 1
+        engine = (sigma.valuation if sigma else 0) + (
+            chart.torsion_by_degree.get(d - 1, 0)
         )
         if table.get(d, 0) != engine:
             raise _Failure(
@@ -148,7 +146,7 @@ def _check_axis_orders(p: OddPrime, deep: bool) -> str:
     page = run_differentials(build_e2(p, ChartTarget.J_OF_CP, top))
     stems = 0
     for n in range(1, (top + 1) // 2 + 1):
-        got = einf_valuation(page, 2 * n - 1)
+        got = page.torsion_by_degree.get(2 * n - 1, 0)
         want = j_order_valuation(p, n)
         if got != want:
             raise _Failure(f"stem {2 * n - 1}: chart {got}, closed form {want}")
@@ -163,9 +161,9 @@ def _check_conservation(p: OddPrime, deep: bool) -> str:
         e2 = build_e2(p, target, top)
         einf = run_differentials(e2)
         for d in range(0, top + 1):
-            before = page_aggregate(e2, d)
+            before = e2.torsion_by_degree.get(d, 0)
             killed = einf.kill_ledger.get(d, 0)
-            after = page_aggregate(einf, d)
+            after = einf.torsion_by_degree.get(d, 0)
             if before - killed != after:
                 raise _Failure(
                     f"{target.value} total degree {d}: E2 {before} - "

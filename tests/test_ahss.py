@@ -1,7 +1,11 @@
 """Chart engine: E2 population, differential rules, conservation."""
 
+import hashlib
+from collections import Counter
+
 import pytest
 
+from whcalc import emit
 from whcalc.ahss import (
     E2,
     EINF,
@@ -10,7 +14,6 @@ from whcalc.ahss import (
     chart_window,
     einf_valuation,
     j_order_valuation,
-    page_aggregate,
     page_payload,
     run_differentials,
 )
@@ -106,10 +109,11 @@ def test_j_chart_matches_j_order_closed_form():
 def test_axis_budget_is_vp_factorial():
     top = chart_window(P3, ChartTarget.J_OF_CP) - 1
     e2 = build_e2(P3, ChartTarget.J_OF_CP, top)
-    einf = run_differentials(e2)
+    before = e2.torsion_by_degree
+    after = run_differentials(e2).torsion_by_degree
     for n in range(1, (top + 1) // 2 + 1):
         t = 2 * n - 1
-        killed = page_aggregate(e2, t) - page_aggregate(einf, t)
+        killed = before.get(t, 0) - after.get(t, 0)
         assert killed == vp_factorial(P3, n)
 
 
@@ -120,10 +124,23 @@ def test_kill_ledger_conservation():
             e2 = build_e2(p, target, top)
             einf = run_differentials(e2)
             assert einf.kill_ledger is not None
+            before, after = e2.torsion_by_degree, einf.torsion_by_degree
             for d in range(0, top + 1):
-                assert page_aggregate(e2, d) - einf.kill_ledger.get(
-                    d, 0
-                ) == page_aggregate(einf, d)
+                killed = einf.kill_ledger.get(d, 0)
+                assert before.get(d, 0) - killed == after.get(d, 0)
+
+
+def test_torsion_by_degree_sums_cell_valuations():
+    for p in (P3, P5):
+        for target in ChartTarget:
+            e2 = build_e2(p, target, chart_window(p, target) - 1)
+            sums = Counter()
+            for (s, t), summands in e2.cells.items():
+                for c in summands:
+                    if t > 0:
+                        sums[s + t] += c.valuation
+            assert e2.torsion_by_degree == dict(sums)
+            assert e2.torsion_by_degree is e2.torsion_by_degree
 
 
 def test_einf_imj_cells_are_aggregate_only():
@@ -164,3 +181,31 @@ def test_small_windows_run_clean():
         for target in ChartTarget:
             for d in (0, 1, 2, 5, 9):
                 run_differentials(build_e2(p, target, d))
+
+
+# SHA-256 of the JSON envelope of both pages of every whole-window chart at
+# p=11 and p=17.  Chart JSON is byte-stable output, so no change to the
+# engine may move any of them.
+CHART_DIGESTS = {
+    (11, "j-cp", "e2"): "8e6514af95fc077921a99613272a3ca0f4a1008764b6ef8b2f744875efde8c8d",
+    (11, "j-cp", "einf"): "6eb33897d2cc2122500043a7cbd4d6d6cdfbad03298d819ad6b11706a9d8dd93",
+    (11, "s-cp", "e2"): "ca05e90a7f1d74076c34e8318b644c3c5534a0577ff2ea26d9ed38492c2bfb02",
+    (11, "s-cp", "einf"): "1a081af69e34220506c12db568c98dab3ac492a956839b07e76f4805c53f5140",
+    (11, "s-cpbar", "e2"): "a71693cd45c0f0818f0c7b21a70216f04ea73b6bc23222c6ef285b9f3db67248",
+    (11, "s-cpbar", "einf"): "7f09931af0d609227c60bf8fd111a0d51391d1530eb1a378055de718b1b7252a",
+    (17, "j-cp", "e2"): "f9f0b5c8d0f7b1e0dc20b12faf5007ccc769b15ab4f1b4d695dd3c65a2332678",
+    (17, "j-cp", "einf"): "45adfad3ec4f2e2f5c4fb7b35550fcb7915bc85397133c0fec53bc7e9ab4ff7d",
+    (17, "s-cp", "e2"): "952bbe1902ff10b8f016764e7bf1dfad5eb9139a653e3c85644a926387caca56",
+    (17, "s-cp", "einf"): "be03379f6f02bbc427e3e5473ea9de9893f642ac3726af2c7c7610f2a3d67a32",
+    (17, "s-cpbar", "e2"): "4f16e6fd9343c20d0692b211ebd16c878ec247c947e5f4193a94707f5ef9efcf",
+    (17, "s-cpbar", "einf"): "a9ea31cf4b16bbea49f7d7104eab48999f8c35159a76677d0bf5c07e5bf7c861",
+}
+
+
+@pytest.mark.parametrize("pp,target,page", sorted(CHART_DIGESTS))
+def test_chart_bytes_pinned(pp, target, page):
+    p = OddPrime(pp)
+    top = chart_window(p, ChartTarget(target)) - 1
+    text = emit.envelope_text(*emit.ahss(p, target, page, top))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == CHART_DIGESTS[(pp, target, page)]

@@ -249,6 +249,18 @@ def test_verify_default_primes(capsys, monkeypatch):
     assert seen == {"primes": [5, 3], "deep": False}
 
 
+@pytest.mark.parametrize("primes", [",", "", " , ,"])
+def test_verify_empty_prime_list_exits_2(capsys, monkeypatch, primes):
+    def fake_run_checks(primes, deep=False):
+        raise AssertionError("no check may run without a prime")
+
+    monkeypatch.setattr(cli.verify_mod, "run_checks", fake_run_checks)
+    code, out, err = run_cli(capsys, "verify", "--p", primes)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "names no prime" in err
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     from whcalc.verify import CheckResult
 

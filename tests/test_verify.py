@@ -1,4 +1,5 @@
-"""The verify suite's elimination oracle against the quotient series."""
+"""The verify suite: its elimination oracle against the quotient series,
+and its chart checks at primes beyond the default list."""
 
 import pytest
 
@@ -24,3 +25,36 @@ def test_basis_counts_catches_an_off_by_one_series(monkeypatch):
     rows = {r.name: r for r in vf.run_checks([OddPrime(3)])}
     assert rows["basis-counts"].status == vf.FAIL
     assert rows["basis-counts"].detail.startswith("A(b,Q1) has rank 3 in degree 17")
+
+
+# Detail lines of the four chart checks at the larger primes, as printed
+# by `whcalc verify`; each needs whole-window charts at that prime.
+CHART_CHECK_DETAILS = {
+    11: (
+        "closed form matches the chart engine in degrees 1..456",
+        "230 adjusted cells match through total degree 455",
+        "230 odd stems agree with the closed form",
+    ),
+    13: (
+        "closed form matches the chart engine in degrees 1..644",
+        "326 adjusted cells match through total degree 643",
+        "324 odd stems agree with the closed form",
+    ),
+    17: (
+        "closed form matches the chart engine in degrees 1..1116",
+        "566 adjusted cells match through total degree 1115",
+        "560 odd stems agree with the closed form",
+    ),
+}
+
+
+@pytest.mark.parametrize("pp", sorted(CHART_CHECK_DETAILS))
+def test_chart_checks_at_larger_primes(pp):
+    p = OddPrime(pp)
+    torsion, adjusted, stems = CHART_CHECK_DETAILS[pp]
+    assert vf._check_torsion_vs_charts(p, deep=False) == torsion
+    assert vf._check_adjustment_sets(p, deep=False) == adjusted
+    assert vf._check_axis_orders(p, deep=False) == stems
+    assert vf._check_conservation(p, deep=False) == (
+        "kill ledgers balance on all three charts"
+    )
