@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .arith import OddPrime, vp_factorial
 from .errors import InconsistencyError, PreconditionError, WindowError
@@ -62,8 +62,7 @@ class ChartTarget(enum.Enum):
     S_OF_CPBAR = "s-cpbar"
 
 
-@dataclass(frozen=True)
-class ChartClass:
+class ChartClass(NamedTuple):
     """One summand of a chart cell: theta * b_k, or an axis class when
     theta is None.  valuation None means an infinite (integral) class."""
 
@@ -90,14 +89,29 @@ class ChartClass:
         return f"{self.theta.name}*b({self.k})"
 
 
-@dataclass
 class ChartPage:
-    target: ChartTarget
-    p: OddPrime
-    page_label: str
-    max_total_degree: int
-    cells: dict[tuple[int, int], tuple[ChartClass, ...]]
-    kill_ledger: dict[int, int] | None = field(default=None, repr=False)
+    """One chart page: the summands of each (s, t) cell and, on EINF, the
+    kills per total degree.  Mutable, so `torsion_by_degree` can be cached."""
+
+    def __init__(
+        self,
+        target: ChartTarget,
+        p: OddPrime,
+        page_label: str,
+        max_total_degree: int,
+        cells: dict[tuple[int, int], tuple[ChartClass, ...]],
+        kill_ledger: dict[int, int] | None = None,
+    ) -> None:
+        self.target = target
+        self.p = p
+        self.page_label = page_label
+        self.max_total_degree = max_total_degree
+        self.cells = cells
+        self.kill_ledger = kill_ledger
+
+    def __repr__(self) -> str:
+        shown = ("target", "p", "page_label", "max_total_degree", "cells")
+        return f"ChartPage({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
 
     @cached_property
     def torsion_by_degree(self) -> dict[int, int]:

@@ -6,7 +6,6 @@ arithmetic; no floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import PreconditionError, UnverifiedError
@@ -26,15 +25,30 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class OddPrime:
-    """An odd prime p, validated at construction; q = 2p - 2 rides along."""
+    """An odd prime p, validated at construction; q = 2p - 2 rides along.
+    Immutable, and equal and hashed as the tuple (p,)."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if self.p < 3 or self.p % 2 == 0 or not _is_prime(self.p):
-            raise PreconditionError(f"p must be an odd prime, got {self.p}")
+    def __init__(self, p: int) -> None:
+        if p < 3 or p % 2 == 0 or not _is_prime(p):
+            raise PreconditionError(f"p must be an odd prime, got {p}")
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"OddPrime is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self.p == other.p if type(other) is OddPrime else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
+
+    def __repr__(self) -> str:
+        return f"OddPrime(p={self.p!r})"
 
     @property
     def q(self) -> int:

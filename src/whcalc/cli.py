@@ -141,8 +141,16 @@ def _write(text: str, out: str | None) -> None:
             os.remove(tmp)
 
 
+def _int(text: str, name: str) -> int:
+    """`int(text)`, refused as a precondition naming the flag or variable."""
+    try:
+        return int(text)
+    except ValueError:
+        raise PreconditionError(f"{name}: {text!r} is not an integer") from None
+
+
 def _run_verify(args: argparse.Namespace) -> int:
-    tokens = [int(tok) for tok in args.p.split(",") if tok.strip()]
+    tokens = [_int(tok, "--p") for tok in args.p.split(",") if tok.strip()]
     if not tokens:
         raise PreconditionError(f"--p {args.p!r} names no prime")
     primes = [OddPrime(n) for n in dict.fromkeys(tokens)]
@@ -158,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             return _run_verify(args)
-        cap = int(os.environ.get(CAP_ENV, DEFAULT_CAP))
+        cap = _int(os.environ.get(CAP_ENV, str(DEFAULT_CAP)), CAP_ENV)
         if args.max_degree > cap:
             raise WindowError(
                 f"--max-degree {args.max_degree} exceeds the safety cap "

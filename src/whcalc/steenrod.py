@@ -21,8 +21,8 @@ exact F_p elimination on dictionaries keyed by words (`_ideal_rows`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import OddPrime, binom_mod_p
 from .errors import InconsistencyError, PreconditionError
@@ -54,8 +54,7 @@ def is_admissible(p: OddPrime, word: Word) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class AdmissibleMonomial:
+class AdmissibleMonomial(NamedTuple):
     """A basis monomial, stored as its word; the unit is the empty word."""
 
     word: Word
@@ -100,8 +99,7 @@ class AdmissibleMonomial:
         return cls(tuple(word))
 
 
-@dataclass(frozen=True)
-class FpLinearCombo:
+class FpLinearCombo(NamedTuple):
     """A homogeneous F_p-linear combination of admissible monomials,
     canonically ordered by word."""
 
@@ -185,7 +183,8 @@ def _leftmost_violation(pp: int, word: Word) -> tuple[int, int, int, int] | None
     return None
 
 
-@lru_cache(maxsize=None)
+# Bounded; its largest caller, `verify --p 3,5,7,11,13 --deep`, needs 9263 entries.
+@lru_cache(maxsize=1 << 14)
 def _nf(pp: int, word: Word) -> tuple[tuple[Word, int], ...]:
     """Admissible normal form of a raw word, as (word, coeff) pairs."""
     hit = _leftmost_violation(pp, word)
@@ -357,8 +356,7 @@ def annihilator_basis(
 # Milnor primitives
 
 
-@dataclass(frozen=True)
-class MilnorPrimitive:
+class MilnorPrimitive(NamedTuple):
     index: int
     expansion: FpLinearCombo
 

@@ -9,7 +9,7 @@ boundary, which is excluded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import OddPrime, vp
 from .errors import WindowError
@@ -18,8 +18,7 @@ IM_J = "im_j"
 COK_J = "cok_j"
 
 
-@dataclass(frozen=True)
-class StemClass:
+class StemClass(NamedTuple):
     name: str
     degree: int
     order_valuation: int

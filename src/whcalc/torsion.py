@@ -14,7 +14,7 @@ valuation at n and odd d = 2n+1 uses the odd-degree valuation at n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import OddPrime, ensure_regular
 from .errors import InconsistencyError, PreconditionError, WindowError
@@ -28,8 +28,7 @@ P3_DEGREE14_ANNOTATION = (
 )
 
 
-@dataclass(frozen=True)
-class SplittingConstants:
+class SplittingConstants(NamedTuple):
     """Derived constants of the splitting at p."""
 
     p: int
@@ -113,8 +112,7 @@ def cpbar_odd_valuation(p: OddPrime, n: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class StemSummand:
+class StemSummand(NamedTuple):
     generator: str
     valuation: int
 
@@ -137,15 +135,13 @@ def sigma_c_torsion(p: OddPrime, degree: int) -> StemSummand | None:
     return None
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
+class ProfileEntry(NamedTuple):
     degree: int
     valuation: int
     generators: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TorsionProfile:
+class TorsionProfile(NamedTuple):
     p: int
     max_degree: int
     assumptions: tuple[str, ...]
@@ -197,8 +193,7 @@ def wh_torsion_profile(
     )
 
 
-@dataclass(frozen=True)
-class FirstTorsion:
+class FirstTorsion(NamedTuple):
     degree: int
     valuation: int
     generator: str | None
@@ -216,8 +211,7 @@ def first_p_torsion(p: OddPrime, *, assume_regular: bool = False) -> FirstTorsio
     )
 
 
-@dataclass(frozen=True)
-class ConcordanceFirstTorsion:
+class ConcordanceFirstTorsion(NamedTuple):
     """First p-torsion transported to concordance and h-cobordism spaces.
 
     For a sufficiently connected compact smooth n-manifold the stable range

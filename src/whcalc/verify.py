@@ -12,9 +12,9 @@ rejected before any check runs.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
-from dataclasses import dataclass
-from importlib import resources
+from typing import NamedTuple
 
 from . import emit
 from .ahss import (
@@ -58,8 +58,7 @@ FAIL = "fail"
 SKIP = "skip"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     p: int
     name: str
     status: str
@@ -346,12 +345,13 @@ def _check_golden(p: OddPrime, deep: bool) -> str | None:
     builders = _GOLDEN_BUILDERS.get(p.p)
     if builders is None:
         return None
-    golden = resources.files("whcalc").joinpath("golden")
+    golden = os.path.join(os.path.dirname(__file__), "golden")
     for fname, build in builders:
         command, payload = build(p)
         text = emit.envelope_text(command, payload)
         try:
-            ref = golden.joinpath(fname).read_text("utf-8")
+            with open(os.path.join(golden, fname), encoding="utf-8") as fh:
+                ref = fh.read()
         except FileNotFoundError:
             raise _Failure(f"pinned emission {fname} is missing") from None
         if text != ref:

@@ -18,7 +18,7 @@ deliberately not assembled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import OddPrime, ensure_regular
 from .errors import InconsistencyError, PreconditionError
@@ -37,15 +37,20 @@ def _ker_piece_name(a: int) -> str:
     return f"sigma^{2 * a} C_{a}/A(b,Q1)"
 
 
-def _shift(dims: dict[int, int], offset: int) -> dict[int, int]:
+def _shifted(
+    p: OddPrime, spec: str, max_degree: int, shift: int, a: int | None = None
+) -> dict[int, int]:
+    """Dims of the named quotient moved by `shift`, in degrees <= max_degree."""
+    if max_degree < shift:
+        return {}
+    dims = quotient_module_dims(p, spec, max_degree - shift, a=a)
     out = {}
     for d in sorted(dims):
-        shifted = d + offset
-        if shifted < 0:
+        if d + shift < 0:
             raise InconsistencyError(
-                f"graded piece reaches negative degree {shifted} after shift"
+                f"graded piece reaches negative degree {d + shift} after shift"
             )
-        out[shifted] = dims[d]
+        out[d + shift] = dims[d]
     return out
 
 
@@ -57,10 +62,6 @@ def _add(*parts: dict[int, int]) -> dict[int, int]:
     return {d: out[d] for d in sorted(out)}
 
 
-def _truncate(dims: dict[int, int], max_degree: int) -> dict[int, int]:
-    return {d: v for d, v in dims.items() if d <= max_degree}
-
-
 def h_sigma_c_dims(p: OddPrime, max_degree: int) -> dict[int, int]:
     """Dims of the cohomology of the suspended cokernel-of-J spectrum:
     an extension of a shifted copy of A//A_1 by I(A)/A(b,P1), so the
@@ -68,11 +69,7 @@ def h_sigma_c_dims(p: OddPrime, max_degree: int) -> dict[int, int]:
     if max_degree < 0:
         raise PreconditionError(f"max_degree must be >= 0, got {max_degree}")
     sub = quotient_module_dims(p, "I(A)/A(b,P1)", max_degree)
-    shift = p.p * p.q - 1
-    quo: dict[int, int] = {}
-    if max_degree >= shift:
-        quo = _shift(quotient_module_dims(p, "A//A1", max_degree - shift), shift)
-    return _add(sub, quo)
+    return _add(sub, _shifted(p, "A//A1", max_degree, p.p * p.q - 1))
 
 
 def h_sigma_hp_dims(p: OddPrime, max_degree: int) -> dict[int, int]:
@@ -94,27 +91,12 @@ def delta_star_report(p: OddPrime, max_degree: int) -> dict:
     if max_degree < 0:
         raise PreconditionError(f"max_degree must be >= 0, got {max_degree}")
     coker: dict[str, dict[int, int]] = {
-        COKER_MAIN_PIECE: _truncate(
-            _shift(quotient_module_dims(p, "C/A(b,Q1)", max_degree + 2), -2),
-            max_degree,
-        )
+        COKER_MAIN_PIECE: _shifted(p, "C/A(b,Q1)", max_degree, -2)
     }
     ker: dict[str, dict[int, int]] = {}
     for a in _odd_summand_indices(p):
-        cp_dims: dict[int, int] = {}
-        if max_degree >= 1:
-            cp_dims = _shift(
-                quotient_module_dims(p, "CP[a]/A(y^a)", max_degree - 1, a=a), 1
-            )
-        coker[_cp_piece_name(a)] = cp_dims
-        shift = 2 * a
-        dims: dict[int, int] = {}
-        if max_degree >= shift:
-            dims = _shift(
-                quotient_module_dims(p, "C_a/A(b,Q1)", max_degree - shift, a=a),
-                shift,
-            )
-        ker[_ker_piece_name(a)] = dims
+        coker[_cp_piece_name(a)] = _shifted(p, "CP[a]/A(y^a)", max_degree, 1, a)
+        ker[_ker_piece_name(a)] = _shifted(p, "C_a/A(b,Q1)", max_degree, 2 * a, a)
     return {"coker": coker, "ker": ker}
 
 
@@ -125,17 +107,9 @@ def delta_star_rank_data(p: OddPrime, max_degree: int) -> dict:
     source: dict[str, dict[int, int]] = {}
     for i in range(1, (p.p - 1) // 2 + 1):
         shift = 4 * i - 1
-        dims: dict[int, int] = {}
-        if max_degree >= shift:
-            dims = _shift(
-                quotient_module_dims(p, "A//E1", max_degree - shift), shift
-            )
-        source[f"sigma^{shift} A//E1"] = dims
+        source[f"sigma^{shift} A//E1"] = _shifted(p, "A//E1", max_degree, shift)
     target: dict[str, dict[int, int]] = {
-        "sigma^-2 C/A(b)": _truncate(
-            _shift(quotient_module_dims(p, "C/A(b)", max_degree + 2), -2),
-            max_degree,
-        )
+        "sigma^-2 C/A(b)": _shifted(p, "C/A(b)", max_degree, -2)
     }
     for a in _odd_summand_indices(p):
         target[f"H(sigma CP[{a}])"] = {
@@ -145,8 +119,7 @@ def delta_star_rank_data(p: OddPrime, max_degree: int) -> dict:
     return {"source": source, "target": target}
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     p: int
     max_degree: int
     assumptions: tuple[str, ...]

@@ -196,6 +196,16 @@ def test_degree_cap(capsys, monkeypatch):
     assert "torsion profile" in err
 
 
+def test_bad_integers_name_their_source(capsys, monkeypatch):
+    monkeypatch.setenv(cli.CAP_ENV, "abc")
+    code, out, err = run_cli(capsys, "pi-wh", "--p", "3", "--max-degree", "5")
+    assert (code, out) == (2, "")
+    assert err == f"error: {cli.CAP_ENV}: 'abc' is not an integer\n"
+    code, out, err = run_cli(capsys, "verify", "--p", "3,3x")
+    assert (code, out) == (2, "")
+    assert err == "error: --p: '3x' is not an integer\n"
+
+
 def test_inconsistency_maps_to_exit_1(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise InconsistencyError("forced mismatch")

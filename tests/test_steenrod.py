@@ -1,5 +1,8 @@
 """Odd-primary Steenrod algebra: basis, Adem rewriting, module actions."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from whcalc.errors import PreconditionError
 from whcalc.steenrod import (
     BETA,
     AdmissibleMonomial,
+    _nf,
     act_on_projective,
     act_word_on_projective,
     adem_normalize,
@@ -249,3 +253,72 @@ def test_fuzz_action_matches_normalized_expansion(word, a):
         combined[k] = (combined.get(k, 0) + c * coeff) % 3
     combined = {k: v for k, v in combined.items() if v}
     assert literal == combined
+
+
+def _act_on_bzp(pp, word, e, k):
+    """Right-to-left action of a raw word on x^e y^k in H*(BZ/p) =
+    E(x) (x) P(y): b x = y and b y = 0, P^s(x^e y^k) = C(k, s) x^e
+    y^(k+s(p-1)).  Returns {(e, k): coefficient}, empty when it vanishes."""
+    coeff = 1
+    for g in reversed(word):
+        if g == 0:
+            if not e:
+                return {}
+            e, k = 0, k + 1
+        else:
+            coeff = coeff * math.comb(k, g) % pp
+            k += g * (pp - 1)
+    return {(e, k): coeff} if coeff else {}
+
+
+_primes = st.sampled_from([3, 5, 7])
+# Half of the tokens are Bocksteins.
+_b_tokens = st.one_of(st.just(0), st.integers(1, 6))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_primes, st.lists(_b_tokens, min_size=1, max_size=4).map(tuple))
+def test_fuzz_bockstein_action_on_bzp(pp, word):
+    p = OddPrime(pp)
+    expansion = adem_normalize(p, word).word_dict()
+    for e, k in itertools.product((0, 1), range(13)):
+        combined: dict[tuple[int, int], int] = {}
+        for w, c in expansion.items():
+            for target, coeff in _act_on_bzp(pp, w, e, k).items():
+                combined[target] = (combined.get(target, 0) + c * coeff) % pp
+        want = _act_on_bzp(pp, word, e, k)
+        assert want == {t: v for t, v in combined.items() if v}, (e, k)
+
+
+def _nf_product(p, left, right):
+    """Normal form of the product of two normalized combinations."""
+    acc: dict[tuple[int, ...], int] = {}
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            for w, c in adem_normalize(p, w1 + w2).word_dict().items():
+                acc[w] = (acc.get(w, 0) + c1 * c2 * c) % p.p
+    return {w: c for w, c in acc.items() if c}
+
+
+_short_words = st.lists(_b_tokens, max_size=2).map(tuple)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_primes, _short_words, _short_words, _short_words)
+def test_fuzz_normal_form_is_associative(pp, a, b, c):
+    p = OddPrime(pp)
+    ab = adem_normalize(p, a + b).word_dict()
+    bc = adem_normalize(p, b + c).word_dict()
+    assert _nf_product(p, ab, {c: 1}) == _nf_product(p, {a: 1}, bc)
+
+
+def test_nf_cache_is_bounded():
+    bound = _nf.cache_info().maxsize
+    # `verify --p 3,5,7,11,13 --deep` normalizes 9263 distinct words.
+    assert bound is not None and bound >= 9263
+    _nf.cache_clear()
+    for s in range(1, bound + 100):
+        _nf(3, (s,))  # admissible, so one entry each
+    assert _nf.cache_info().currsize == bound
+    assert adem_normalize(P3, (1, 1)).word_dict() == {(2,): 2}
+    _nf.cache_clear()
