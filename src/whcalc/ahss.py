@@ -164,14 +164,14 @@ def build_e2(p: OddPrime, target: ChartTarget, max_total_degree: int) -> ChartPa
     classes = all_torsion_classes(p)
     if target is ChartTarget.J_OF_CP:
         classes = [c for c in classes if c.kind == IM_J]
+    # The classes come sorted by (degree, name) and k is fixed within a
+    # cell, so every cell's summands are appended in label order.
     for theta in classes:
         for k in _columns(target, max_total_degree, theta.degree):
             cells[(2 * k, theta.degree)].append(
                 ChartClass(theta, k, theta.order_valuation)
             )
-    fixed = {
-        st: tuple(sorted(v, key=lambda c: c.label)) for st, v in cells.items()
-    }
+    fixed = {st: tuple(v) for st, v in cells.items()}
     return ChartPage(target, p, E2, max_total_degree, fixed)
 
 
@@ -183,24 +183,26 @@ def run_differentials(page: ChartPage) -> ChartPage:
     pp = p.p
     target = page.target
     max_total = page.max_total_degree
+    classes = {c.name: c for c in all_torsion_classes(p)}
 
-    # mutable torsion content, keyed by (theta name, column index)
-    tors: dict[tuple[str, int], list] = {}
-    degrees = {c.name: c.degree for c in all_torsion_classes(p)}
-    for summands in page.cells.values():
-        for c in summands:
-            if c.theta is not None:
-                tors[(c.theta.name, c.k)] = [c.theta, c.valuation]
+    # mutable torsion content: valuation keyed by (theta name, column index),
+    # in page order, so survivors keep each cell's label order
+    tors: dict[tuple[str, int], int] = {
+        (c.theta.name, c.k): c.valuation
+        for summands in page.cells.values()
+        for c in summands
+        if c.theta is not None
+    }
     ledger: dict[int, int] = defaultdict(int)
 
     def kill_pair(src: tuple[str, int], tgt: tuple[str, int], rule: str) -> None:
-        tgt_total = 2 * tgt[1] + degrees[tgt[0]]
+        tgt_total = 2 * tgt[1] + classes[tgt[0]].degree
         if tgt_total > max_total:
             return
         for key, total in ((tgt, tgt_total), (src, tgt_total + 1)):
             if total > max_total:
                 continue  # source beyond the stored window; the kill stands
-            if key not in tors or tors[key][1] != 1:
+            if tors.get(key) != 1:
                 raise InconsistencyError(
                     f"{rule}: expected {key[0]}*b({key[1]}) with valuation 1 "
                     f"on the page"
@@ -208,29 +210,29 @@ def run_differentials(page: ChartPage) -> ChartPage:
             del tors[key]
             ledger[total] += 1
 
-    # R1: axis rule.  R1 in total degree 2n-1 touches only the cells of
-    # that degree, so the eligible cells are bucketed by degree up front.
-    eligible: dict[int, list[tuple[int, str, int]]] = defaultdict(list)
-    for (name, k), (theta, _) in tors.items():
-        if theta.kind != IM_J or k < 1:
-            continue
-        if theta.index == 1 and k % pp == 0:
-            continue  # length-q differential coefficient k vanishes mod p
-        eligible[2 * k + theta.degree].append((theta.index, name, k))
+    # R1: axis rule.  The image-of-J cells in total degree 2n-1 are
+    # alpha_bar(i)*b(n-(p-1)i), one per index i, consumed in index order.
     for n in range(1, (max_total + 1) // 2 + 1):
         total = 2 * n - 1
         budget = vp_factorial(p, n)
-        if budget == 0:
-            continue
-        for _, name, k in sorted(eligible.get(total, ())):
-            if budget == 0:
-                break
-            take = min(budget, tors[(name, k)][1])
-            tors[(name, k)][1] -= take
-            if tors[(name, k)][1] == 0:
-                del tors[(name, k)]
-            budget -= take
-            ledger[total] += take
+        i, k = 1, n - (pp - 1)
+        while budget and k >= 1:
+            if i > 1 or k % pp:  # d_q on alpha_bar(1)*b(k) is k times a unit
+                key = (f"alpha_bar({i})", k)
+                val = tors.get(key)
+                if val is None:
+                    raise InconsistencyError(
+                        f"R1: expected {key[0]}*b({k}) on the page in total "
+                        f"degree {total}"
+                    )
+                take = min(budget, val)
+                if take == val:
+                    del tors[key]
+                else:
+                    tors[key] = val - take
+                budget -= take
+                ledger[total] += take
+            i, k = i + 1, k - (pp - 1)
         if budget:
             raise InconsistencyError(
                 f"axis rule under-supplied in total degree {total}: "
@@ -244,7 +246,7 @@ def run_differentials(page: ChartPage) -> ChartPage:
             ("beta1_sq", "alpha1_beta1_sq"),
         ):
             k = 1
-            while 2 * k + degrees[product_name] <= max_total:
+            while 2 * k + classes[product_name].degree <= max_total:
                 if k % pp != 0:
                     kill_pair((theta_name, k + pp - 1), (product_name, k), "R2")
                 k += 1
@@ -256,7 +258,7 @@ def run_differentials(page: ChartPage) -> ChartPage:
             m = pp - 1
             while True:
                 tgt_k = m * pp - (pp - 1) ** 2
-                if 2 * tgt_k + degrees[tgt_name] > max_total:
+                if 2 * tgt_k + classes[tgt_name].degree > max_total:
                     break
                 kill_pair((src_name, m * pp), (tgt_name, tgt_k), "R3")
                 m += 1
@@ -272,12 +274,9 @@ def run_differentials(page: ChartPage) -> ChartPage:
             kill_pair(src, tgt, "R4")
         # R5: image-of-J content of the b_{-1} column dies from the axis.
         for key in [
-            key
-            for key, (theta, _) in tors.items()
-            if key[1] == -1 and theta.kind == IM_J
+            key for key in tors if key[1] == -1 and classes[key[0]].kind == IM_J
         ]:
-            theta, val = tors.pop(key)
-            ledger[-2 + theta.degree] += val
+            ledger[-2 + classes[key[0]].degree] += tors.pop(key)
 
     out: dict[tuple[int, int], list[ChartClass]] = defaultdict(list)
     for summands in page.cells.values():
@@ -289,13 +288,12 @@ def run_differentials(page: ChartPage) -> ChartPage:
                     else c
                 )
                 out[(c.s, 0)].append(survivor)
-    for (name, k), (theta, val) in tors.items():
+    for (name, k), val in tors.items():
+        theta = classes[name]
         out[(2 * k, theta.degree)].append(
             ChartClass(theta, k, val, aggregate_only=theta.kind == IM_J)
         )
-    fixed = {
-        st: tuple(sorted(v, key=lambda c: c.label)) for st, v in out.items()
-    }
+    fixed = {st: tuple(v) for st, v in out.items()}
     return ChartPage(target, p, EINF, max_total, fixed, dict(ledger))
 
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import emit
 from .ahss import (
+    ChartPage,
     ChartTarget,
     build_e2,
     chart_window,
@@ -69,6 +71,19 @@ class _Failure(Exception):
     pass
 
 
+# The four chart checks ask for four distinct pages per prime, some of them
+# more than once.  Only the E2 sums and the EINF page are kept, so each E2
+# page is freed as soon as its differentials have run.
+@lru_cache(maxsize=4)
+def _chart(
+    p: OddPrime, target: ChartTarget, top: int
+) -> tuple[dict[int, int], ChartPage]:
+    """E2 torsion sums per total degree and the EINF page of one chart,
+    shared by every caller, so read and never changed."""
+    e2 = build_e2(p, target, top)
+    return e2.torsion_by_degree, run_differentials(e2)
+
+
 # ---------------------------------------------------------------------------
 # Individual checks.  Each takes (p, deep) and returns a detail string on
 # success, None to signal a skip, or raises _Failure with a diagnostic.
@@ -78,7 +93,7 @@ def _check_torsion_vs_charts(p: OddPrime, deep: bool) -> str:
     """Closed-form profile == cokernel-of-J summand + chart engine."""
     top = torsion_window(p) - 1
     profile = wh_torsion_profile(p, top)
-    chart = run_differentials(build_e2(p, ChartTarget.S_OF_CPBAR, top - 1))
+    _, chart = _chart(p, ChartTarget.S_OF_CPBAR, top - 1)
     table = {e.degree: e.valuation for e in profile.entries}
     for d in range(1, top + 1):
         sigma = sigma_c_torsion(p, d)
@@ -106,8 +121,8 @@ def _check_adjustment_sets(p: OddPrime, deep: bool) -> str:
     cokernel-of-J families on low columns, minus alpha_bar(1)*b(mp) for
     m >= p-2."""
     top = chart_window(p, ChartTarget.S_OF_CPBAR) - 1
-    jpage = run_differentials(build_e2(p, ChartTarget.J_OF_CP, top))
-    spage = run_differentials(build_e2(p, ChartTarget.S_OF_CPBAR, top))
+    _, jpage = _chart(p, ChartTarget.J_OF_CP, top)
+    _, spage = _chart(p, ChartTarget.S_OF_CPBAR, top)
     degrees = {c.name: c.degree for c in all_torsion_classes(p)}
     expected = _einf_torsion_cells(jpage)
     for name in ("beta1", "alpha1_beta1", "beta1_sq"):
@@ -142,7 +157,7 @@ def _check_axis_orders(p: OddPrime, deep: bool) -> str:
     """Surviving image-of-J order per odd stem == the closed-form count of
     axis differentials entering minus leaving."""
     top = chart_window(p, ChartTarget.J_OF_CP) - 1
-    page = run_differentials(build_e2(p, ChartTarget.J_OF_CP, top))
+    _, page = _chart(p, ChartTarget.J_OF_CP, top)
     stems = 0
     for n in range(1, (top + 1) // 2 + 1):
         got = page.torsion_by_degree.get(2 * n - 1, 0)
@@ -157,10 +172,9 @@ def _check_conservation(p: OddPrime, deep: bool) -> str:
     """E2 aggregate - kill ledger == EINF aggregate, on all three charts."""
     for target in ChartTarget:
         top = chart_window(p, target) - 1
-        e2 = build_e2(p, target, top)
-        einf = run_differentials(e2)
+        e2_sums, einf = _chart(p, target, top)
         for d in range(0, top + 1):
-            before = e2.torsion_by_degree.get(d, 0)
+            before = e2_sums.get(d, 0)
             killed = einf.kill_ledger.get(d, 0)
             after = einf.torsion_by_degree.get(d, 0)
             if before - killed != after:

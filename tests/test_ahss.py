@@ -9,6 +9,7 @@ from whcalc import emit
 from whcalc.ahss import (
     E2,
     EINF,
+    ChartPage,
     ChartTarget,
     build_e2,
     chart_window,
@@ -18,7 +19,7 @@ from whcalc.ahss import (
     run_differentials,
 )
 from whcalc.arith import OddPrime, vp_factorial
-from whcalc.errors import PreconditionError, WindowError
+from whcalc.errors import InconsistencyError, PreconditionError, WindowError
 
 P3 = OddPrime(3)
 P5 = OddPrime(5)
@@ -176,6 +177,17 @@ def test_page_payload_shape_and_order():
             assert isinstance(cell["valuation"], int)
 
 
+def test_axis_rule_names_a_missing_summand():
+    # In total degree 9 at p=3 the axis rule needs alpha_bar(2)*b(1): the
+    # only other image-of-J cell there, alpha_bar(1)*b(3), has p | k.
+    e2 = build_e2(P3, ChartTarget.J_OF_CP, 20)
+    cells = dict(e2.cells)
+    assert [c.label for c in cells.pop((2, 7))] == ["alpha_bar(2)*b(1)"]
+    page = ChartPage(e2.target, P3, E2, 20, cells)
+    with pytest.raises(InconsistencyError, match=r"alpha_bar\(2\)\*b\(1\)"):
+        run_differentials(page)
+
+
 def test_small_windows_run_clean():
     for p in (P3, P5):
         for target in ChartTarget:
@@ -184,9 +196,22 @@ def test_small_windows_run_clean():
 
 
 # SHA-256 of the JSON envelope of both pages of every whole-window chart at
-# p=11 and p=17.  Chart JSON is byte-stable output, so no change to the
-# engine may move any of them.
+# p=3, 5, 11 and 17.  Chart JSON is byte-stable output, so no change to the
+# engine may move any of them.  p=3 is the only prime with two summands in
+# a cell (alpha1_beta1_sq and alpha_bar(6) at t=23), so it pins their order.
 CHART_DIGESTS = {
+    (3, "j-cp", "e2"): "c34132f32084b87acd7017aee17e9d89a983c136a8cb33eb8dfdc0008f498620",
+    (3, "j-cp", "einf"): "6f01fead5cfff360fdab2afa318e8a286a84fb232fa7226eb2a2c02225528eef",
+    (3, "s-cp", "e2"): "3fd745d410eef832711895f3091241a6ca9a5820fb80167b2cb99fde18c1de73",
+    (3, "s-cp", "einf"): "3a743848d9bb4c2d1d24d57be68dd7c7d83b879ffcc487f31eb3a947e37553b5",
+    (3, "s-cpbar", "e2"): "239fbc9a9fad0c041c73e4aa6ebd367ba64ac6395df1a2b65511f7b8f9fc2a85",
+    (3, "s-cpbar", "einf"): "7dce5f958ccd3b34a8e151d4029b68e6481b040bd7a15c76723862a35d1db87a",
+    (5, "j-cp", "e2"): "0b25c7e7b28c12d4865dcdf0d9c9dbefa896527f8225a37c63afdfc138a36cb2",
+    (5, "j-cp", "einf"): "5b40e31aacb8edb4d0343c43728b4a3aff7000e6f62d38e0fdea820a95a6ea64",
+    (5, "s-cp", "e2"): "3b468c7a3f87f8563a3ef158fb9e85f77723b2c21543f468ef269f8b12708ef5",
+    (5, "s-cp", "einf"): "504659db419623fc7d1ece3696940cd11f7065051cb83d3019f529304ca7179e",
+    (5, "s-cpbar", "e2"): "2529727d0b0ff7eb9d1dbf96927c422a3168f26d9075f23878d32cf8e3c98c95",
+    (5, "s-cpbar", "einf"): "16aa6c04944e7fa8aaf5bfbc4ef1e5b7206b81369831dfcccb89f3e2e43787b8",
     (11, "j-cp", "e2"): "8e6514af95fc077921a99613272a3ca0f4a1008764b6ef8b2f744875efde8c8d",
     (11, "j-cp", "einf"): "6eb33897d2cc2122500043a7cbd4d6d6cdfbad03298d819ad6b11706a9d8dd93",
     (11, "s-cp", "e2"): "ca05e90a7f1d74076c34e8318b644c3c5534a0577ff2ea26d9ed38492c2bfb02",

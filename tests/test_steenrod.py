@@ -12,6 +12,7 @@ from whcalc.errors import PreconditionError
 from whcalc.steenrod import (
     BETA,
     AdmissibleMonomial,
+    _adem,
     _nf,
     act_on_projective,
     act_word_on_projective,
@@ -321,4 +322,18 @@ def test_nf_cache_is_bounded():
         _nf(3, (s,))  # admissible, so one entry each
     assert _nf.cache_info().currsize == bound
     assert adem_normalize(P3, (1, 1)).word_dict() == {(2,): 2}
+    _nf.cache_clear()
+
+
+def test_adem_cache_is_bounded():
+    bound = _adem.cache_info().maxsize
+    # `verify --p 3,5,7,11,13 --deep` expands 227 distinct relations.
+    assert bound is not None and bound >= 227
+    _adem.cache_clear()
+    for b in range(1, bound + 100):
+        _adem(3, 1, 0, b)  # P^1 P^b is inadmissible for every b >= 1
+    assert _adem.cache_info().currsize == bound
+    _nf.cache_clear()
+    assert adem_normalize(P3, (1, 1)).word_dict() == {(2,): 2}
+    _adem.cache_clear()
     _nf.cache_clear()

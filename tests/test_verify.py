@@ -1,5 +1,8 @@
 """The verify suite: its elimination oracle against the quotient series,
-and its chart checks at primes beyond the default list."""
+its chart checks at primes beyond the default list, and how often those
+checks build a chart."""
+
+from collections import Counter
 
 import pytest
 
@@ -58,3 +61,26 @@ def test_chart_checks_at_larger_primes(pp):
     assert vf._check_conservation(p, deep=False) == (
         "kill ledgers balance on all three charts"
     )
+
+
+def test_each_chart_is_built_once_per_prime(monkeypatch):
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(vf, "build_e2", counted(vf.build_e2))
+    monkeypatch.setattr(vf, "run_differentials", counted(vf.run_differentials))
+    vf._chart.cache_clear()
+    rows = vf.run_checks([OddPrime(17)])
+    assert [r.name for r in rows if r.status != vf.PASS] == ["golden-files"]
+    # seven page requests, four distinct (target, top) pages
+    assert calls == {"build_e2": 4, "run_differentials": 4}
+    vf.run_checks([OddPrime(3), OddPrime(5)])
+    info = vf._chart.cache_info()
+    assert info.maxsize == 4 and info.currsize <= info.maxsize
+    assert calls == {"build_e2": 12, "run_differentials": 12}
+    vf._chart.cache_clear()
