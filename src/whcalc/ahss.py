@@ -39,6 +39,14 @@ Pair rules remove Z/p summands from both ends when both lie inside the
 stored window; a pair whose source lies beyond the window still kills its
 stored target.  A kill ledger per total degree supports the conservation
 check  E2 aggregate - kills = EINF aggregate.
+
+The E2 page from `build_e2` is lazy: it keeps only (p, target, top), as
+its content is the stem table placed on every column.  Its per-degree
+torsion sums are one range-add per class, and `run_differentials` asks it
+for each summand's valuation, storing only what R1 leaves.  So its cells,
+about twenty times those of the EINF page, are built only when read, which
+`page_payload` does for `ahss --page e2`.  A page built by hand from a
+cell dict is read from that dict.
 """
 
 from __future__ import annotations
@@ -91,7 +99,10 @@ class ChartClass(NamedTuple):
 
 class ChartPage:
     """One chart page: the summands of each (s, t) cell and, on EINF, the
-    kills per total degree.  Mutable, so `torsion_by_degree` can be cached."""
+    kills per total degree.  Mutable, so `torsion_by_degree` can be cached.
+
+    A page built by hand holds its cells in a dict; `build_e2` returns an
+    `_E2Page`, which derives them from the stem table only when read."""
 
     def __init__(
         self,
@@ -124,6 +135,19 @@ class ChartPage:
                 sums[s + t] += sum(c.valuation for c in summands)
         return dict(sums)
 
+    @cached_property
+    def _valuations(self) -> dict[tuple[str, int], int]:
+        return {
+            (c.theta.name, c.k): c.valuation
+            for summands in self.cells.values()
+            for c in summands
+            if c.theta is not None
+        }
+
+    def summand_valuation(self, theta: StemClass, k: int) -> int | None:
+        """Valuation of the summand theta*b(k); None when the page lacks it."""
+        return self._valuations.get((theta.name, k))
+
 
 def chart_window(p: OddPrime, target: ChartTarget) -> int:
     """Exclusive upper bound on total degree for each chart.
@@ -142,6 +166,85 @@ def _columns(target: ChartTarget, max_total: int, t: int) -> list[int]:
     return ks
 
 
+def _page_classes(p: OddPrime, target: ChartTarget) -> list[StemClass]:
+    """The coefficient classes of a chart, sorted by (degree, name)."""
+    classes = all_torsion_classes(p)
+    if target is ChartTarget.J_OF_CP:
+        classes = [c for c in classes if c.kind == IM_J]
+    return classes
+
+
+class _E2Page(ChartPage):
+    """The E2 page of (p, target, max_total_degree).  Its content is the
+    stem table placed on every column, so summand valuations and the
+    per-degree sums come from the table, and `cells` is built only when
+    read (by `page_payload`)."""
+
+    def __init__(
+        self, target: ChartTarget, p: OddPrime, max_total_degree: int
+    ) -> None:
+        self.target = target
+        self.p = p
+        self.page_label = E2
+        self.max_total_degree = max_total_degree
+        self.kill_ledger = None
+
+    @cached_property
+    def cells(self) -> dict[tuple[int, int], tuple[ChartClass, ...]]:
+        top = self.max_total_degree
+        cells: dict[tuple[int, int], list[ChartClass]] = defaultdict(list)
+        # horizontal axis: integral classes b_k
+        for k in range(1, top // 2 + 1):
+            cells[(2 * k, 0)].append(ChartClass(None, k, None))
+        if self.target is ChartTarget.S_OF_CPBAR:
+            cells[(-2, 0)].append(ChartClass(None, -1, None))
+        # The classes come sorted by (degree, name) and k is fixed within a
+        # cell, so every cell's summands are appended in label order.
+        for theta in _page_classes(self.p, self.target):
+            for k in _columns(self.target, top, theta.degree):
+                cells[(2 * k, theta.degree)].append(
+                    ChartClass(theta, k, theta.order_valuation)
+                )
+        return {st: tuple(v) for st, v in cells.items()}
+
+    @cached_property
+    def torsion_by_degree(self) -> dict[int, int]:
+        """A class theta sits in total degrees t+2, t+4, ... up to the top
+        (and t-2 on the b_{-1} column), so each class is one range-add on
+        every other degree."""
+        top = self.max_total_degree
+        diff = [0] * (top + 3)
+        for theta in _page_classes(self.p, self.target):
+            t, v = theta.degree, theta.order_valuation
+            if t + 2 <= top:
+                diff[t + 2] += v
+                diff[t + 2 * ((top - t) // 2) + 2] -= v
+            if self.target is ChartTarget.S_OF_CPBAR and t - 2 <= top:
+                diff[t - 2] += v
+                diff[t] -= v
+        sums: dict[int, int] = {}
+        running = [0, 0]
+        for d in range(top + 1):
+            running[d & 1] += diff[d]
+            if running[d & 1]:
+                sums[d] = running[d & 1]
+        return sums
+
+    def summand_valuation(self, theta: StemClass, k: int) -> int | None:
+        top = self.max_total_degree
+        if k == -1:
+            on_page = (
+                self.target is ChartTarget.S_OF_CPBAR and theta.degree - 2 <= top
+            )
+        else:
+            on_page = (
+                k >= 1
+                and 2 * k + theta.degree <= top
+                and (theta.kind == IM_J or self.target is not ChartTarget.J_OF_CP)
+            )
+        return theta.order_valuation if on_page else None
+
+
 def build_e2(p: OddPrime, target: ChartTarget, max_total_degree: int) -> ChartPage:
     """E2 page up to the given total degree (inclusive)."""
     if max_total_degree < 0:
@@ -154,46 +257,71 @@ def build_e2(p: OddPrime, target: ChartTarget, max_total_degree: int) -> ChartPa
             f"chart {target.value} at p={p.p} is only valid in total degrees "
             f"< {window}; got max_total_degree={max_total_degree}"
         )
-    cells: dict[tuple[int, int], list[ChartClass]] = defaultdict(list)
-    # horizontal axis: integral classes b_k
-    for k in range(1, max_total_degree // 2 + 1):
-        cells[(2 * k, 0)].append(ChartClass(None, k, None))
-    if target is ChartTarget.S_OF_CPBAR and max_total_degree >= -2:
-        cells[(-2, 0)].append(ChartClass(None, -1, None))
-    # torsion coefficients
-    classes = all_torsion_classes(p)
-    if target is ChartTarget.J_OF_CP:
-        classes = [c for c in classes if c.kind == IM_J]
-    # The classes come sorted by (degree, name) and k is fixed within a
-    # cell, so every cell's summands are appended in label order.
-    for theta in classes:
-        for k in _columns(target, max_total_degree, theta.degree):
-            cells[(2 * k, theta.degree)].append(
-                ChartClass(theta, k, theta.order_valuation)
-            )
-    fixed = {st: tuple(v) for st, v in cells.items()}
-    return ChartPage(target, p, E2, max_total_degree, fixed)
+    return _E2Page(target, p, max_total_degree)
 
 
 def run_differentials(page: ChartPage) -> ChartPage:
-    """Push an E2 page to EINF with rules R1-R5; returns a new page."""
+    """Push an E2 page to EINF with rules R1-R5; returns a new page.
+
+    The E2 summands are read through `page.summand_valuation`, so a lazy
+    E2 page is never built cell by cell."""
     if page.page_label != E2:
         raise PreconditionError("run_differentials expects an E2 page")
     p = page.p
     pp = p.p
     target = page.target
     max_total = page.max_total_degree
-    classes = {c.name: c for c in all_torsion_classes(p)}
+    page_classes = _page_classes(p, target)
+    classes = {c.name: c for c in page_classes}
+    valuation = page.summand_valuation
+    ledger: dict[int, int] = defaultdict(int)
+
+    # R1: axis rule.  The image-of-J cells in total degree 2n-1 are
+    # alpha_bar(i)*b(n-(p-1)i), one per index i, consumed in index order.
+    alpha = [None] + [c for c in page_classes if c.kind == IM_J]
+    # what each alpha_bar(i) keeps on the columns k >= 1, in column order
+    kept: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for n in range(1, (max_total + 1) // 2 + 1):
+        total = 2 * n - 1
+        budget = killed = vp_factorial(p, n)
+        i, k = 1, n - (pp - 1)
+        while k >= 1:
+            val = valuation(alpha[i], k)
+            # d_q on alpha_bar(1)*b(k) is k times a unit
+            if budget and (i > 1 or k % pp):
+                if val is None:
+                    raise InconsistencyError(
+                        f"R1: expected alpha_bar({i})*b({k}) on the page in "
+                        f"total degree {total}"
+                    )
+                take = val if val < budget else budget
+                val -= take
+                budget -= take
+            if val:
+                kept[i].append((k, val))
+            i, k = i + 1, k - (pp - 1)
+        if budget:
+            raise InconsistencyError(
+                f"axis rule under-supplied in total degree {total}: "
+                f"residual budget {budget} at p={pp}"
+            )
+        if killed:
+            ledger[total] += killed
 
     # mutable torsion content: valuation keyed by (theta name, column index),
     # in page order, so survivors keep each cell's label order
-    tors: dict[tuple[str, int], int] = {
-        (c.theta.name, c.k): c.valuation
-        for summands in page.cells.values()
-        for c in summands
-        if c.theta is not None
-    }
-    ledger: dict[int, int] = defaultdict(int)
+    tors: dict[tuple[str, int], int] = {}
+    for theta in page_classes:
+        if theta.kind == IM_J:  # R1 has read the columns k >= 1
+            summands = [(-1, valuation(theta, -1)), *kept[theta.index]]
+        else:
+            summands = [
+                (k, valuation(theta, k))
+                for k in _columns(target, max_total, theta.degree)
+            ]
+        for k, val in summands:
+            if val:
+                tors[(theta.name, k)] = val
 
     def kill_pair(src: tuple[str, int], tgt: tuple[str, int], rule: str) -> None:
         tgt_total = 2 * tgt[1] + classes[tgt[0]].degree
@@ -209,35 +337,6 @@ def run_differentials(page: ChartPage) -> ChartPage:
                 )
             del tors[key]
             ledger[total] += 1
-
-    # R1: axis rule.  The image-of-J cells in total degree 2n-1 are
-    # alpha_bar(i)*b(n-(p-1)i), one per index i, consumed in index order.
-    for n in range(1, (max_total + 1) // 2 + 1):
-        total = 2 * n - 1
-        budget = vp_factorial(p, n)
-        i, k = 1, n - (pp - 1)
-        while budget and k >= 1:
-            if i > 1 or k % pp:  # d_q on alpha_bar(1)*b(k) is k times a unit
-                key = (f"alpha_bar({i})", k)
-                val = tors.get(key)
-                if val is None:
-                    raise InconsistencyError(
-                        f"R1: expected {key[0]}*b({k}) on the page in total "
-                        f"degree {total}"
-                    )
-                take = min(budget, val)
-                if take == val:
-                    del tors[key]
-                else:
-                    tors[key] = val - take
-                budget -= take
-                ledger[total] += take
-            i, k = i + 1, k - (pp - 1)
-        if budget:
-            raise InconsistencyError(
-                f"axis rule under-supplied in total degree {total}: "
-                f"residual budget {budget} at p={pp}"
-            )
 
     if target in (ChartTarget.S_OF_CP, ChartTarget.S_OF_CPBAR):
         # R2: length-q pairs theta*b_{k+p-1} -> alpha1*theta*b_k.
@@ -278,16 +377,12 @@ def run_differentials(page: ChartPage) -> ChartPage:
         ]:
             ledger[-2 + classes[key[0]].degree] += tors.pop(key)
 
+    # the axis classes all survive, b_k for k >= 1 as n! * b_n
     out: dict[tuple[int, int], list[ChartClass]] = defaultdict(list)
-    for summands in page.cells.values():
-        for c in summands:
-            if c.theta is None:
-                survivor = (
-                    ChartClass(None, c.k, None, axis_factor=c.k)
-                    if c.k >= 1
-                    else c
-                )
-                out[(c.s, 0)].append(survivor)
+    for k in range(1, max_total // 2 + 1):
+        out[(2 * k, 0)].append(ChartClass(None, k, None, axis_factor=k))
+    if target is ChartTarget.S_OF_CPBAR:
+        out[(-2, 0)].append(ChartClass(None, -1, None))
     for (name, k), val in tors.items():
         theta = classes[name]
         out[(2 * k, theta.degree)].append(

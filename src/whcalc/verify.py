@@ -6,8 +6,9 @@ counts against the dual generating function, quotient series against
 F_p elimination, literal Steenrod composites against normalized
 expansions, rank-nullity bookkeeping for the
 connecting map, and byte-exact regeneration of the pinned emissions.
-The suite reports a pass/fail matrix per prime; irregular primes are
-rejected before any check runs.
+The suite reports a pass/fail matrix per prime; primes whose charts exceed
+MAX_CHART_WINDOW, then irregular primes, are rejected before any check
+runs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .ahss import (
     run_differentials,
 )
 from .arith import OddPrime, ensure_regular
-from .errors import WhcalcError
+from .errors import WhcalcError, WindowError
 from .steenrod import (
     BETA,
     _fp_rank,
@@ -59,6 +60,12 @@ PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
 
+# The chart rows cost about the cube of the prime.  The bound is the chart
+# window (2p+1)(2p-2) at p=61, the largest regular prime whose `verify`
+# stays under 40 MB of peak RSS (36 MB and about 1 s of CPU on a 2 vCPU
+# Xeon); the next one, 71, takes 41 MB.
+MAX_CHART_WINDOW = 14760
+
 
 class CheckResult(NamedTuple):
     p: int
@@ -71,17 +78,15 @@ class _Failure(Exception):
     pass
 
 
-# The four chart checks ask for four distinct pages per prime, some of them
-# more than once.  Only the E2 sums and the EINF page are kept, so each E2
-# page is freed as soon as its differentials have run.
-@lru_cache(maxsize=4)
-def _chart(
-    p: OddPrime, target: ChartTarget, top: int
-) -> tuple[dict[int, int], ChartPage]:
-    """E2 torsion sums per total degree and the EINF page of one chart,
-    shared by every caller, so read and never changed."""
-    e2 = build_e2(p, target, top)
-    return e2.torsion_by_degree, run_differentials(e2)
+# The four chart checks read three pages per prime, the whole-window chart
+# of each target.  E2 pages are lazy, so each holds only its (p, target,
+# top) and per-degree sums; the EINF pages are the pages kept.
+@lru_cache(maxsize=3)
+def _chart(p: OddPrime, target: ChartTarget) -> tuple[ChartPage, ChartPage]:
+    """The E2 and EINF pages of one whole-window chart, shared by every
+    caller, so read and never changed."""
+    e2 = build_e2(p, target, chart_window(p, target) - 1)
+    return e2, run_differentials(e2)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +98,9 @@ def _check_torsion_vs_charts(p: OddPrime, deep: bool) -> str:
     """Closed-form profile == cokernel-of-J summand + chart engine."""
     top = torsion_window(p) - 1
     profile = wh_torsion_profile(p, top)
-    _, chart = _chart(p, ChartTarget.S_OF_CPBAR, top - 1)
+    # degree d reads total degree d-1 of the stunted chart, whose window
+    # ends one degree below the profile's
+    _, chart = _chart(p, ChartTarget.S_OF_CPBAR)
     table = {e.degree: e.valuation for e in profile.entries}
     for d in range(1, top + 1):
         sigma = sigma_c_torsion(p, d)
@@ -107,11 +114,11 @@ def _check_torsion_vs_charts(p: OddPrime, deep: bool) -> str:
     return f"closed form matches the chart engine in degrees 1..{top}"
 
 
-def _einf_torsion_cells(page) -> dict[tuple[int, int, str], int]:
+def _einf_torsion_cells(page, top: int) -> dict[tuple[int, int, str], int]:
     return {
         (s, t, c.label): c.valuation
         for (s, t), summands in page.cells.items()
-        if t > 0
+        if 0 < t and s + t <= top
         for c in summands
     }
 
@@ -121,10 +128,13 @@ def _check_adjustment_sets(p: OddPrime, deep: bool) -> str:
     cokernel-of-J families on low columns, minus alpha_bar(1)*b(mp) for
     m >= p-2."""
     top = chart_window(p, ChartTarget.S_OF_CPBAR) - 1
-    _, jpage = _chart(p, ChartTarget.J_OF_CP, top)
-    _, spage = _chart(p, ChartTarget.S_OF_CPBAR, top)
+    # The differentials in a total degree do not depend on the top, so the
+    # whole-window image-of-J chart restricted to the stunted window is the
+    # chart to that window.
+    _, jpage = _chart(p, ChartTarget.J_OF_CP)
+    _, spage = _chart(p, ChartTarget.S_OF_CPBAR)
     degrees = {c.name: c.degree for c in all_torsion_classes(p)}
-    expected = _einf_torsion_cells(jpage)
+    expected = _einf_torsion_cells(jpage, top)
     for name in ("beta1", "alpha1_beta1", "beta1_sq"):
         t = degrees[name]
         for m in range(1, p.p - 2):
@@ -139,7 +149,7 @@ def _check_adjustment_sets(p: OddPrime, deep: bool) -> str:
             raise _Failure(f"removable cell {key} absent from the base chart")
         del expected[key]
         m += 1
-    got = _einf_torsion_cells(spage)
+    got = _einf_torsion_cells(spage, top)
     if got != expected:
         extra = sorted(set(got) - set(expected))[:3]
         missing = sorted(set(expected) - set(got))[:3]
@@ -157,7 +167,7 @@ def _check_axis_orders(p: OddPrime, deep: bool) -> str:
     """Surviving image-of-J order per odd stem == the closed-form count of
     axis differentials entering minus leaving."""
     top = chart_window(p, ChartTarget.J_OF_CP) - 1
-    _, page = _chart(p, ChartTarget.J_OF_CP, top)
+    _, page = _chart(p, ChartTarget.J_OF_CP)
     stems = 0
     for n in range(1, (top + 1) // 2 + 1):
         got = page.torsion_by_degree.get(2 * n - 1, 0)
@@ -172,9 +182,9 @@ def _check_conservation(p: OddPrime, deep: bool) -> str:
     """E2 aggregate - kill ledger == EINF aggregate, on all three charts."""
     for target in ChartTarget:
         top = chart_window(p, target) - 1
-        e2_sums, einf = _chart(p, target, top)
+        e2, einf = _chart(p, target)
         for d in range(0, top + 1):
-            before = e2_sums.get(d, 0)
+            before = e2.torsion_by_degree.get(d, 0)
             killed = einf.kill_ledger.get(d, 0)
             after = einf.torsion_by_degree.get(d, 0)
             if before - killed != after:
@@ -388,12 +398,21 @@ _CHECKS = (
 
 
 def run_checks(primes: list[OddPrime], deep: bool = False) -> list[CheckResult]:
-    """Run the whole suite for each prime.  Irregular primes raise
-    PreconditionError up front; a check failing for any other reason is
-    reported as a fail row, never swallowed."""
-    results = []
+    """Run the whole suite for each prime.  A prime whose chart window
+    exceeds MAX_CHART_WINDOW raises WindowError, and then an irregular
+    prime PreconditionError, before any check runs; a check failing for
+    any other reason is reported as a fail row, never swallowed."""
+    for p in primes:
+        window = chart_window(p, ChartTarget.J_OF_CP)
+        if window > MAX_CHART_WINDOW:
+            raise WindowError(
+                f"the chart window (2p+1)(2p-2) = {window} at p={p.p} "
+                f"exceeds verify's bound {MAX_CHART_WINDOW}"
+            )
     for p in primes:
         ensure_regular(p)
+    results = []
+    for p in primes:
         for name, fn in _CHECKS:
             try:
                 detail = fn(p, deep)

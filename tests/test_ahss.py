@@ -132,7 +132,9 @@ def test_kill_ledger_conservation():
 
 
 def test_torsion_by_degree_sums_cell_valuations():
-    for p in (P3, P5):
+    # An E2 page sums its torsion from the stem table, one range-add per
+    # class; the materialized cells must give the same sums.
+    for p in map(OddPrime, (3, 5, 7, 11, 13, 17)):
         for target in ChartTarget:
             e2 = build_e2(p, target, chart_window(p, target) - 1)
             sums = Counter()
@@ -186,6 +188,47 @@ def test_axis_rule_names_a_missing_summand():
     page = ChartPage(e2.target, P3, E2, 20, cells)
     with pytest.raises(InconsistencyError, match=r"alpha_bar\(2\)\*b\(1\)"):
         run_differentials(page)
+
+
+def _tops(p, target):
+    window = chart_window(p, target)
+    return sorted({window - 1, window - 5, window // 2, 1, 0})
+
+
+@pytest.mark.parametrize("pp", [3, 5, 7, 11, 13])
+def test_lazy_e2_page_matches_its_materialized_cells(pp):
+    p = OddPrime(pp)
+    for target in ChartTarget:
+        for top in _tops(p, target):
+            lazy = run_differentials(build_e2(p, target, top))
+            cells = dict(build_e2(p, target, top).cells)
+            by_hand = run_differentials(ChartPage(target, p, E2, top, cells))
+            assert lazy.cells == by_hand.cells  # tuples: order within cells
+            assert lazy.kill_ledger == by_hand.kill_ledger
+
+
+def test_einf_run_leaves_e2_cells_unbuilt():
+    for target in ChartTarget:
+        e2 = build_e2(P5, target, chart_window(P5, target) - 1)
+        einf = run_differentials(e2)
+        assert e2.torsion_by_degree and einf.cells
+        assert "cells" not in vars(e2)
+        assert e2.cells and "cells" in vars(e2)
+
+
+@pytest.mark.parametrize("pp", [3, 5, 7, 11, 13, 17])
+def test_whole_window_j_chart_restricts_to_the_stunted_window(pp):
+    # verify's chart-adjustment-sets row reads the whole-window image-of-J
+    # page at the stunted window's degrees instead of building that chart.
+    p = OddPrime(pp)
+    target = ChartTarget.J_OF_CP
+    top = chart_window(p, ChartTarget.S_OF_CPBAR) - 1
+    whole = run_differentials(build_e2(p, target, chart_window(p, target) - 1))
+    short = run_differentials(build_e2(p, target, top))
+    assert {
+        st: summands for st, summands in whole.cells.items()
+        if st[1] > 0 and sum(st) <= top
+    } == {st: summands for st, summands in short.cells.items() if st[1] > 0}
 
 
 def test_small_windows_run_clean():

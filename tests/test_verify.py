@@ -1,11 +1,12 @@
 """The verify suite: its elimination oracle against the quotient series,
-its chart checks at primes beyond the default list, and how often those
-checks build a chart."""
+its chart checks at primes beyond the default list, how often those
+checks build a chart, and the bound on chart size."""
 
 from collections import Counter
 
 import pytest
 
+from whcalc import cli
 from whcalc import verify as vf
 from whcalc.arith import OddPrime
 
@@ -77,10 +78,28 @@ def test_each_chart_is_built_once_per_prime(monkeypatch):
     vf._chart.cache_clear()
     rows = vf.run_checks([OddPrime(17)])
     assert [r.name for r in rows if r.status != vf.PASS] == ["golden-files"]
-    # seven page requests, four distinct (target, top) pages
-    assert calls == {"build_e2": 4, "run_differentials": 4}
+    # seven page requests, three distinct pages: one whole window per target
+    assert calls == {"build_e2": 3, "run_differentials": 3}
     vf.run_checks([OddPrime(3), OddPrime(5)])
     info = vf._chart.cache_info()
-    assert info.maxsize == 4 and info.currsize <= info.maxsize
-    assert calls == {"build_e2": 12, "run_differentials": 12}
+    assert info.maxsize == 3 and info.currsize <= info.maxsize
+    assert calls == {"build_e2": 9, "run_differentials": 9}
     vf._chart.cache_clear()
+
+
+def test_verify_refuses_a_prime_beyond_the_chart_bound(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("called before the chart bound was applied")
+
+    monkeypatch.setattr(vf, "ensure_regular", never)
+    monkeypatch.setattr(vf, "build_e2", never)
+    assert cli.main(["verify", "--p", "3,997"]) == cli.EXIT_WINDOW
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: the chart window (2p+1)(2p-2) = 3974040 at p=997 exceeds "
+        f"verify's bound {vf.MAX_CHART_WINDOW}\n"
+    )
+    # the bound admits every regular prime up to 61 and refuses 67 on
+    assert (2 * 61 + 1) * (2 * 61 - 2) <= vf.MAX_CHART_WINDOW
+    assert (2 * 67 + 1) * (2 * 67 - 2) > vf.MAX_CHART_WINDOW
