@@ -2,102 +2,84 @@
 spectrum of a point at odd regular primes.
 
 Exact integer/F_p arithmetic throughout; every derived number is
-cross-checked against an independent oracle by the `verify` suite."""
+cross-checked against an independent oracle by the `verify` suite.
+
+The public names are imported from their submodules on first access
+(PEP 562), so a cold CLI call loads only the modules its subcommand
+runs."""
 
 from ._version import __version__
-from .ahss import (
-    ChartTarget,
-    build_e2,
-    chart_window,
-    einf_valuation,
-    j_order_valuation,
-    run_differentials,
-)
-from .arith import (
-    OddPrime,
-    binom_mod_p,
-    ensure_regular,
-    is_regular,
-    vp,
-    vp_factorial,
-)
-from .errors import (
-    InconsistencyError,
-    PreconditionError,
-    UnverifiedError,
-    WhcalcError,
-    WindowError,
-)
-from .steenrod import (
-    AdmissibleMonomial,
-    FpLinearCombo,
-    act_on_projective,
-    adem_normalize,
-    admissible_basis,
-    annihilator_basis,
-    left_ideal_dims,
-    milnor_dual_dims,
-    milnor_primitive,
-    quotient_module_dims,
-)
-from .stems import StemClass, alpha_bar, beta2_degree, stem_torsion
-from .torsion import (
-    concordance_first_torsion,
-    first_p_torsion,
-    sigma_c_torsion,
-    torsion_window,
-    wh_torsion_profile,
-)
-from .verify import CheckResult, run_checks
-from .whcohomology import (
-    delta_star_report,
-    h_sigma_c_dims,
-    h_sigma_hp_dims,
-    h_wh_report,
-)
 
-__all__ = [
-    "__version__",
-    "AdmissibleMonomial",
-    "ChartTarget",
-    "CheckResult",
-    "FpLinearCombo",
-    "InconsistencyError",
-    "OddPrime",
-    "PreconditionError",
-    "StemClass",
-    "UnverifiedError",
-    "WhcalcError",
-    "WindowError",
-    "act_on_projective",
-    "adem_normalize",
-    "admissible_basis",
-    "alpha_bar",
-    "annihilator_basis",
-    "beta2_degree",
-    "binom_mod_p",
-    "build_e2",
-    "chart_window",
-    "concordance_first_torsion",
-    "delta_star_report",
-    "einf_valuation",
-    "ensure_regular",
-    "first_p_torsion",
-    "h_sigma_c_dims",
-    "h_sigma_hp_dims",
-    "h_wh_report",
-    "is_regular",
-    "j_order_valuation",
-    "left_ideal_dims",
-    "milnor_dual_dims",
-    "milnor_primitive",
-    "quotient_module_dims",
-    "run_checks",
-    "run_differentials",
-    "sigma_c_torsion",
-    "stem_torsion",
-    "torsion_window",
-    "vp",
-    "vp_factorial",
-    "wh_torsion_profile",
-]
+# Each public name, by the submodule that defines it.
+_EXPORTS = {
+    "ahss": (
+        "ChartTarget",
+        "build_e2",
+        "chart_window",
+        "einf_valuation",
+        "j_order_valuation",
+        "run_differentials",
+    ),
+    "arith": (
+        "OddPrime",
+        "binom_mod_p",
+        "ensure_regular",
+        "is_regular",
+        "vp",
+        "vp_factorial",
+    ),
+    "errors": (
+        "InconsistencyError",
+        "PreconditionError",
+        "UnverifiedError",
+        "WhcalcError",
+        "WindowError",
+    ),
+    "steenrod": (
+        "AdmissibleMonomial",
+        "FpLinearCombo",
+        "act_on_projective",
+        "adem_normalize",
+        "admissible_basis",
+        "annihilator_basis",
+        "left_ideal_dims",
+        "milnor_dual_dims",
+        "milnor_primitive",
+        "quotient_module_dims",
+    ),
+    "stems": ("StemClass", "alpha_bar", "beta2_degree", "stem_torsion"),
+    "torsion": (
+        "concordance_first_torsion",
+        "first_p_torsion",
+        "sigma_c_torsion",
+        "torsion_window",
+        "wh_torsion_profile",
+    ),
+    "verify": ("CheckResult", "run_checks"),
+    "whcohomology": (
+        "delta_star_report",
+        "h_sigma_c_dims",
+        "h_sigma_hp_dims",
+        "h_wh_report",
+    ),
+}
+_MODULE_OF = {
+    name: module for module, names in _EXPORTS.items() for name in names
+}
+
+__all__ = ["__version__", *sorted(_MODULE_OF)]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

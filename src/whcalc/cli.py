@@ -6,7 +6,8 @@ of the contract: 0 success, 1 internal inconsistency (an oracle
 disagreed), 2 precondition failure (bad flags, irregular prime) or I/O
 failure, 3 window or range violation.  JSON output is byte-stable for
 fixed flags; csv, ascii-chart and svg-chart are pure projections of the
-same payload.
+same payload.  Each call is a cold process, so `render` and `verify` are
+imported only on the paths that use them.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import argparse
 import os
 import sys
 
-from . import emit, render
-from . import verify as verify_mod
+from . import emit
 from ._version import __version__
 from .arith import OddPrime
 from .errors import InconsistencyError, PreconditionError, WindowError
@@ -100,6 +100,8 @@ def _emit_for(args: argparse.Namespace) -> tuple[str, dict]:
 def _render(fmt: str, command: str, payload: dict) -> str:
     if fmt == "json":
         return emit.envelope_text(command, payload)
+    from . import render
+
     if fmt == "csv":
         return render.to_csv(payload)
     if fmt == "ascii-chart":
@@ -150,13 +152,15 @@ def _int(text: str, name: str) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     tokens = [_int(tok, "--p") for tok in args.p.split(",") if tok.strip()]
     if not tokens:
         raise PreconditionError(f"--p {args.p!r} names no prime")
     primes = [OddPrime(n) for n in dict.fromkeys(tokens)]
-    results = verify_mod.run_checks(primes, deep=args.deep)
-    sys.stdout.write(verify_mod.format_matrix(results) + "\n")
-    failed = any(r.status == verify_mod.FAIL for r in results)
+    results = verify.run_checks(primes, deep=args.deep)
+    sys.stdout.write(verify.format_matrix(results) + "\n")
+    failed = any(r.status == verify.FAIL for r in results)
     return EXIT_INCONSISTENT if failed else EXIT_OK
 
 

@@ -5,36 +5,27 @@ provenance and the normalized command line, the payload carries only
 mathematical content.  Serialization uses insertion order (keys are built
 in ascending numeric order), two-space indentation and a trailing newline,
 so output is byte-stable across runs and suitable for golden-file
-comparison.
+comparison.  Each builder imports the library modules it runs when it is
+called, so a cold CLI call loads only those.
 """
 
 from __future__ import annotations
 
-import json
-
 from ._version import __version__
-from .ahss import ChartTarget, build_e2, page_payload, run_differentials
 from .arith import OddPrime
 from .errors import PreconditionError
-from .torsion import profile_payload, wh_torsion_profile
-from .whcohomology import (
-    COKER_MAIN_PIECE,
-    HP_PIECE,
-    SIGMA_C_PIECE,
-    _cp_piece_name,
-    _ker_piece_name,
-    _odd_summand_indices,
-    h_wh_report,
-    report_payload,
-)
 
 FORMATS = ("json", "csv", "ascii-chart", "svg-chart")
 PIECES = ("all", "sigma-c", "hp", "coker", "ker", "total")
-TARGETS = tuple(t.value for t in ChartTarget)
+# The `ahss.ChartTarget` values, written out so that building the CLI's
+# choices does not import the chart engine.
+TARGETS = ("j-cp", "s-cp", "s-cpbar")
 PAGES = ("e2", "einf")
 
 
 def envelope_text(command: str, payload: dict) -> str:
+    import json
+
     doc = {
         "header": {
             "format": "whcalc.v1",
@@ -50,6 +41,8 @@ def envelope_text(command: str, payload: dict) -> str:
 def pi_wh(
     p: OddPrime, max_degree: int, *, assume_regular: bool = False
 ) -> tuple[str, dict]:
+    from .torsion import profile_payload, wh_torsion_profile
+
     command = f"pi-wh --p {p.p} --max-degree {max_degree}"
     if assume_regular:
         command += " --assume-regular"
@@ -60,6 +53,8 @@ def pi_wh(
 def ahss(
     p: OddPrime, target: str, page: str, max_degree: int
 ) -> tuple[str, dict]:
+    from .ahss import ChartTarget, build_e2, page_payload, run_differentials
+
     if page not in PAGES:
         raise PreconditionError(f"unknown page {page!r}")
     command = (
@@ -73,6 +68,15 @@ def ahss(
 
 
 def _piece_names(p: OddPrime, piece: str) -> list[str]:
+    from .whcohomology import (
+        COKER_MAIN_PIECE,
+        HP_PIECE,
+        SIGMA_C_PIECE,
+        _cp_piece_name,
+        _ker_piece_name,
+        _odd_summand_indices,
+    )
+
     odd = _odd_summand_indices(p)
     if piece == "sigma-c":
         return [SIGMA_C_PIECE]
@@ -89,6 +93,8 @@ def cohomology(
     p: OddPrime, max_degree: int, piece: str = "all", *,
     assume_regular: bool = False,
 ) -> tuple[str, dict]:
+    from .whcohomology import h_wh_report, report_payload
+
     if piece not in PIECES:
         raise PreconditionError(f"unknown piece {piece!r}")
     command = f"cohomology --p {p.p} --max-degree {max_degree} --piece {piece}"

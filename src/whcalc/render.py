@@ -64,7 +64,7 @@ def _profile_ascii(payload: dict) -> str:
 
 
 def _chart_ascii(payload: dict) -> str:
-    cells = {(c["s"], c["t"]): c for c in payload["cells"]}
+    cells = payload["cells"]
     lines = [
         f"# chart {payload['target']} page {payload['page_label']} p={payload['p']}"
         f" (total degrees <= {payload['max_total_degree']})",
@@ -73,22 +73,29 @@ def _chart_ascii(payload: dict) -> str:
     ]
     if not cells:
         return "\n".join(lines + ["(empty)"]) + "\n"
-    smin = min(s for s, _ in cells)
-    smax = max(s for s, _ in cells)
-    tmax = max(t for _, t in cells)
+    smin = min(c["s"] for c in cells)
+    smax = max(c["s"] for c in cells)
+    tmax = max(c["t"] for c in cells)
     twidth = len(str(tmax))
+    ncols = (smax - smin) // 2 + 1
+    # Only the rows that have cells are built; columns step by 2 in s.
+    rows: dict[int, list[str]] = {}
+    for c in cells:
+        col, odd = divmod(c["s"] - smin, 2)
+        if odd:
+            continue
+        row = rows.get(c["t"])
+        if row is None:
+            row = rows[c["t"]] = [" . "] * ncols
+        if c["t"] == 0:
+            row[col] = " Z "
+        else:
+            mark = "~" if c["aggregate_only"] else " "
+            row[col] = f"{c['valuation']:>2}{mark}"
+    blank = " . " * ncols
     for t in range(tmax, -1, -1):
-        row = [f"t={t:>{twidth}} |"]
-        for s in range(smin, smax + 1, 2):
-            c = cells.get((s, t))
-            if c is None:
-                row.append(" . ")
-            elif t == 0:
-                row.append(" Z ")
-            else:
-                mark = "~" if c["aggregate_only"] else " "
-                row.append(f"{c['valuation']:>2}{mark}")
-        lines.append("".join(row))
+        body = "".join(rows[t]) if t in rows else blank
+        lines.append(f"t={t:>{twidth}} |{body}")
     pad = " " * (twidth + 4)
     lines.append(pad + "".join(f"{s:>3}" for s in range(smin, smax + 1, 2)))
     lines.append(pad + "(s)")

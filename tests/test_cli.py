@@ -10,6 +10,7 @@ from importlib import resources
 
 import pytest
 
+import whcalc.verify
 from whcalc import cli, emit, render
 from whcalc.errors import InconsistencyError
 
@@ -250,7 +251,7 @@ def test_verify_default_primes(capsys, monkeypatch):
 
         return [CheckResult(3, "stub", "pass", "")]
 
-    monkeypatch.setattr(cli.verify_mod, "run_checks", fake_run_checks)
+    monkeypatch.setattr(whcalc.verify, "run_checks", fake_run_checks)
     assert run_cli(capsys, "verify")[0] == 0
     assert seen == {"primes": [3, 5, 7], "deep": False}
     assert run_cli(capsys, "verify", "--p", "3,5", "--deep")[0] == 0
@@ -264,7 +265,7 @@ def test_verify_empty_prime_list_exits_2(capsys, monkeypatch, primes):
     def fake_run_checks(primes, deep=False):
         raise AssertionError("no check may run without a prime")
 
-    monkeypatch.setattr(cli.verify_mod, "run_checks", fake_run_checks)
+    monkeypatch.setattr(whcalc.verify, "run_checks", fake_run_checks)
     code, out, err = run_cli(capsys, "verify", "--p", primes)
     assert code == 2
     assert out == ""
@@ -275,7 +276,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     from whcalc.verify import CheckResult
 
     monkeypatch.setattr(
-        cli.verify_mod,
+        whcalc.verify,
         "run_checks",
         lambda primes, deep=False: [CheckResult(3, "stub", "fail", "boom")],
     )

@@ -1,5 +1,6 @@
 """Value classes: immutable, hashed as their field tuple, with a
-`Name(field=value, ...)` repr; and an import of the CLI that stays lean."""
+`Name(field=value, ...)` repr; a package namespace that imports lazily;
+and CLI calls that load only the modules they run."""
 
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import whcalc
+from whcalc import emit
 from whcalc.ahss import ChartClass, ChartPage, ChartTarget, build_e2
 from whcalc.arith import OddPrime
 from whcalc.errors import PreconditionError
@@ -137,13 +139,81 @@ def test_chart_page_repr_and_cached_sums():
     assert fresh.torsion_by_degree == page.torsion_by_degree
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
+# Per call: the arguments, modules it must load (so the check is not
+# vacuous) and modules it must leave out.  No call loads `dataclasses` or
+# `inspect`.
+IMPORT_CASES = {
+    "version": (
+        ["--version"],
+        {"whcalc.cli"},
+        {"whcalc.ahss", "whcalc.steenrod", "whcalc.torsion",
+         "whcalc.whcohomology", "whcalc.verify", "whcalc.render", "json"},
+    ),
+    "pi-wh-csv": (
+        ["pi-wh", "--p", "5", "--max-degree", "40", "--format", "csv"],
+        {"whcalc.torsion", "whcalc.render"},
+        {"whcalc.steenrod", "whcalc.ahss", "whcalc.verify", "json"},
+    ),
+    "ahss": (
+        ["ahss", "--p", "5", "--max-degree", "40"],
+        {"whcalc.ahss", "json"},
+        {"whcalc.steenrod", "whcalc.whcohomology", "whcalc.torsion",
+         "whcalc.verify"},
+    ),
+    "cohomology": (
+        ["cohomology", "--p", "3", "--max-degree", "40"],
+        {"whcalc.steenrod", "whcalc.whcohomology"},
+        {"whcalc.ahss", "whcalc.verify"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", IMPORT_CASES)
+def test_cli_call_imports_only_what_it_runs(case):
+    argv, loaded, left_out = IMPORT_CASES[case]
     src = os.path.dirname(os.path.dirname(os.path.abspath(whcalc.__file__)))
     code = (
-        "import sys, whcalc.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "import sys\n"
+        "from whcalc import cli\n"
+        "try:\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "sys.stderr.write(' '.join(sys.modules))\n"
+        "sys.exit(code)\n"
     )
     # -S keeps site-packages .pth hooks out of the measured import graph.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stderr.split())
+    assert loaded <= modules
+    assert not (left_out | {"dataclasses", "inspect"}) & modules
+
+
+def test_package_names_resolve_lazily_to_their_definitions():
+    for name in whcalc.__all__:
+        value = getattr(whcalc, name)
+        if name != "__version__":
+            assert getattr(sys.modules[value.__module__], name) is value
+    star: dict = {}
+    exec("from whcalc import *", star)
+    assert set(star) - {"__builtins__"} == set(whcalc.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        whcalc.no_such_name
+
+
+def test_bare_package_import_loads_no_submodule_and_lists_every_name():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(whcalc.__file__)))
+    code = (
+        "import sys, whcalc\n"
+        "print(sorted(m for m in sys.modules if m.startswith('whcalc')))\n"
+        "print(sorted(set(whcalc.__all__) - set(dir(whcalc))))\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
@@ -151,4 +221,8 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["['whcalc', 'whcalc._version']", "[]", ""]
+
+
+def test_emit_targets_are_the_chart_targets():
+    assert emit.TARGETS == tuple(t.value for t in ChartTarget)
