@@ -42,18 +42,22 @@ check  E2 aggregate - kills = EINF aggregate.
 
 The E2 page from `build_e2` is lazy: it keeps only (p, target, top), as
 its content is the stem table placed on every column.  Its per-degree
-torsion sums are one range-add per class, and `run_differentials` asks it
-for each summand's valuation, storing only what R1 leaves.  So its cells,
-about twenty times those of the EINF page, are built only when read, which
-`page_payload` does for `ahss --page e2`.  A page built by hand from a
-cell dict is read from that dict.
+torsion sums are one range-add per class.  R1 on it visits only what the
+axis rule leaves: alpha_bar(i)*b(k) has valuation 1+v_p(i) on every column
+k >= 1, so in each odd total degree the index at which the budget runs out
+is found by bisection in the running sums of those valuations.  So its
+cells, about twenty times those of the EINF page, are built only when
+read, which `page_payload` does for `ahss --page e2`.  A page built by
+hand from a cell dict is read from that dict, summand by summand.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import defaultdict
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 from .arith import OddPrime, vp_factorial
@@ -147,6 +151,36 @@ class ChartPage:
     def summand_valuation(self, theta: StemClass, k: int) -> int | None:
         """Valuation of the summand theta*b(k); None when the page lacks it."""
         return self._valuations.get((theta.name, k))
+
+    def _axis_kept(
+        self, alpha: list[StemClass | None], budgets: list[int]
+    ) -> dict[int, list[tuple[int, int]]]:
+        """R1 summand by summand.  The image-of-J cells in total degree 2n-1
+        are alpha_bar(i)*b(n-(p-1)i), consumed in index order until the
+        budget v_p(n!) = budgets[n] runs out.  Returns what each
+        alpha_bar(i) keeps on the columns k >= 1, in column order."""
+        pp = self.p.p
+        kept: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for n, budget in enumerate(budgets):
+            i, k = 1, n - (pp - 1)
+            while k >= 1:
+                val = self.summand_valuation(alpha[i], k)
+                # d_q on alpha_bar(1)*b(k) is k times a unit
+                if budget and (i > 1 or k % pp):
+                    if val is None:
+                        raise InconsistencyError(
+                            f"R1: expected alpha_bar({i})*b({k}) on the page "
+                            f"in total degree {2 * n - 1}"
+                        )
+                    take = val if val < budget else budget
+                    val -= take
+                    budget -= take
+                if val:
+                    kept[i].append((k, val))
+                i, k = i + 1, k - (pp - 1)
+            if budget:
+                raise _under_supplied(self.p, n, budget)
+        return kept
 
 
 def chart_window(p: OddPrime, target: ChartTarget) -> int:
@@ -244,6 +278,43 @@ class _E2Page(ChartPage):
             )
         return theta.order_valuation if on_page else None
 
+    def _axis_kept(
+        self, alpha: list[StemClass | None], budgets: list[int]
+    ) -> dict[int, list[tuple[int, int]]]:
+        """R1 by bisection.  Every alpha_bar(i)*b(k) with k >= 1 in the
+        window is on this page with valuation 1+v_p(i), so the budget takes
+        the indices 1, 2, ... in order (passing over alpha_bar(1)*b(k) when
+        p | k), and the index where it runs out is a bisection in their
+        running sums.  Only that index, the untouched tail after it and a
+        passed-over alpha_bar(1) are visited."""
+        pp = self.p.p
+        # cum[i]: summed valuations of alpha_bar(1..i)
+        cum = [0, *accumulate(c.order_valuation for c in alpha[1:])]
+        kept: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for n, budget in enumerate(budgets):
+            last = (n - 1) // (pp - 1)  # the largest i with a column k >= 1
+            first = 1
+            if budget:  # so n >= p and last >= 1
+                skip = (n - (pp - 1)) % pp == 0
+                i = bisect_left(cum, budget + skip, 0, last + 1)
+                if i > last:
+                    raise _under_supplied(self.p, n, budget + skip - cum[last])
+                if skip:
+                    kept[1].append((n - (pp - 1), 1))
+                if cum[i] - skip > budget:
+                    kept[i].append((n - (pp - 1) * i, cum[i] - skip - budget))
+                first = i + 1
+            for i in range(first, last + 1):
+                kept[i].append((n - (pp - 1) * i, cum[i] - cum[i - 1]))
+        return kept
+
+
+def _under_supplied(p: OddPrime, n: int, residual: int) -> InconsistencyError:
+    return InconsistencyError(
+        f"axis rule under-supplied in total degree {2 * n - 1}: "
+        f"residual budget {residual} at p={p.p}"
+    )
+
 
 def build_e2(p: OddPrime, target: ChartTarget, max_total_degree: int) -> ChartPage:
     """E2 page up to the given total degree (inclusive)."""
@@ -263,8 +334,8 @@ def build_e2(p: OddPrime, target: ChartTarget, max_total_degree: int) -> ChartPa
 def run_differentials(page: ChartPage) -> ChartPage:
     """Push an E2 page to EINF with rules R1-R5; returns a new page.
 
-    The E2 summands are read through `page.summand_valuation`, so a lazy
-    E2 page is never built cell by cell."""
+    The E2 summands are read through the page's `_axis_kept` and
+    `summand_valuation`, so a lazy E2 page is never built cell by cell."""
     if page.page_label != E2:
         raise PreconditionError("run_differentials expects an E2 page")
     p = page.p
@@ -276,37 +347,13 @@ def run_differentials(page: ChartPage) -> ChartPage:
     valuation = page.summand_valuation
     ledger: dict[int, int] = defaultdict(int)
 
-    # R1: axis rule.  The image-of-J cells in total degree 2n-1 are
-    # alpha_bar(i)*b(n-(p-1)i), one per index i, consumed in index order.
+    # R1: axis rule, killing v_p(n!) in each odd total degree 2n-1.
     alpha = [None] + [c for c in page_classes if c.kind == IM_J]
-    # what each alpha_bar(i) keeps on the columns k >= 1, in column order
-    kept: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for n in range(1, (max_total + 1) // 2 + 1):
-        total = 2 * n - 1
-        budget = killed = vp_factorial(p, n)
-        i, k = 1, n - (pp - 1)
-        while k >= 1:
-            val = valuation(alpha[i], k)
-            # d_q on alpha_bar(1)*b(k) is k times a unit
-            if budget and (i > 1 or k % pp):
-                if val is None:
-                    raise InconsistencyError(
-                        f"R1: expected alpha_bar({i})*b({k}) on the page in "
-                        f"total degree {total}"
-                    )
-                take = val if val < budget else budget
-                val -= take
-                budget -= take
-            if val:
-                kept[i].append((k, val))
-            i, k = i + 1, k - (pp - 1)
-        if budget:
-            raise InconsistencyError(
-                f"axis rule under-supplied in total degree {total}: "
-                f"residual budget {budget} at p={pp}"
-            )
+    budgets = [vp_factorial(p, n) for n in range((max_total + 1) // 2 + 1)]
+    kept = page._axis_kept(alpha, budgets)
+    for n, killed in enumerate(budgets):
         if killed:
-            ledger[total] += killed
+            ledger[2 * n - 1] += killed
 
     # mutable torsion content: valuation keyed by (theta name, column index),
     # in page order, so survivors keep each cell's label order

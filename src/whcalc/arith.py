@@ -152,11 +152,18 @@ def is_regular(p: OddPrime, bound: int = REGULARITY_BOUND) -> bool:
     return not _irregular_indices(p.p)
 
 
-def ensure_regular(p: OddPrime, assume_regular: bool = False) -> tuple[str, ...]:
+def ensure_regular(
+    p: OddPrime,
+    assume_regular: bool = False,
+    hint: str = "pass assume_regular=True to override",
+) -> tuple[str, ...]:
     """Gate used by the torsion/cohomology entry points.
 
     Returns the standing assumption strings recorded in serialized output.
     With assume_regular the check is skipped and the override is recorded.
+    An irregular prime is refused with a message ending in `hint`, which
+    names the override the caller offers (a CLI flag, say) or that there
+    is none.
     """
     assumptions = ["odd regular prime", "Lichtenbaum-Quillen for Z[1/p]"]
     if assume_regular:
@@ -165,6 +172,6 @@ def ensure_regular(p: OddPrime, assume_regular: bool = False) -> tuple[str, ...]
     if not is_regular(p):
         raise PreconditionError(
             f"p={p.p} is an irregular prime; the computation assumes an odd "
-            f"regular prime (pass assume_regular to override)"
+            f"regular prime ({hint})"
         )
     return tuple(assumptions)

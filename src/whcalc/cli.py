@@ -18,7 +18,7 @@ import sys
 
 from . import emit
 from ._version import __version__
-from .arith import OddPrime
+from .arith import OddPrime, ensure_regular
 from .errors import InconsistencyError, PreconditionError, WindowError
 
 EXIT_OK = 0
@@ -86,12 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit_for(args: argparse.Namespace) -> tuple[str, dict]:
     p = OddPrime(args.p)
+    if args.command == "ahss":
+        return emit.ahss(p, args.target, args.page, args.max_degree)
+    # refused here, so the message names the flag, not the library keyword
+    ensure_regular(p, args.assume_regular, "pass --assume-regular to override")
     if args.command == "pi-wh":
         return emit.pi_wh(
             p, args.max_degree, assume_regular=args.assume_regular
         )
-    if args.command == "ahss":
-        return emit.ahss(p, args.target, args.page, args.max_degree)
     return emit.cohomology(
         p, args.max_degree, args.piece, assume_regular=args.assume_regular
     )

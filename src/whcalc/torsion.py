@@ -117,6 +117,13 @@ class StemSummand(NamedTuple):
     valuation: int
 
 
+def sigma_c_summands(p: OddPrime) -> dict[int, StemSummand]:
+    """The four Z/p classes of the suspended cokernel-of-J piece, keyed by
+    degree; every other degree below (2p+1)q - 1 has none."""
+    degrees = SplittingConstants.from_prime(p).sigma_c_degrees
+    return {d: StemSummand(name, 1) for name, d in zip(_SIGMA_C_NAMES, degrees)}
+
+
 def sigma_c_torsion(p: OddPrime, degree: int) -> StemSummand | None:
     """Z/p class of the suspended cokernel-of-J piece in one degree, if any.
 
@@ -128,11 +135,7 @@ def sigma_c_torsion(p: OddPrime, degree: int) -> StemSummand | None:
             f"suspended cokernel-of-J piece is determined for 0 <= degree < "
             f"{bound} at p={p.p}; got {degree}"
         )
-    consts = SplittingConstants.from_prime(p)
-    for name, d in zip(_SIGMA_C_NAMES, consts.sigma_c_degrees):
-        if d == degree:
-            return StemSummand(name, 1)
-    return None
+    return sigma_c_summands(p).get(degree)
 
 
 class ProfileEntry(NamedTuple):
@@ -149,10 +152,14 @@ class TorsionProfile(NamedTuple):
     annotations: tuple[str, ...]
 
 
-def _degree_valuation(p: OddPrime, d: int) -> tuple[int, tuple[str, ...]]:
+def _degree_valuation(
+    p: OddPrime, sigma: dict[int, StemSummand], d: int
+) -> tuple[int, tuple[str, ...]]:
+    """Torsion valuation and named generators in degree d, for
+    1 <= d < torsion_window(p); sigma is `sigma_c_summands(p)`."""
     val = 0
     gens: list[str] = []
-    named = sigma_c_torsion(p, d)
+    named = sigma.get(d)
     if named is not None:
         val += named.valuation
         gens.append(named.generator)
@@ -180,9 +187,10 @@ def wh_torsion_profile(
             f"torsion profile is determined for degrees < {torsion_window(p)} "
             f"at p={p.p}; got max_degree={max_degree}"
         )
+    sigma = sigma_c_summands(p)
     entries = []
     for d in range(1, max_degree + 1):
-        val, gens = _degree_valuation(p, d)
+        val, gens = _degree_valuation(p, sigma, d)
         if val:
             entries.append(ProfileEntry(d, val, gens))
     annotations = [GENERIC_ANNOTATION]
@@ -202,8 +210,9 @@ class FirstTorsion(NamedTuple):
 def first_p_torsion(p: OddPrime, *, assume_regular: bool = False) -> FirstTorsion:
     """First degree with nonzero p-torsion, scanned from degree 1 upward."""
     ensure_regular(p, assume_regular)
+    sigma = sigma_c_summands(p)
     for d in range(1, torsion_window(p)):
-        val, gens = _degree_valuation(p, d)
+        val, gens = _degree_valuation(p, sigma, d)
         if val:
             return FirstTorsion(d, val, gens[0] if gens else None)
     raise InconsistencyError(

@@ -44,7 +44,7 @@ from .steenrod import (
     word_degree,
 )
 from .stems import all_torsion_classes
-from .torsion import sigma_c_torsion, torsion_window, wh_torsion_profile
+from .torsion import sigma_c_summands, torsion_window, wh_torsion_profile
 from .whcohomology import (
     COKER_MAIN_PIECE,
     HP_PIECE,
@@ -60,10 +60,11 @@ PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
 
-# The chart rows cost about the cube of the prime.  The bound is the chart
-# window (2p+1)(2p-2) at p=61, the largest regular prime whose `verify`
-# stays under 40 MB of peak RSS (36 MB and about 1 s of CPU on a 2 vCPU
-# Xeon); the next one, 71, takes 41 MB.
+# The chart rows cost about the square of the prime, in time and memory:
+# the EINF cells they keep.  The bound is the chart window (2p+1)(2p-2) at
+# p=61, the largest regular prime whose `verify` stays under 40 MB of peak
+# RSS (36 MB and about 0.4 s of CPU on a 2 vCPU Xeon); the next one, 71,
+# takes 41 MB.
 MAX_CHART_WINDOW = 14760
 
 
@@ -102,11 +103,9 @@ def _check_torsion_vs_charts(p: OddPrime, deep: bool) -> str:
     # ends one degree below the profile's
     _, chart = _chart(p, ChartTarget.S_OF_CPBAR)
     table = {e.degree: e.valuation for e in profile.entries}
+    sigma = {d: s.valuation for d, s in sigma_c_summands(p).items()}
     for d in range(1, top + 1):
-        sigma = sigma_c_torsion(p, d)
-        engine = (sigma.valuation if sigma else 0) + (
-            chart.torsion_by_degree.get(d - 1, 0)
-        )
+        engine = sigma.get(d, 0) + chart.torsion_by_degree.get(d - 1, 0)
         if table.get(d, 0) != engine:
             raise _Failure(
                 f"degree {d}: closed form {table.get(d, 0)}, engine {engine}"
@@ -179,14 +178,15 @@ def _check_axis_orders(p: OddPrime, deep: bool) -> str:
 
 
 def _check_conservation(p: OddPrime, deep: bool) -> str:
-    """E2 aggregate - kill ledger == EINF aggregate, on all three charts."""
+    """E2 aggregate - kill ledger == EINF aggregate, on all three charts,
+    in every degree that any of the three names."""
     for target in ChartTarget:
-        top = chart_window(p, target) - 1
         e2, einf = _chart(p, target)
-        for d in range(0, top + 1):
-            before = e2.torsion_by_degree.get(d, 0)
-            killed = einf.kill_ledger.get(d, 0)
-            after = einf.torsion_by_degree.get(d, 0)
+        e2_sums, ledger = e2.torsion_by_degree, einf.kill_ledger
+        einf_sums = einf.torsion_by_degree
+        for d in sorted(e2_sums.keys() | ledger.keys() | einf_sums.keys()):
+            before, killed = e2_sums.get(d, 0), ledger.get(d, 0)
+            after = einf_sums.get(d, 0)
             if before - killed != after:
                 raise _Failure(
                     f"{target.value} total degree {d}: E2 {before} - "
@@ -410,7 +410,7 @@ def run_checks(primes: list[OddPrime], deep: bool = False) -> list[CheckResult]:
                 f"exceeds verify's bound {MAX_CHART_WINDOW}"
             )
     for p in primes:
-        ensure_regular(p)
+        ensure_regular(p, hint="verify checks regular primes only")
     results = []
     for p in primes:
         for name, fn in _CHECKS:

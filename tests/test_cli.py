@@ -187,6 +187,22 @@ def test_assume_regular_override(capsys):
     assert doc["header"]["command"].endswith("--assume-regular")
 
 
+@pytest.mark.parametrize("argv,hint", [
+    (("pi-wh", "--p", "37", "--max-degree", "24"),
+     "pass --assume-regular to override"),
+    (("cohomology", "--p", "37", "--max-degree", "24"),
+     "pass --assume-regular to override"),
+    (("verify", "--p", "3,37"), "verify checks regular primes only"),
+], ids=["pi-wh", "cohomology", "verify"])
+def test_irregular_prime_names_an_override_that_exists(capsys, argv, hint):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: p=37 is an irregular prime; the computation assumes an odd "
+        f"regular prime ({hint})\n"
+    )
+
+
 def test_degree_cap(capsys, monkeypatch):
     assert run_cli(capsys, "pi-wh", "--p", "3", "--max-degree", "513")[0] == 3
     monkeypatch.setenv(cli.CAP_ENV, "100")

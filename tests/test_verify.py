@@ -8,6 +8,7 @@ import pytest
 
 from whcalc import cli
 from whcalc import verify as vf
+from whcalc.ahss import ChartTarget, build_e2, chart_window, run_differentials
 from whcalc.arith import OddPrime
 
 
@@ -61,6 +62,24 @@ def test_chart_checks_at_larger_primes(pp):
     assert vf._check_axis_orders(p, deep=False) == stems
     assert vf._check_conservation(p, deep=False) == (
         "kill ledgers balance on all three charts"
+    )
+
+
+def test_conservation_reads_degrees_outside_the_window(monkeypatch):
+    # A ledger entry beyond the chart's top, where both page sums are 0,
+    # must unbalance the row like any other.
+    def chart(p, target):
+        e2 = build_e2(p, target, chart_window(p, target) - 1)
+        einf = run_differentials(e2)
+        if target is ChartTarget.S_OF_CP:
+            einf.kill_ledger[e2.max_total_degree + 1] = 1
+        return e2, einf
+
+    monkeypatch.setattr(vf, "_chart", chart)
+    rows = {r.name: r for r in vf.run_checks([OddPrime(5)])}
+    assert rows["chart-conservation"].status == vf.FAIL
+    assert rows["chart-conservation"].detail == (
+        "s-cp total degree 88: E2 0 - kills 1 != EINF 0"
     )
 
 
