@@ -49,6 +49,11 @@ is found by bisection in the running sums of those valuations.  So its
 cells, about twenty times those of the EINF page, are built only when
 read, which `page_payload` does for `ahss --page e2`.  A page built by
 hand from a cell dict is read from that dict, summand by summand.
+
+Every window is stated through `stems.beta2_degree`, and a page to total
+degree top reads only the stem classes of degree at most top + 2 (the
+b_{-1} column reaches t = top + 2), so a chart's cost follows its window,
+not p.
 """
 
 from __future__ import annotations
@@ -62,7 +67,9 @@ from typing import NamedTuple
 
 from .arith import OddPrime, vp_factorial
 from .errors import InconsistencyError, PreconditionError, WindowError
-from .stems import IM_J, StemClass, all_torsion_classes
+from .stems import (
+    IM_J, StemClass, _cokernel_classes, all_torsion_classes, beta2_degree
+)
 
 E2 = "E2"
 EINF = "EINF"
@@ -83,14 +90,6 @@ class ChartClass(NamedTuple):
     valuation: int | None
     axis_factor: int | None = None  # n for the EINF axis label "n!*b(n)"
     aggregate_only: bool = False
-
-    @property
-    def s(self) -> int:
-        return 2 * self.k
-
-    @property
-    def t(self) -> int:
-        return self.theta.degree if self.theta else 0
 
     @property
     def label(self) -> str:
@@ -189,8 +188,8 @@ def chart_window(p: OddPrime, target: ChartTarget) -> int:
     The rule set accounts for every differential in total degrees below
     beta2*b_1 over CP^inf and below beta2*b_{-1} over the stunted spectrum.
     """
-    top = (2 * p.p + 1) * p.q
-    return top if target is not ChartTarget.S_OF_CPBAR else top - 4
+    shift = -2 if target is ChartTarget.S_OF_CPBAR else 2
+    return beta2_degree(p) + shift
 
 
 def _columns(target: ChartTarget, max_total: int, t: int) -> list[int]:
@@ -200,9 +199,13 @@ def _columns(target: ChartTarget, max_total: int, t: int) -> list[int]:
     return ks
 
 
-def _page_classes(p: OddPrime, target: ChartTarget) -> list[StemClass]:
-    """The coefficient classes of a chart, sorted by (degree, name)."""
-    classes = all_torsion_classes(p)
+def _page_classes(
+    p: OddPrime, target: ChartTarget, top: int
+) -> list[StemClass]:
+    """The coefficient classes of a chart to total degree top, sorted by
+    (degree, name): those of degree at most top + 2, which the b_{-1}
+    column reaches, so their number follows the window and not p."""
+    classes = all_torsion_classes(p, top + 3)
     if target is ChartTarget.J_OF_CP:
         classes = [c for c in classes if c.kind == IM_J]
     return classes
@@ -234,7 +237,7 @@ class _E2Page(ChartPage):
             cells[(-2, 0)].append(ChartClass(None, -1, None))
         # The classes come sorted by (degree, name) and k is fixed within a
         # cell, so every cell's summands are appended in label order.
-        for theta in _page_classes(self.p, self.target):
+        for theta in _page_classes(self.p, self.target, top):
             for k in _columns(self.target, top, theta.degree):
                 cells[(2 * k, theta.degree)].append(
                     ChartClass(theta, k, theta.order_valuation)
@@ -248,7 +251,7 @@ class _E2Page(ChartPage):
         every other degree."""
         top = self.max_total_degree
         diff = [0] * (top + 3)
-        for theta in _page_classes(self.p, self.target):
+        for theta in _page_classes(self.p, self.target, top):
             t, v = theta.degree, theta.order_valuation
             if t + 2 <= top:
                 diff[t + 2] += v
@@ -342,8 +345,9 @@ def run_differentials(page: ChartPage) -> ChartPage:
     pp = p.p
     target = page.target
     max_total = page.max_total_degree
-    page_classes = _page_classes(p, target)
-    classes = {c.name: c for c in page_classes}
+    page_classes = _page_classes(p, target, max_total)
+    # R2-R4 name cokernel-of-J classes that may lie beyond the window
+    classes = {c.name: c for c in (*_cokernel_classes(p), *page_classes)}
     valuation = page.summand_valuation
     ledger: dict[int, int] = defaultdict(int)
 

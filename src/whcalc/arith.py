@@ -138,16 +138,16 @@ def _irregular_indices(p: int) -> tuple[int, ...]:
     return tuple(k for k in range(2, kmax + 1, 2) if bern[k] == 0)
 
 
-def is_regular(p: OddPrime, bound: int = REGULARITY_BOUND) -> bool:
+def is_regular(p: OddPrime) -> bool:
     """Whether p divides no numerator among B_2, B_4, ..., B_{p-3}.
 
-    Primes beyond `bound` are refused with UnverifiedError rather than
-    guessed at.
+    Primes beyond REGULARITY_BOUND are refused with UnverifiedError rather
+    than guessed at.
     """
-    if p.p > bound:
+    if p.p > REGULARITY_BOUND:
         raise UnverifiedError(
             f"regularity of p={p.p} is not verified beyond the configured "
-            f"bound {bound}"
+            f"bound {REGULARITY_BOUND}"
         )
     return not _irregular_indices(p.p)
 
@@ -161,15 +161,19 @@ def ensure_regular(
 
     Returns the standing assumption strings recorded in serialized output.
     With assume_regular the check is skipped and the override is recorded.
-    An irregular prime is refused with a message ending in `hint`, which
-    names the override the caller offers (a CLI flag, say) or that there
-    is none.
+    An irregular prime, or one beyond REGULARITY_BOUND, is refused with a
+    message ending in `hint`, which names the override the caller offers
+    (a CLI flag, say) or that there is none.
     """
     assumptions = ["odd regular prime", "Lichtenbaum-Quillen for Z[1/p]"]
     if assume_regular:
         assumptions[0] = "odd prime, regularity assumed by flag (not verified)"
         return tuple(assumptions)
-    if not is_regular(p):
+    try:
+        regular = is_regular(p)
+    except UnverifiedError as exc:
+        raise UnverifiedError(f"{exc} ({hint})") from None
+    if not regular:
         raise PreconditionError(
             f"p={p.p} is an irregular prime; the computation assumes an odd "
             f"regular prime ({hint})"

@@ -39,18 +39,24 @@ def alpha_bar(p: OddPrime, i: int) -> StemClass:
 
 
 def _cokernel_classes(p: OddPrime) -> tuple[StemClass, ...]:
-    q, pp = p.q, p.p
+    """beta1 in degree pq - 2 and its products with alpha1 (degree q - 1)
+    and beta1, in ascending degree."""
+    alpha1, beta1 = p.q - 1, p.p * p.q - 2
     return (
-        StemClass("beta1", pp * q - 2, 1, COK_J),
-        StemClass("alpha1_beta1", (pp + 1) * q - 3, 1, COK_J),
-        StemClass("beta1_sq", 2 * pp * q - 4, 1, COK_J),
-        StemClass("alpha1_beta1_sq", (2 * pp + 1) * q - 5, 1, COK_J),
+        StemClass("beta1", beta1, 1, COK_J),
+        StemClass("alpha1_beta1", alpha1 + beta1, 1, COK_J),
+        StemClass("beta1_sq", 2 * beta1, 1, COK_J),
+        StemClass("alpha1_beta1_sq", alpha1 + 2 * beta1, 1, COK_J),
     )
 
 
-def all_torsion_classes(p: OddPrime) -> list[StemClass]:
-    """Every p-torsion stem class in degrees below beta2_degree(p)."""
-    bound = beta2_degree(p)
+def all_torsion_classes(
+    p: OddPrime, below: int | None = None
+) -> list[StemClass]:
+    """Every p-torsion stem class in degrees below `below`, sorted by
+    (degree, name); the bound is capped by, and defaults to,
+    beta2_degree(p)."""
+    bound = beta2_degree(p) if below is None else min(below, beta2_degree(p))
     out = [c for c in _cokernel_classes(p) if c.degree < bound]
     i = 1
     while p.q * i - 1 < bound:

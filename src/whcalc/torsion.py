@@ -7,6 +7,11 @@ complex projective piece.  This module evaluates the resulting closed
 formulas; the chart engine in `ahss` recomputes the same numbers by a
 different route and the two are compared in tests.
 
+The suspended cokernel-of-J piece is read from the stem table of `stems`,
+which the chart engine reads too: one class sigma(theta) in degree
+|theta| + 1, of theta's order, for each cokernel-of-J stem class theta.
+Every window here is stated through beta2's degree.
+
 Degree conventions: a Whitehead-spectrum degree d matches the suspended
 stunted spectrum in the same degree, so even d = 2n uses the even-degree
 valuation at n and odd d = 2n+1 uses the odd-degree valuation at n.
@@ -18,6 +23,7 @@ from typing import NamedTuple
 
 from .arith import OddPrime, ensure_regular
 from .errors import InconsistencyError, PreconditionError, WindowError
+from .stems import _cokernel_classes, beta2_degree
 
 GENERIC_ANNOTATION = (
     "entries record p-torsion orders as p-valuations; free summands are omitted"
@@ -28,41 +34,15 @@ P3_DEGREE14_ANNOTATION = (
 )
 
 
-class SplittingConstants(NamedTuple):
-    """Derived constants of the splitting at p."""
-
-    p: int
-    q: int
-    beta2_degree: int
-    sigma_c_degrees: tuple[int, int, int, int]
-
-    @classmethod
-    def from_prime(cls, p: OddPrime) -> "SplittingConstants":
-        q, pp = p.q, p.p
-        return cls(
-            pp,
-            q,
-            (2 * pp + 1) * q - 2,
-            (pp * q - 1, (pp + 1) * q - 2, 2 * pp * q - 3, (2 * pp + 1) * q - 4),
-        )
-
-
-_SIGMA_C_NAMES = (
-    "sigma(beta1)",
-    "sigma(alpha1_beta1)",
-    "sigma(beta1_sq)",
-    "sigma(alpha1_beta1_sq)",
-)
-
-
 def torsion_window(p: OddPrime) -> int:
-    """Exclusive bound on Whitehead degrees with fully determined torsion."""
-    return (2 * p.p + 1) * p.q - 3
+    """Exclusive bound on Whitehead degrees with fully determined torsion:
+    one below beta2's degree."""
+    return beta2_degree(p) - 1
 
 
 def cpbar_even_valuation(p: OddPrime, n: int) -> int:
     """p-valuation of the torsion of the suspended stunted spectrum in even
-    degree 2n, valid for 2n < (2p+1)q - 3.
+    degree 2n, valid for 2n < torsion_window(p).
 
     Base term: floor((n-1)/(p-1)) + floor((n-1)/(p(p-1)))
              - floor(n/p) - floor(n/p^2),
@@ -96,8 +76,8 @@ def cpbar_even_valuation(p: OddPrime, n: int) -> int:
 
 def cpbar_odd_valuation(p: OddPrime, n: int) -> int:
     """p-valuation of the torsion of the suspended stunted spectrum in odd
-    degree 2n+1, valid for 2n+1 < (2p+1)q - 3: valuation 1 exactly when
-    n = p^2 - p - 1 + m or n = 2p^2 - 2p - 2 + m with 1 <= m <= p-3."""
+    degree 2n+1, valid for 2n+1 < torsion_window(p): valuation 1 exactly
+    when n = p^2 - p - 1 + m or n = 2p^2 - 2p - 2 + m with 1 <= m <= p-3."""
     if n < 0:
         raise PreconditionError(f"cpbar_odd_valuation needs n >= 0, got {n}")
     if 2 * n + 1 >= torsion_window(p):
@@ -118,18 +98,21 @@ class StemSummand(NamedTuple):
 
 
 def sigma_c_summands(p: OddPrime) -> dict[int, StemSummand]:
-    """The four Z/p classes of the suspended cokernel-of-J piece, keyed by
-    degree; every other degree below (2p+1)q - 1 has none."""
-    degrees = SplittingConstants.from_prime(p).sigma_c_degrees
-    return {d: StemSummand(name, 1) for name, d in zip(_SIGMA_C_NAMES, degrees)}
+    """The classes sigma(theta) of the suspended cokernel-of-J piece, one
+    for each cokernel-of-J stem class theta and in degree |theta| + 1, keyed
+    by degree; every other degree below beta2_degree(p) + 1 has none."""
+    return {
+        c.degree + 1: StemSummand(f"sigma({c.name})", c.order_valuation)
+        for c in _cokernel_classes(p)
+    }
 
 
 def sigma_c_torsion(p: OddPrime, degree: int) -> StemSummand | None:
     """Z/p class of the suspended cokernel-of-J piece in one degree, if any.
 
-    Valid for 0 <= degree < (2p+1)q - 1.
+    Valid for 0 <= degree < beta2_degree(p) + 1.
     """
-    bound = (2 * p.p + 1) * p.q - 1
+    bound = beta2_degree(p) + 1
     if not 0 <= degree < bound:
         raise WindowError(
             f"suspended cokernel-of-J piece is determined for 0 <= degree < "

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from whcalc import emit
+from whcalc import emit, stems
 from whcalc.ahss import (
     E2,
     EINF,
@@ -30,6 +30,13 @@ def test_chart_windows():
     assert chart_window(P3, ChartTarget.S_OF_CP) == 28
     assert chart_window(P3, ChartTarget.S_OF_CPBAR) == 24
     assert chart_window(P5, ChartTarget.S_OF_CPBAR) == 84
+    # beta2*b_1 over CP^inf, beta2*b_{-1} over the stunted spectrum
+    for pp in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        p = OddPrime(pp)
+        whole = (2 * pp + 1) * p.q
+        assert chart_window(p, ChartTarget.J_OF_CP) == whole
+        assert chart_window(p, ChartTarget.S_OF_CP) == whole
+        assert chart_window(p, ChartTarget.S_OF_CPBAR) == whole - 4
 
 
 def test_window_errors():
@@ -226,6 +233,29 @@ def test_axis_rule_reads_no_image_of_j_summand_on_a_lazy_page(monkeypatch):
     assert einf.torsion_by_degree
     assert reads[("im_j", True)] == 0
     assert reads[("cok_j", True)] > 0  # the other rows are still read
+
+
+def test_chart_cost_follows_the_window_not_p(monkeypatch):
+    # No stem class at p=100003 lies in the degrees a chart to total degree
+    # 40 reaches, so its pages need no alpha_bar; the whole stem table below
+    # beta2 would take about 2p of them.
+    calls = Counter()
+    real = stems.alpha_bar
+
+    def counted(p, i):
+        calls["alpha_bar"] += 1
+        if calls["alpha_bar"] > 1000:
+            raise AssertionError("alpha_bar built beyond the chart's window")
+        return real(p, i)
+
+    monkeypatch.setattr(stems, "alpha_bar", counted)
+    p = OddPrime(100003)
+    for target in emit.TARGETS:
+        for page in emit.PAGES:
+            _, payload = emit.ahss(p, target, page, 40)
+            assert payload["cells"]
+            assert all(cell["t"] == 0 for cell in payload["cells"])
+    assert calls["alpha_bar"] < 100
 
 
 def test_einf_run_leaves_e2_cells_unbuilt():

@@ -187,20 +187,29 @@ def test_assume_regular_override(capsys):
     assert doc["header"]["command"].endswith("--assume-regular")
 
 
-@pytest.mark.parametrize("argv,hint", [
-    (("pi-wh", "--p", "37", "--max-degree", "24"),
-     "pass --assume-regular to override"),
-    (("cohomology", "--p", "37", "--max-degree", "24"),
-     "pass --assume-regular to override"),
-    (("verify", "--p", "3,37"), "verify checks regular primes only"),
-], ids=["pi-wh", "cohomology", "verify"])
-def test_irregular_prime_names_an_override_that_exists(capsys, argv, hint):
+IRREGULAR = (
+    "p=37 is an irregular prime; the computation assumes an odd regular prime"
+)
+UNVERIFIED = (
+    "regularity of p=1009 is not verified beyond the configured bound 1000"
+)
+FLAG = "pass --assume-regular to override"
+
+
+@pytest.mark.parametrize("argv,why,hint", [
+    (("pi-wh", "--p", "37", "--max-degree", "24"), IRREGULAR, FLAG),
+    (("cohomology", "--p", "37", "--max-degree", "24"), IRREGULAR, FLAG),
+    (("verify", "--p", "3,37"), IRREGULAR, "verify checks regular primes only"),
+    (("pi-wh", "--p", "1009", "--max-degree", "24"), UNVERIFIED, FLAG),
+    (("cohomology", "--p", "1009", "--max-degree", "24"), UNVERIFIED, FLAG),
+], ids=["pi-wh", "cohomology", "verify", "pi-wh-unverified",
+        "cohomology-unverified"])
+def test_irregular_prime_names_an_override_that_exists(
+    capsys, argv, why, hint
+):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == (
-        "error: p=37 is an irregular prime; the computation assumes an odd "
-        f"regular prime ({hint})\n"
-    )
+    assert err == f"error: {why} ({hint})\n"
 
 
 def test_degree_cap(capsys, monkeypatch):

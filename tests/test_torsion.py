@@ -2,6 +2,7 @@
 
 import pytest
 
+from whcalc.ahss import ChartTarget, chart_window
 from whcalc.arith import OddPrime
 from whcalc.errors import PreconditionError, WindowError
 from whcalc.torsion import (
@@ -10,6 +11,7 @@ from whcalc.torsion import (
     cpbar_odd_valuation,
     first_p_torsion,
     profile_payload,
+    sigma_c_summands,
     sigma_c_torsion,
     torsion_window,
     wh_torsion_profile,
@@ -18,6 +20,10 @@ from whcalc.torsion import (
 P3 = OddPrime(3)
 P5 = OddPrime(5)
 P7 = OddPrime(7)
+PRIMES_TO_61 = [
+    OddPrime(pp)
+    for pp in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+]
 
 P3_TABLE = {11: 1, 14: 3, 16: 1, 18: 1, 20: 1, 21: 1, 22: 1, 24: 2}
 P5_TABLE = {
@@ -35,6 +41,11 @@ P5_TABLE[84] = 4
 def test_torsion_window():
     assert torsion_window(P3) == 25
     assert torsion_window(P5) == 85
+    for p in PRIMES_TO_61:
+        assert torsion_window(p) == (2 * p.p + 1) * p.q - 3
+        # torsion-vs-charts reads degree d from total degree d-1 of the
+        # stunted chart, through the whole window of both
+        assert torsion_window(p) == chart_window(p, ChartTarget.S_OF_CPBAR) + 1
 
 
 def test_even_valuation_examples():
@@ -75,6 +86,18 @@ def test_sigma_c_examples():
     assert sigma_c_torsion(P3, 12) is None
     with pytest.raises(WindowError):
         sigma_c_torsion(P3, 27)
+    # the hand formula for the degrees, independent of the stem table
+    for p in PRIMES_TO_61:
+        pp, q = p.p, p.q
+        assert sigma_c_summands(p) == {
+            pp * q - 1: ("sigma(beta1)", 1),
+            (pp + 1) * q - 2: ("sigma(alpha1_beta1)", 1),
+            2 * pp * q - 3: ("sigma(beta1_sq)", 1),
+            (2 * pp + 1) * q - 4: ("sigma(alpha1_beta1_sq)", 1),
+        }
+        assert sigma_c_torsion(p, (2 * pp + 1) * q - 2) is None
+        with pytest.raises(WindowError):
+            sigma_c_torsion(p, (2 * pp + 1) * q - 1)
 
 
 def test_profile_p3():

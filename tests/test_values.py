@@ -24,11 +24,11 @@ from whcalc.torsion import (
     ConcordanceFirstTorsion,
     FirstTorsion,
     ProfileEntry,
-    SplittingConstants,
     StemSummand,
     TorsionProfile,
     concordance_first_torsion,
     first_p_torsion,
+    sigma_c_summands,
     wh_torsion_profile,
 )
 from whcalc.verify import CheckResult
@@ -49,10 +49,7 @@ VALUES = [
     (AdmissibleMonomial((0, 3, 0, 1)), ("word",)),
     (FpLinearCombo(((AdmissibleMonomial((1,)), 2),)), ("terms",)),
     (milnor_primitive(P3, 1), ("index", "expansion")),
-    (
-        SplittingConstants.from_prime(P3),
-        ("p", "q", "beta2_degree", "sigma_c_degrees"),
-    ),
+    (sigma_c_summands(P3)[11], ("generator", "valuation")),
     (StemSummand("sigma(beta1)", 1), ("generator", "valuation")),
     (ProfileEntry(11, 1, ("sigma(beta1)",)), ("degree", "valuation", "generators")),
     (
@@ -108,7 +105,7 @@ def test_value_class_defaults_and_types():
     kinds = {type(v) for v, _ in VALUES}
     assert kinds == {
         OddPrime, StemClass, ChartClass, AdmissibleMonomial, FpLinearCombo,
-        MilnorPrimitive, SplittingConstants, StemSummand, ProfileEntry,
+        MilnorPrimitive, StemSummand, ProfileEntry,
         TorsionProfile, FirstTorsion, ConcordanceFirstTorsion,
         CohomologyReport, CheckResult,
     }
