@@ -5,11 +5,15 @@ provenance and the normalized command line, the payload carries only
 mathematical content.  Serialization uses insertion order (keys are built
 in ascending numeric order), two-space indentation and a trailing newline,
 so output is byte-stable across runs and suitable for golden-file
-comparison.  Each builder imports the library modules it runs when it is
+comparison.  `json_text` writes the bytes of `json.dumps(doc, indent=2)`
+without importing `json`, whose encoder runs in pure Python at that
+indent.  Each builder imports the library modules it runs when it is
 called, so a cold CLI call loads only those.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from ._version import __version__
 from .arith import OddPrime
@@ -24,8 +28,6 @@ PAGES = ("e2", "einf")
 
 
 def envelope_text(command: str, payload: dict) -> str:
-    import json
-
     doc = {
         "header": {
             "format": "whcalc.v1",
@@ -35,7 +37,64 @@ def envelope_text(command: str, payload: dict) -> str:
         },
         "payload": payload,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)
+
+
+def json_text(value) -> str:
+    """The bytes of `json.dumps(value, indent=2) + "\\n"` for nested dicts
+    (with str keys), lists, tuples, str, int, bool and None; any other
+    type, a float included, raises TypeError.  Strings are quoted by the
+    C function that `json.dumps` uses, ints written by `int.__repr__`."""
+    try:
+        from _json import encode_basestring_ascii as quote
+    except ImportError:  # an interpreter without json's C accelerator
+        from json.encoder import py_encode_basestring_ascii as quote
+
+    lines: list[str] = []
+    _json_lines(value, quote, "", "", lines)
+    lines[-1] = lines[-1][:-1]
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _json_lines(value, quote, pad: str, head: str, lines: list[str]) -> None:
+    """Append the lines of `value` at indent `pad`: the first opened by
+    `head` (a quoted key and ": ", or nothing), the last closed by a comma.
+    One string per line keeps a large document's pieces few."""
+    if isinstance(value, dict):  # quote() raises TypeError on a non-str key
+        brackets, sep = "{}", ": "
+        pairs = zip(map(quote, value), value.values())
+    elif isinstance(value, (list, tuple)):
+        brackets, sep = "[]", ""
+        pairs = zip(repeat(""), value)
+    else:
+        lines.append(f"{pad}{head}{_json_scalar(value, quote)},")
+        return
+    if not value:
+        lines.append(f"{pad}{head}{brackets},")
+        return
+    lines.append(f"{pad}{head}{brackets[0]}")
+    inner = pad + "  "
+    for key, item in pairs:
+        _json_lines(item, quote, inner, key + sep, lines)
+    lines[-1] = lines[-1][:-1]
+    lines.append(f"{pad}{brackets[1]},")
+
+
+def _json_scalar(value, quote) -> str:
+    if isinstance(value, str):
+        return quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
 
 
 def pi_wh(

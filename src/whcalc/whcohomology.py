@@ -95,7 +95,12 @@ def delta_star_report(p: OddPrime, max_degree: int) -> dict:
     }
     ker: dict[str, dict[int, int]] = {}
     for a in _odd_summand_indices(p):
-        coker[_cp_piece_name(a)] = _shifted(p, "CP[a]/A(y^a)", max_degree, 1, a)
+        # CP[a] starts at y^a in degree 2a, so its piece at 2a+1; pieces
+        # that start above max_degree stay empty without being computed.
+        coker[_cp_piece_name(a)] = (
+            _shifted(p, "CP[a]/A(y^a)", max_degree, 1, a)
+            if 2 * a + 1 <= max_degree else {}
+        )
         ker[_ker_piece_name(a)] = _shifted(p, "C_a/A(b,Q1)", max_degree, 2 * a, a)
     return {"coker": coker, "ker": ker}
 

@@ -135,6 +135,28 @@ def test_out_through_a_link_to_a_pipe(tmp_path):
     assert link.is_symlink()
 
 
+@pytest.mark.parametrize("redirect,why", [
+    (">&-", "it is closed"),
+    (">/dev/full", "No space left on device"),
+])
+@pytest.mark.parametrize("argv", [
+    ["pi-wh", "--p", "3", "--max-degree", "24"],
+    ["verify", "--p", "3"],
+    ["--version"],
+])
+def test_closed_or_failing_stdout_exits_2(redirect, why, argv):
+    if redirect == ">/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh",
+         sys.executable, "-m", "whcalc", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write stdout: {why}\n"
+
+
 def test_projections_rerender_from_json_payload(capsys):
     base = ["ahss", "--p", "3", "--max-degree", "20", "--page", "einf"]
     _, json_out, _ = run_cli(capsys, *base, "--format", "json")

@@ -1,0 +1,43 @@
+"""`emit.json_text` against `json.dumps(doc, indent=2)`, its reference."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from whcalc import emit
+
+SCALARS = st.none() | st.booleans() | st.integers() | st.text()
+DOCS = st.recursive(
+    SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCS)
+def test_json_text_writes_the_bytes_of_json_dumps(doc):
+    assert emit.json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), "", 0, -(10**30), True, None,
+    {"a": {}, "b": [], "c": [{}, [[]]], "": ""},
+    ["\x00\x1f\"\\/é \U0001f600", "\t\n\r", "\ud800"],
+])
+def test_json_text_edge_cases(doc):
+    assert emit.json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    1.5, {"a": [0.0]}, [float("nan")], {1: 2}, {"a": {3}}, [b"x"],
+])
+def test_json_text_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        emit.json_text(doc)

@@ -137,23 +137,28 @@ def test_chart_page_repr_and_cached_sums():
 
 
 # Per call: the arguments, modules it must load (so the check is not
-# vacuous) and modules it must leave out.  No call loads `dataclasses` or
-# `inspect`.
+# vacuous) and modules it must leave out.  No call loads `dataclasses`,
+# `inspect`, `argparse`, `gettext`, `locale` or `json`.
 IMPORT_CASES = {
     "version": (
         ["--version"],
         {"whcalc.cli"},
         {"whcalc.ahss", "whcalc.steenrod", "whcalc.torsion",
-         "whcalc.whcohomology", "whcalc.verify", "whcalc.render", "json"},
+         "whcalc.whcohomology", "whcalc.verify", "whcalc.render"},
+    ),
+    "help": (
+        ["pi-wh", "-h"],
+        {"whcalc.cli"},
+        {"whcalc.torsion", "whcalc.render", "whcalc.verify"},
     ),
     "pi-wh-csv": (
         ["pi-wh", "--p", "5", "--max-degree", "40", "--format", "csv"],
         {"whcalc.torsion", "whcalc.render"},
-        {"whcalc.steenrod", "whcalc.ahss", "whcalc.verify", "json"},
+        {"whcalc.steenrod", "whcalc.ahss", "whcalc.verify"},
     ),
     "ahss": (
         ["ahss", "--p", "5", "--max-degree", "40"],
-        {"whcalc.ahss", "json"},
+        {"whcalc.ahss", "_json"},
         {"whcalc.steenrod", "whcalc.whcohomology", "whcalc.torsion",
          "whcalc.verify"},
     ),
@@ -161,6 +166,11 @@ IMPORT_CASES = {
         ["cohomology", "--p", "3", "--max-degree", "40"],
         {"whcalc.steenrod", "whcalc.whcohomology"},
         {"whcalc.ahss", "whcalc.verify"},
+    ),
+    "verify": (
+        ["verify", "--p", "3"],
+        {"whcalc.verify", "whcalc.ahss", "whcalc.steenrod"},
+        set(),
     ),
 }
 
@@ -189,7 +199,8 @@ def test_cli_call_imports_only_what_it_runs(case):
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stderr.split())
     assert loaded <= modules
-    assert not (left_out | {"dataclasses", "inspect"}) & modules
+    never = {"dataclasses", "inspect", "argparse", "gettext", "locale", "json"}
+    assert not (left_out | never) & modules
 
 
 def test_package_names_resolve_lazily_to_their_definitions():
