@@ -16,7 +16,6 @@ _EXPORTS = {
         "ChartTarget",
         "build_e2",
         "chart_window",
-        "einf_valuation",
         "j_order_valuation",
         "run_differentials",
     ),
@@ -38,20 +37,17 @@ _EXPORTS = {
     "steenrod": (
         "AdmissibleMonomial",
         "FpLinearCombo",
-        "act_on_projective",
         "adem_normalize",
         "admissible_basis",
         "annihilator_basis",
-        "left_ideal_dims",
         "milnor_dual_dims",
         "milnor_primitive",
         "quotient_module_dims",
     ),
-    "stems": ("StemClass", "alpha_bar", "beta2_degree", "stem_torsion"),
+    "stems": ("StemClass", "alpha_bar", "beta2_degree"),
     "torsion": (
         "concordance_first_torsion",
         "first_p_torsion",
-        "sigma_c_torsion",
         "torsion_window",
         "wh_torsion_profile",
     ),

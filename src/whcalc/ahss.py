@@ -47,8 +47,7 @@ axis rule leaves: alpha_bar(i)*b(k) has valuation 1+v_p(i) on every column
 k >= 1, so in each odd total degree the index at which the budget runs out
 is found by bisection in the running sums of those valuations.  So its
 cells, about twenty times those of the EINF page, are built only when
-read, which `page_payload` does for `ahss --page e2`.  A page built by
-hand from a cell dict is read from that dict, summand by summand.
+read, which `page_payload` does for `ahss --page e2`.
 
 Every window is stated through `stems.beta2_degree`, and a page to total
 degree top reads only the stem classes of degree at most top + 2 (the
@@ -104,8 +103,9 @@ class ChartPage:
     """One chart page: the summands of each (s, t) cell and, on EINF, the
     kills per total degree.  Mutable, so `torsion_by_degree` can be cached.
 
-    A page built by hand holds its cells in a dict; `build_e2` returns an
-    `_E2Page`, which derives them from the stem table only when read."""
+    `run_differentials` returns the EINF page with its cells in a dict;
+    `build_e2` returns an `_E2Page`, which derives them from the stem table
+    only when read."""
 
     def __init__(
         self,
@@ -137,49 +137,6 @@ class ChartPage:
             if t > 0:
                 sums[s + t] += sum(c.valuation for c in summands)
         return dict(sums)
-
-    @cached_property
-    def _valuations(self) -> dict[tuple[str, int], int]:
-        return {
-            (c.theta.name, c.k): c.valuation
-            for summands in self.cells.values()
-            for c in summands
-            if c.theta is not None
-        }
-
-    def summand_valuation(self, theta: StemClass, k: int) -> int | None:
-        """Valuation of the summand theta*b(k); None when the page lacks it."""
-        return self._valuations.get((theta.name, k))
-
-    def _axis_kept(
-        self, alpha: list[StemClass | None], budgets: list[int]
-    ) -> dict[int, list[tuple[int, int]]]:
-        """R1 summand by summand.  The image-of-J cells in total degree 2n-1
-        are alpha_bar(i)*b(n-(p-1)i), consumed in index order until the
-        budget v_p(n!) = budgets[n] runs out.  Returns what each
-        alpha_bar(i) keeps on the columns k >= 1, in column order."""
-        pp = self.p.p
-        kept: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for n, budget in enumerate(budgets):
-            i, k = 1, n - (pp - 1)
-            while k >= 1:
-                val = self.summand_valuation(alpha[i], k)
-                # d_q on alpha_bar(1)*b(k) is k times a unit
-                if budget and (i > 1 or k % pp):
-                    if val is None:
-                        raise InconsistencyError(
-                            f"R1: expected alpha_bar({i})*b({k}) on the page "
-                            f"in total degree {2 * n - 1}"
-                        )
-                    take = val if val < budget else budget
-                    val -= take
-                    budget -= take
-                if val:
-                    kept[i].append((k, val))
-                i, k = i + 1, k - (pp - 1)
-            if budget:
-                raise _under_supplied(self.p, n, budget)
-        return kept
 
 
 def chart_window(p: OddPrime, target: ChartTarget) -> int:
@@ -268,6 +225,7 @@ class _E2Page(ChartPage):
         return sums
 
     def summand_valuation(self, theta: StemClass, k: int) -> int | None:
+        """Valuation of the summand theta*b(k); None when the page lacks it."""
         top = self.max_total_degree
         if k == -1:
             on_page = (
@@ -338,7 +296,7 @@ def run_differentials(page: ChartPage) -> ChartPage:
     """Push an E2 page to EINF with rules R1-R5; returns a new page.
 
     The E2 summands are read through the page's `_axis_kept` and
-    `summand_valuation`, so a lazy E2 page is never built cell by cell."""
+    `summand_valuation`, so the E2 page is never built cell by cell."""
     if page.page_label != E2:
         raise PreconditionError("run_differentials expects an E2 page")
     p = page.p
@@ -441,18 +399,6 @@ def run_differentials(page: ChartPage) -> ChartPage:
         )
     fixed = {st: tuple(v) for st, v in out.items()}
     return ChartPage(target, p, EINF, max_total, fixed, dict(ledger))
-
-
-def einf_valuation(page: ChartPage, total_degree: int) -> int:
-    """Aggregate torsion valuation above the axis in one total degree."""
-    if page.page_label != EINF:
-        raise PreconditionError("einf_valuation expects an EINF page")
-    if total_degree > page.max_total_degree:
-        raise WindowError(
-            f"total degree {total_degree} beyond the stored window "
-            f"{page.max_total_degree}"
-        )
-    return page.torsion_by_degree.get(total_degree, 0)
 
 
 def j_order_valuation(p: OddPrime, n: int) -> int:

@@ -36,32 +36,10 @@ def word_degree(p: OddPrime, word: Word) -> int:
     return sum(1 if g == 0 else 2 * g * (p.p - 1) for g in word)
 
 
-def is_admissible(p: OddPrime, word: Word) -> bool:
-    """Whether the word is admissible: no repeated Bockstein and
-    s_i >= p*s_{i+1} + eps_i for consecutive power operations."""
-    prev = None
-    eps = 0
-    for g in word:
-        if g == 0:
-            if eps:
-                return False
-            eps = 1
-        else:
-            if prev is not None and prev < p.p * g + eps:
-                return False
-            prev = g
-            eps = 0
-    return True
-
-
 class AdmissibleMonomial(NamedTuple):
     """A basis monomial, stored as its word; the unit is the empty word."""
 
     word: Word
-
-    @property
-    def epsilon_0(self) -> int:
-        return 1 if self.word and self.word[0] == 0 else 0
 
     def degree(self, p: OddPrime) -> int:
         return word_degree(p, self.word)
@@ -70,21 +48,6 @@ class AdmissibleMonomial(NamedTuple):
         if not self.word:
             return "1"
         return " ".join("b" if g == 0 else f"P{g}" for g in self.word)
-
-    @classmethod
-    def parse(cls, text: str) -> "AdmissibleMonomial":
-        text = text.strip()
-        if text == "1":
-            return cls(())
-        word = []
-        for token in text.split():
-            if token == "b":
-                word.append(0)
-            elif token.startswith("P") and token[1:].isdigit() and int(token[1:]) > 0:
-                word.append(int(token[1:]))
-            else:
-                raise PreconditionError(f"bad monomial token {token!r}")
-        return cls(tuple(word))
 
 
 class FpLinearCombo(NamedTuple):
@@ -125,7 +88,8 @@ class FpLinearCombo(NamedTuple):
 # Adem relations
 
 
-# Bounded; its largest caller, `verify --p 3,5,7,11,13 --deep`, needs 227 entries.
+# Bounded; its largest caller, CI's
+# `verify --p 3,5,7,11,13,17,19,23,29,41,53,61 --deep`, needs 235 entries.
 @lru_cache(maxsize=1 << 10)
 def _adem(pp: int, a: int, eps: int, b: int) -> tuple[tuple[Word, int], ...]:
     """Expansion of the inadmissible factor P^a P^b (eps=0, a < p*b) or
@@ -172,7 +136,8 @@ def _leftmost_violation(pp: int, word: Word) -> tuple[int, int, int, int] | None
     return None
 
 
-# Bounded; its largest caller, `verify --p 3,5,7,11,13 --deep`, needs 9263 entries.
+# Bounded; its largest caller, CI's
+# `verify --p 3,5,7,11,13,17,19,23,29,41,53,61 --deep`, needs 9390 entries.
 @lru_cache(maxsize=1 << 14)
 def _nf(pp: int, word: Word) -> tuple[tuple[Word, int], ...]:
     """Admissible normal form of a raw word, as (word, coeff) pairs."""
@@ -286,15 +251,6 @@ def act_word_on_projective(p: OddPrime, word: Word, k: int):
     return coeff, k
 
 
-def act_on_projective(p: OddPrime, mono: AdmissibleMonomial, a: int):
-    """Action of a monomial on the class y^a of the stunted projective
-    spectrum with cells from complex degree a >= -1 up.  Returns
-    (coefficient, target exponent) or None."""
-    if a < -1:
-        raise PreconditionError(f"projective classes need a >= -1, got {a}")
-    return act_word_on_projective(p, mono.word, a)
-
-
 def live_words(p: OddPrime, a: int, max_degree: int):
     """Yield the admissible words of degree <= max_degree acting nonzero
     on y^a.  The Bockstein kills every y^k, so these are power chains
@@ -313,24 +269,24 @@ def live_words(p: OddPrime, a: int, max_degree: int):
 
 
 def annihilator_basis(
-    p: OddPrime, a: int, max_degree: int, *, verify_span: bool = False
+    p: OddPrime, a: int, max_degree: int
 ) -> list[AdmissibleMonomial]:
     """Admissible monomials of degree <= max_degree acting as zero on y^a.
 
     These span the full annihilator ideal in each degree exactly when at
     most one monomial per degree acts nonzero (the action lands in a module
     with at most one basis class per degree, so the action matrix per
-    degree has rank <= 1).  verify_span checks that property degree by
-    degree and raises with a counterexample if it ever fails.
+    degree has rank <= 1).  That property is checked degree by degree, and
+    a failure raises with a counterexample.
     """
     if a < -1:
         raise PreconditionError(f"projective classes need a >= -1, got {a}")
     out = []
     alive: dict[int, AdmissibleMonomial] = {}
     for mono in admissible_basis(p, max_degree):
-        if act_on_projective(p, mono, a) is None:
+        if act_word_on_projective(p, mono.word, a) is None:
             out.append(mono)
-        elif verify_span:
+        else:
             d = mono.degree(p)
             if d in alive:
                 raise InconsistencyError(
@@ -411,15 +367,6 @@ def _ideal_rows(
             if row:
                 rows.setdefault(d, []).append(row)
     return rows
-
-
-def left_ideal_dims(
-    p: OddPrime, generators: list[FpLinearCombo], max_degree: int
-) -> dict[int, int]:
-    """Graded dimensions of the left ideal spanned by x*g for admissible x
-    and the given homogeneous generators; zero entries omitted."""
-    rows = _ideal_rows(p, generators, max_degree)
-    return {d: r for d in sorted(rows) if (r := _fp_rank(p, rows[d]))}
 
 
 QUOTIENT_SPECS = (

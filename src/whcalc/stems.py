@@ -63,22 +63,3 @@ def all_torsion_classes(
         out.append(alpha_bar(p, i))
         i += 1
     return sorted(out, key=lambda c: (c.degree, c.name))
-
-
-def stem_torsion(p: OddPrime, t: int) -> list[StemClass]:
-    """p-torsion summands of the stable t-stem, for 0 <= t < beta2_degree(p).
-
-    Degrees at or beyond the bound are refused; the table does not
-    extrapolate.
-    """
-    bound = beta2_degree(p)
-    if not 0 <= t < bound:
-        raise WindowError(
-            f"stable stem table is valid for 0 <= t < {bound}; got t={t}"
-        )
-    out = [c for c in _cokernel_classes(p) if c.degree == t]
-    if t % p.q == p.q - 1:
-        i = (t + 1) // p.q
-        if i >= 1:
-            out.append(alpha_bar(p, i))
-    return sorted(out, key=lambda c: c.name)

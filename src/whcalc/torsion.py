@@ -107,20 +107,6 @@ def sigma_c_summands(p: OddPrime) -> dict[int, StemSummand]:
     }
 
 
-def sigma_c_torsion(p: OddPrime, degree: int) -> StemSummand | None:
-    """Z/p class of the suspended cokernel-of-J piece in one degree, if any.
-
-    Valid for 0 <= degree < beta2_degree(p) + 1.
-    """
-    bound = beta2_degree(p) + 1
-    if not 0 <= degree < bound:
-        raise WindowError(
-            f"suspended cokernel-of-J piece is determined for 0 <= degree < "
-            f"{bound} at p={p.p}; got {degree}"
-        )
-    return sigma_c_summands(p).get(degree)
-
-
 class ProfileEntry(NamedTuple):
     degree: int
     valuation: int

@@ -1,7 +1,8 @@
 """Chart engine: E2 population, differential rules, conservation."""
 
 import hashlib
-from collections import Counter
+from collections import Counter, defaultdict
+from functools import cached_property
 
 import pytest
 
@@ -11,9 +12,9 @@ from whcalc.ahss import (
     EINF,
     ChartPage,
     ChartTarget,
+    _under_supplied,
     build_e2,
     chart_window,
-    einf_valuation,
     j_order_valuation,
     page_payload,
     run_differentials,
@@ -23,6 +24,52 @@ from whcalc.errors import InconsistencyError, PreconditionError, WindowError
 
 P3 = OddPrime(3)
 P5 = OddPrime(5)
+
+
+class _HandBuiltPage(ChartPage):
+    """An E2 page read from a cell dict, summand by summand: the reference
+    for the lazy page's table lookups and its bisection R1."""
+
+    @cached_property
+    def _valuations(self) -> dict[tuple[str, int], int]:
+        return {
+            (c.theta.name, c.k): c.valuation
+            for summands in self.cells.values()
+            for c in summands
+            if c.theta is not None
+        }
+
+    def summand_valuation(self, theta, k):
+        """Valuation of the summand theta*b(k); None when the page lacks it."""
+        return self._valuations.get((theta.name, k))
+
+    def _axis_kept(self, alpha, budgets):
+        """R1 summand by summand.  The image-of-J cells in total degree 2n-1
+        are alpha_bar(i)*b(n-(p-1)i), consumed in index order until the
+        budget v_p(n!) = budgets[n] runs out.  Returns what each
+        alpha_bar(i) keeps on the columns k >= 1, in column order."""
+        pp = self.p.p
+        kept = defaultdict(list)
+        for n, budget in enumerate(budgets):
+            i, k = 1, n - (pp - 1)
+            while k >= 1:
+                val = self.summand_valuation(alpha[i], k)
+                # d_q on alpha_bar(1)*b(k) is k times a unit
+                if budget and (i > 1 or k % pp):
+                    if val is None:
+                        raise InconsistencyError(
+                            f"R1: expected alpha_bar({i})*b({k}) on the page "
+                            f"in total degree {2 * n - 1}"
+                        )
+                    take = val if val < budget else budget
+                    val -= take
+                    budget -= take
+                if val:
+                    kept[i].append((k, val))
+                i, k = i + 1, k - (pp - 1)
+            if budget:
+                raise _under_supplied(self.p, n, budget)
+        return kept
 
 
 def test_chart_windows():
@@ -81,22 +128,13 @@ def test_run_differentials_requires_e2():
 
 def test_einf_examples():
     page = run_differentials(build_e2(P3, ChartTarget.S_OF_CPBAR, 23))
-    assert einf_valuation(page, 15) == 1
-    assert einf_valuation(page, 13) == 2
-    assert einf_valuation(page, 0) == 0
+    assert page.torsion_by_degree.get(15, 0) == 1
+    assert page.torsion_by_degree.get(13, 0) == 2
+    assert page.torsion_by_degree.get(0, 0) == 0
     # beta1*b(-1) was killed by the rule crossing into the bottom column
     assert (-2, 10) not in page.cells
     page5 = run_differentials(build_e2(P5, ChartTarget.S_OF_CPBAR, 40))
-    assert einf_valuation(page5, 1) == 0
-
-
-def test_einf_valuation_guards():
-    e2 = build_e2(P3, ChartTarget.J_OF_CP, 20)
-    with pytest.raises(PreconditionError):
-        einf_valuation(e2, 5)
-    page = run_differentials(e2)
-    with pytest.raises(WindowError):
-        einf_valuation(page, 21)
+    assert page5.torsion_by_degree.get(1, 0) == 0
 
 
 def test_j_order_examples():
@@ -111,7 +149,7 @@ def test_j_chart_matches_j_order_closed_form():
     top = chart_window(P3, ChartTarget.J_OF_CP) - 1
     page = run_differentials(build_e2(P3, ChartTarget.J_OF_CP, top))
     for n in range(1, (top + 1) // 2 + 1):
-        assert einf_valuation(page, 2 * n - 1) == j_order_valuation(P3, n)
+        assert page.torsion_by_degree.get(2 * n - 1, 0) == j_order_valuation(P3, n)
 
 
 def test_axis_budget_is_vp_factorial():
@@ -192,7 +230,7 @@ def test_axis_rule_names_a_missing_summand():
     e2 = build_e2(P3, ChartTarget.J_OF_CP, 20)
     cells = dict(e2.cells)
     assert [c.label for c in cells.pop((2, 7))] == ["alpha_bar(2)*b(1)"]
-    page = ChartPage(e2.target, P3, E2, 20, cells)
+    page = _HandBuiltPage(e2.target, P3, E2, 20, cells)
     with pytest.raises(InconsistencyError, match=r"alpha_bar\(2\)\*b\(1\)"):
         run_differentials(page)
 
@@ -204,7 +242,7 @@ def _tops(p, target):
 
 @pytest.mark.parametrize("pp", [3, 5, 7, 11, 13, 17])
 def test_lazy_e2_page_matches_its_materialized_cells(pp):
-    # A page built by hand runs the axis rule summand by summand, the
+    # The hand-built page runs the axis rule summand by summand, the
     # reference for the lazy page's bisection; at p=17 axis budgets run
     # across many indices.
     p = OddPrime(pp)
@@ -213,7 +251,7 @@ def test_lazy_e2_page_matches_its_materialized_cells(pp):
         for top in tops:
             lazy = run_differentials(build_e2(p, target, top))
             cells = dict(build_e2(p, target, top).cells)
-            by_hand = run_differentials(ChartPage(target, p, E2, top, cells))
+            by_hand = run_differentials(_HandBuiltPage(target, p, E2, top, cells))
             assert lazy.cells == by_hand.cells  # tuples: order within cells
             assert lazy.kill_ledger == by_hand.kill_ledger
 

@@ -10,11 +10,15 @@ from whcalc.stems import (
     all_torsion_classes,
     alpha_bar,
     beta2_degree,
-    stem_torsion,
 )
 
 P3 = OddPrime(3)
 P5 = OddPrime(5)
+
+
+def _stem(p, t):
+    """The p-torsion summands of the stable t-stem, by name."""
+    return [c for c in all_torsion_classes(p) if c.degree == t]
 
 
 def test_beta2_degree():
@@ -60,27 +64,23 @@ def test_all_degrees_below_window():
 
 
 def test_stem_examples():
-    t3 = stem_torsion(P3, 3)
+    t3 = _stem(P3, 3)
     assert [(c.name, c.order_valuation) for c in t3] == [("alpha_bar(1)", 1)]
-    t10 = stem_torsion(P3, 10)
+    t10 = _stem(P3, 10)
     assert [(c.name, c.order_valuation) for c in t10] == [("beta1", 1)]
-    t39 = stem_torsion(P5, 39)
+    t39 = _stem(P5, 39)
     assert [(c.name, c.order_valuation) for c in t39] == [("alpha_bar(5)", 2)]
-    assert stem_torsion(P5, 1) == []
+    assert _stem(P5, 1) == []
 
 
-def test_stem_window_error():
-    with pytest.raises(WindowError):
-        stem_torsion(P3, 26)
-    assert stem_torsion(P3, 25) == []
+def test_stem_table_stops_below_beta2():
+    # the table does not extrapolate: a bound beyond beta2 is capped
+    assert all_torsion_classes(P3, 1000) == all_torsion_classes(P3)
+    assert _stem(P3, 25) == []
 
 
 def test_stems_sorted_and_complete():
-    seen = []
-    for t in range(0, beta2_degree(P3)):
-        classes = stem_torsion(P3, t)
-        assert [c.name for c in classes] == sorted(c.name for c in classes)
-        seen.extend(classes)
-    assert sorted(seen, key=lambda c: (c.degree, c.name)) == all_torsion_classes(
-        P3
-    )
+    every = all_torsion_classes(P3)
+    assert every == sorted(every, key=lambda c: (c.degree, c.name))
+    for t in range(0, beta2_degree(P3) + 1):
+        assert all_torsion_classes(P3, t) == [c for c in every if c.degree < t]

@@ -12,7 +12,6 @@ from whcalc.torsion import (
     first_p_torsion,
     profile_payload,
     sigma_c_summands,
-    sigma_c_torsion,
     torsion_window,
     wh_torsion_profile,
 )
@@ -79,13 +78,11 @@ def test_odd_valuation_guards():
 
 
 def test_sigma_c_examples():
-    hit = sigma_c_torsion(P3, 11)
+    hit = sigma_c_summands(P3)[11]
     assert (hit.generator, hit.valuation) == ("sigma(beta1)", 1)
-    hit = sigma_c_torsion(P5, 77)
+    hit = sigma_c_summands(P5)[77]
     assert (hit.generator, hit.valuation) == ("sigma(beta1_sq)", 1)
-    assert sigma_c_torsion(P3, 12) is None
-    with pytest.raises(WindowError):
-        sigma_c_torsion(P3, 27)
+    assert 12 not in sigma_c_summands(P3)
     # the hand formula for the degrees, independent of the stem table
     for p in PRIMES_TO_61:
         pp, q = p.p, p.q
@@ -95,9 +92,7 @@ def test_sigma_c_examples():
             2 * pp * q - 3: ("sigma(beta1_sq)", 1),
             (2 * pp + 1) * q - 4: ("sigma(alpha1_beta1_sq)", 1),
         }
-        assert sigma_c_torsion(p, (2 * pp + 1) * q - 2) is None
-        with pytest.raises(WindowError):
-            sigma_c_torsion(p, (2 * pp + 1) * q - 1)
+        assert (2 * pp + 1) * q - 2 not in sigma_c_summands(p)
 
 
 def test_profile_p3():
