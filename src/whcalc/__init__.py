@@ -35,8 +35,6 @@ _EXPORTS = {
         "WindowError",
     ),
     "steenrod": (
-        "AdmissibleMonomial",
-        "FpLinearCombo",
         "adem_normalize",
         "admissible_basis",
         "annihilator_basis",

@@ -22,7 +22,6 @@ exact F_p elimination on dictionaries keyed by words (`_ideal_rows`,
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from .arith import OddPrime, binom_mod_p
 from .errors import InconsistencyError, PreconditionError
@@ -36,52 +35,11 @@ def word_degree(p: OddPrime, word: Word) -> int:
     return sum(1 if g == 0 else 2 * g * (p.p - 1) for g in word)
 
 
-class AdmissibleMonomial(NamedTuple):
-    """A basis monomial, stored as its word; the unit is the empty word."""
-
-    word: Word
-
-    def degree(self, p: OddPrime) -> int:
-        return word_degree(p, self.word)
-
-    def __str__(self) -> str:
-        if not self.word:
-            return "1"
-        return " ".join("b" if g == 0 else f"P{g}" for g in self.word)
-
-
-class FpLinearCombo(NamedTuple):
-    """A homogeneous F_p-linear combination of admissible monomials,
-    canonically ordered by word."""
-
-    terms: tuple[tuple[AdmissibleMonomial, int], ...]
-
-    @classmethod
-    def from_word_dict(cls, p: OddPrime, d: dict[Word, int]) -> "FpLinearCombo":
-        terms = tuple(
-            (AdmissibleMonomial(w), c % p.p)
-            for w, c in sorted(d.items())
-            if c % p.p
-        )
-        degs = {word_degree(p, m.word) for m, _ in terms}
-        if len(degs) > 1:
-            raise PreconditionError("combination is not homogeneous")
-        return cls(terms)
-
-    def word_dict(self) -> dict[Word, int]:
-        return {m.word: c for m, c in self.terms}
-
-    def degree(self, p: OddPrime) -> int | None:
-        if not self.terms:
-            return None
-        return self.terms[0][0].degree(p)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            (f"{c}*" if c != 1 else "") + str(m) for m, c in self.terms
-        )
+def word_str(word: Word) -> str:
+    """"1" for the unit, otherwise the tokens b and P<s> joined by spaces."""
+    if not word:
+        return "1"
+    return " ".join("b" if g == 0 else f"P{g}" for g in word)
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +113,23 @@ def _nf(pp: int, word: Word) -> tuple[tuple[Word, int], ...]:
     return tuple(sorted((w, c) for w, c in acc.items() if c))
 
 
-def adem_normalize(p: OddPrime, word) -> FpLinearCombo:
+def adem_normalize(p: OddPrime, word) -> dict[Word, int]:
     """Expand a raw word (iterable of 0 = Bockstein, s > 0 = P^s) in the
-    admissible basis.  Idempotent on admissible words."""
+    admissible basis, as nonzero coefficients mod p sorted by word.
+    Idempotent on admissible words."""
     word = tuple(word)
     for g in word:
         if g < 0:
             raise PreconditionError(f"bad generator token {g}")
-    return FpLinearCombo.from_word_dict(p, dict(_nf(p.p, word)))
+    return dict(_nf(p.p, word))
 
 
-def _combo_product(p: OddPrime, left: Word, right: dict[Word, int]) -> dict[Word, int]:
-    """Normal form of (admissible word) * (normalized combo)."""
+def _normalize(p: OddPrime, terms) -> dict[Word, int]:
+    """Normal form of a combination of raw words given as (word, coeff)
+    pairs; products are formed by concatenating the words first."""
     acc: dict[Word, int] = {}
-    for w, c in right.items():
-        for w2, c2 in _nf(p.p, left + w):
+    for w, c in terms:
+        for w2, c2 in _nf(p.p, w):
             acc[w2] = (acc.get(w2, 0) + c * c2) % p.p
     return {w: c for w, c in acc.items() if c}
 
@@ -178,8 +138,8 @@ def _combo_product(p: OddPrime, left: Word, right: dict[Word, int]) -> dict[Word
 # Bases and dimension oracles
 
 
-def admissible_basis(p: OddPrime, max_degree: int) -> list[AdmissibleMonomial]:
-    """All admissible monomials of degree <= max_degree, ordered by
+def admissible_basis(p: OddPrime, max_degree: int) -> list[Word]:
+    """All admissible words of degree <= max_degree, ordered by
     (degree, word)."""
     if max_degree < 0:
         raise PreconditionError(f"max_degree must be >= 0, got {max_degree}")
@@ -200,7 +160,7 @@ def admissible_basis(p: OddPrime, max_degree: int) -> list[AdmissibleMonomial]:
     if max_degree >= 1:
         words += [(0,) + chain for chain in chains(max_degree - 1, max_degree)]
     words.sort(key=lambda w: (word_degree(p, w), w))
-    return [AdmissibleMonomial(w) for w in words]
+    return words
 
 
 def milnor_dual_dims(
@@ -268,10 +228,8 @@ def live_words(p: OddPrime, a: int, max_degree: int):
     return grow((), a, 1, max_degree)
 
 
-def annihilator_basis(
-    p: OddPrime, a: int, max_degree: int
-) -> list[AdmissibleMonomial]:
-    """Admissible monomials of degree <= max_degree acting as zero on y^a.
+def annihilator_basis(p: OddPrime, a: int, max_degree: int) -> list[Word]:
+    """Admissible words of degree <= max_degree acting as zero on y^a.
 
     These span the full annihilator ideal in each degree exactly when at
     most one monomial per degree acts nonzero (the action lands in a module
@@ -282,18 +240,19 @@ def annihilator_basis(
     if a < -1:
         raise PreconditionError(f"projective classes need a >= -1, got {a}")
     out = []
-    alive: dict[int, AdmissibleMonomial] = {}
-    for mono in admissible_basis(p, max_degree):
-        if act_word_on_projective(p, mono.word, a) is None:
-            out.append(mono)
+    alive: dict[int, Word] = {}
+    for word in admissible_basis(p, max_degree):
+        if act_word_on_projective(p, word, a) is None:
+            out.append(word)
         else:
-            d = mono.degree(p)
+            d = word_degree(p, word)
             if d in alive:
                 raise InconsistencyError(
                     f"annihilator of y^{a} is not monomial-spanned in degree "
-                    f"{d}: both {alive[d]} and {mono} act nonzero"
+                    f"{d}: both {word_str(alive[d])} and {word_str(word)} "
+                    f"act nonzero"
                 )
-            alive[d] = mono
+            alive[d] = word
     return out
 
 
@@ -301,25 +260,18 @@ def annihilator_basis(
 # Milnor primitives
 
 
-class MilnorPrimitive(NamedTuple):
-    index: int
-    expansion: FpLinearCombo
-
-
-def milnor_primitive(p: OddPrime, n: int) -> MilnorPrimitive:
+def milnor_primitive(p: OddPrime, n: int) -> dict[Word, int]:
     """Q_0 = b and Q_{n+1} = P^(p^n) Q_n - Q_n P^(p^n), in admissible form;
     |Q_n| = 2p^n - 1."""
     if n < 0:
         raise PreconditionError(f"Milnor primitive index must be >= 0, got {n}")
     combo: dict[Word, int] = {BETA: 1}
     for m in range(n):
-        s = p.p**m
-        acc = _combo_product(p, (s,), combo)
-        for w, c in combo.items():
-            for w2, c2 in _nf(p.p, w + (s,)):
-                acc[w2] = (acc.get(w2, 0) - c * c2) % p.p
-        combo = {w: c for w, c in acc.items() if c}
-    return MilnorPrimitive(n, FpLinearCombo.from_word_dict(p, combo))
+        s = (p.p**m,)
+        left = [(s + w, c) for w, c in combo.items()]
+        right = [(w + s, -c) for w, c in combo.items()]
+        combo = _normalize(p, left + right)
+    return combo
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +302,19 @@ def _fp_rank(p: OddPrime, rows: list[dict[Word, int]]) -> int:
 
 
 def _ideal_rows(
-    p: OddPrime, generators: list[FpLinearCombo], max_degree: int
+    p: OddPrime, generators: list[dict[Word, int]], max_degree: int
 ) -> dict[int, list[dict[Word, int]]]:
+    """Per degree, the nonzero products x * g of each admissible word x
+    with each nonzero homogeneous generator g, in normal form."""
     rows: dict[int, list[dict[Word, int]]] = {}
     basis = admissible_basis(p, max_degree)
     for g in generators:
-        gdict = g.word_dict()
-        gdeg = g.degree(p)
-        if gdeg is None:
-            continue
+        gdeg = word_degree(p, next(iter(g)))
         for x in basis:
-            d = x.degree(p) + gdeg
+            d = word_degree(p, x) + gdeg
             if d > max_degree:
                 continue
-            row = _combo_product(p, x.word, gdict)
+            row = _normalize(p, [(x + w, c) for w, c in g.items()])
             if row:
                 rows.setdefault(d, []).append(row)
     return rows

@@ -96,7 +96,10 @@ def _chart(p: OddPrime, target: ChartTarget) -> tuple[ChartPage, ChartPage]:
 
 
 def _check_torsion_vs_charts(p: OddPrime, deep: bool) -> str:
-    """Closed-form profile == cokernel-of-J summand + chart engine."""
+    """Closed-form profile == cokernel-of-J summand + chart engine.  Both
+    sides add the same `sigma_c_summands(p)`, so only the stunted-projective
+    part is checked; the sigma classes await their second route, an Ext
+    computation over the Steenrod algebra (ROADMAP.md, stem-table item)."""
     top = torsion_window(p) - 1
     profile = wh_torsion_profile(p, top)
     # degree d reads total degree d-1 of the stunted chart, whose window
@@ -201,7 +204,7 @@ def _check_basis_counts(p: OddPrime, deep: bool) -> str:
     A(b,P1) == the algebra minus their quotient series, and A(b,Q1) kills
     every y^a the cohomology report uses, row by row."""
     bound = {3: 120, 5: 200}.get(p.p, 100) if deep else 48
-    counts = Counter(m.degree(p) for m in admissible_basis(p, bound))
+    counts = Counter(word_degree(p, w) for w in admissible_basis(p, bound))
     dual = milnor_dual_dims(p, bound)
     if dict(counts) != dual:
         bad = sorted(
@@ -211,7 +214,7 @@ def _check_basis_counts(p: OddPrime, deep: bool) -> str:
         )
         raise _Failure(f"counts differ in degrees {bad[:5]}")
     beta = adem_normalize(p, BETA)
-    q1_rows = _ideal_rows(p, [beta, milnor_primitive(p, 1).expansion], bound)
+    q1_rows = _ideal_rows(p, [beta, milnor_primitive(p, 1)], bound)
     for ideal, rows, quotient in (
         ("A(b)", _ideal_rows(p, [beta], bound),
          milnor_dual_dims(p, bound, first_exterior=1)),
@@ -239,10 +242,10 @@ def _check_annihilators(p: OddPrime, deep: bool) -> str:
     complement of the annihilator; for y^-1 they are 1 and the single
     powers, and at p=5 the y^1 ones are the descending power chains."""
     bound = {3: 120, 5: 200}.get(p.p, 80) if deep else 40
-    words = {m.word for m in admissible_basis(p, bound)}
+    words = set(admissible_basis(p, bound))
     live: dict[int, set] = {}
     for a in (-1, *_odd_summand_indices(p)):
-        ann = {m.word for m in annihilator_basis(p, a, bound)}
+        ann = set(annihilator_basis(p, a, bound))
         live[a] = set(live_words(p, a, bound))
         if live[a] != words - ann:
             bad = sorted(live[a] ^ (words - ann))[:3]
@@ -302,7 +305,7 @@ def _check_adem_action(p: OddPrime, deep: bool) -> str:
         for a in range(-1, a_top + 1):
             hit = act_word_on_projective(p, word, a)
             literal = {} if hit is None else {hit[1]: hit[0]}
-            normalized = _action_dict(p, combo.word_dict(), a)
+            normalized = _action_dict(p, combo, a)
             if literal != normalized:
                 raise _Failure(
                     f"word {word} on y^{a}: literal {literal}, "

@@ -174,17 +174,17 @@ def h_wh_report(
 
 
 def report_payload(report: CohomologyReport) -> dict:
-    """JSON-ready projection with deterministic ordering; degree keys are
-    decimal strings in ascending numeric order."""
+    """JSON-ready projection; degree keys are decimal strings, in the
+    ascending order `h_wh_report` builds every piece and the total in."""
     return {
         "kind": "cohomology-report",
         "p": report.p,
         "max_degree": report.max_degree,
         "assumptions": list(report.assumptions),
         "pieces": {
-            name: {str(d): dims[d] for d in sorted(dims)}
+            name: {str(d): v for d, v in dims.items()}
             for name, dims in report.pieces.items()
         },
-        "total": {str(d): report.total[d] for d in sorted(report.total)},
+        "total": {str(d): v for d, v in report.total.items()},
         "annotations": list(report.annotations),
     }

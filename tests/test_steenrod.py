@@ -11,7 +11,6 @@ from whcalc.arith import OddPrime
 from whcalc.errors import InconsistencyError, PreconditionError
 from whcalc.steenrod import (
     BETA,
-    AdmissibleMonomial,
     _adem,
     _fp_rank,
     _ideal_rows,
@@ -25,6 +24,7 @@ from whcalc.steenrod import (
     milnor_primitive,
     quotient_module_dims,
     word_degree,
+    word_str,
 )
 
 P3 = OddPrime(3)
@@ -50,10 +50,10 @@ def _is_admissible(p, word):
 
 
 def _parse(text):
-    """The monomial whose `str` is text: "1", or tokens "b" and "P<s>"."""
+    """The word whose `word_str` is text: "1", or tokens "b" and "P<s>"."""
     text = text.strip()
     if text == "1":
-        return AdmissibleMonomial(())
+        return ()
     word = []
     for token in text.split():
         if token == "b":
@@ -62,12 +62,12 @@ def _parse(text):
             word.append(int(token[1:]))
         else:
             raise PreconditionError(f"bad monomial token {token!r}")
-    return AdmissibleMonomial(tuple(word))
+    return tuple(word)
 
 
-def _epsilon_0(mono):
-    """1 when the monomial starts with a Bockstein, else 0."""
-    return 1 if mono.word and mono.word[0] == 0 else 0
+def _epsilon_0(word):
+    """1 when the word starts with a Bockstein, else 0."""
+    return 1 if word and word[0] == 0 else 0
 
 
 def test_word_degree_and_admissibility():
@@ -86,16 +86,16 @@ def test_word_degree_and_admissibility():
 
 def test_monomial_parse_and_str():
     for text in ("1", "b", "P1", "b P1", "P1 b", "b P3 b P1"):
-        assert str(_parse(text)) == text
-    mono = _parse("b P3 b P1")
-    assert mono.word == (0, 3, 0, 1)
-    assert _epsilon_0(mono) == 1
-    assert mono.degree(P3) == 18
+        assert word_str(_parse(text)) == text
+    word = _parse("b P3 b P1")
+    assert word == (0, 3, 0, 1)
+    assert _epsilon_0(word) == 1
+    assert word_degree(P3, word) == 18
 
 
 def test_admissible_basis_examples():
-    assert [str(m) for m in admissible_basis(P3, 0)] == ["1"]
-    names = {str(m) for m in admissible_basis(P3, 5)}
+    assert [word_str(w) for w in admissible_basis(P3, 0)] == ["1"]
+    names = {word_str(w) for w in admissible_basis(P3, 5)}
     assert names == {"1", "b", "P1", "b P1", "P1 b"}
     assert len(names) == 5
 
@@ -107,20 +107,20 @@ def test_milnor_dual_dims_examples():
 
 def test_basis_counts_match_dual_to_60():
     counts: dict[int, int] = {}
-    for m in admissible_basis(P3, 60):
-        d = m.degree(P3)
+    for w in admissible_basis(P3, 60):
+        d = word_degree(P3, w)
         counts[d] = counts.get(d, 0) + 1
     assert counts == milnor_dual_dims(P3, 60)
 
 
 def test_adem_examples():
-    assert adem_normalize(P3, (0, 0)).word_dict() == {}
-    assert adem_normalize(P3, (1, 1)).word_dict() == {(2,): 2}
-    assert adem_normalize(P3, (3, 1)).word_dict() == {(3, 1): 1}
-    assert adem_normalize(P3, (1, 2)).word_dict() == {}
+    assert adem_normalize(P3, (0, 0)) == {}
+    assert adem_normalize(P3, (1, 1)) == {(2,): 2}
+    assert adem_normalize(P3, (3, 1)) == {(3, 1): 1}
+    assert adem_normalize(P3, (1, 2)) == {}
     # P1 b P1 = b P2 + P2 b  and  P2 b P1 = b P3 - P3 b
-    assert adem_normalize(P3, (1, 0, 1)).word_dict() == {(0, 2): 1, (2, 0): 1}
-    assert adem_normalize(P3, (2, 0, 1)).word_dict() == {(0, 3): 1, (3, 0): 2}
+    assert adem_normalize(P3, (1, 0, 1)) == {(0, 2): 1, (2, 0): 1}
+    assert adem_normalize(P3, (2, 0, 1)) == {(0, 3): 1, (3, 0): 2}
     with pytest.raises(PreconditionError):
         adem_normalize(P3, (-1, 2))
 
@@ -128,7 +128,7 @@ def test_adem_examples():
 def test_adem_terms_admissible_and_degree_preserving():
     for word in ((1, 1), (1, 2), (2, 2), (1, 0, 1), (2, 0, 2), (4, 0, 1, 0)):
         combo = adem_normalize(P3, word)
-        for w in combo.word_dict():
+        for w in combo:
             assert _is_admissible(P3, w)
             assert word_degree(P3, w) == word_degree(P3, word)
 
@@ -146,16 +146,16 @@ def test_action_examples():
 
 def test_annihilator_characterization_small():
     basis = admissible_basis(P3, 40)
-    ann = {m.word for m in annihilator_basis(P3, -1, 40)}
-    complement = {m.word for m in basis} - ann
+    ann = set(annihilator_basis(P3, -1, 40))
+    complement = set(basis) - ann
     assert complement == {()} | {(i,) for i in range(1, 11)}
 
 
 def test_annihilator_degree_one_slice():
     slice1 = [
-        m for m in annihilator_basis(P3, -1, 1) if m.degree(P3) == 1
+        w for w in annihilator_basis(P3, -1, 1) if word_degree(P3, w) == 1
     ]
-    assert [str(m) for m in slice1] == ["b"]
+    assert [word_str(w) for w in slice1] == ["b"]
 
 
 def test_annihilator_span_check_clean_for_small_a():
@@ -179,28 +179,23 @@ def test_live_words_are_the_annihilator_complement():
     for pp in (3, 5, 7, 11):
         p = OddPrime(pp)
         bound = 20 * p.q
-        words = {m.word for m in admissible_basis(p, bound)}
+        words = set(admissible_basis(p, bound))
         for a in (-1, *range(1, pp - 3, 2)):
             ann = annihilator_basis(p, a, bound)
-            assert set(live_words(p, a, bound)) == words - {m.word for m in ann}
+            assert set(live_words(p, a, bound)) == words - set(ann)
 
 
 def test_milnor_primitives():
-    q0 = milnor_primitive(P3, 0)
-    assert q0.expansion.word_dict() == {BETA: 1}
-    q1 = milnor_primitive(P3, 1)
-    assert q1.expansion.word_dict() == {(1, 0): 1, (0, 1): 2}
+    assert milnor_primitive(P3, 0) == {BETA: 1}
+    assert milnor_primitive(P3, 1) == {(1, 0): 1, (0, 1): 2}
     for n in range(0, 4):
         qn = milnor_primitive(P3, n)
-        assert qn.expansion.degree(P3) == 2 * 3**n - 1
-        for w in qn.expansion.word_dict():
+        assert {word_degree(P3, w) for w in qn} == {2 * 3**n - 1}
+        for w in qn:
             assert _is_admissible(P3, w)
             assert 0 in w  # every term carries a Bockstein
         for a in range(-1, 9):
-            acted = [
-                act_word_on_projective(P3, w, a)
-                for w in qn.expansion.word_dict()
-            ]
+            acted = [act_word_on_projective(P3, w, a) for w in qn]
             assert all(hit is None for hit in acted)
 
 
@@ -277,12 +272,13 @@ _words = st.lists(_tokens, min_size=1, max_size=4).map(tuple)
 def test_fuzz_normalization_sound(word):
     combo = adem_normalize(P3, word)
     degree = word_degree(P3, word)
-    for w, c in combo.word_dict().items():
+    assert list(combo) == sorted(combo)
+    for w, c in combo.items():
         assert _is_admissible(P3, w)
         assert word_degree(P3, w) == degree
         assert 1 <= c <= 2
         again = adem_normalize(P3, w)
-        assert again.word_dict() == {w: 1}
+        assert again == {w: 1}
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,7 +289,7 @@ def test_fuzz_action_matches_normalized_expansion(word, a):
     if hit is not None and hit[0] % 3:
         literal[hit[1]] = hit[0] % 3
     combined: dict[int, int] = {}
-    for w, c in adem_normalize(P3, word).word_dict().items():
+    for w, c in adem_normalize(P3, word).items():
         piece = act_word_on_projective(P3, w, a)
         if piece is None:
             continue
@@ -328,7 +324,7 @@ _b_tokens = st.one_of(st.just(0), st.integers(1, 6))
 @given(_primes, st.lists(_b_tokens, min_size=1, max_size=4).map(tuple))
 def test_fuzz_bockstein_action_on_bzp(pp, word):
     p = OddPrime(pp)
-    expansion = adem_normalize(p, word).word_dict()
+    expansion = adem_normalize(p, word)
     for e, k in itertools.product((0, 1), range(13)):
         combined: dict[tuple[int, int], int] = {}
         for w, c in expansion.items():
@@ -343,7 +339,7 @@ def _nf_product(p, left, right):
     acc: dict[tuple[int, ...], int] = {}
     for w1, c1 in left.items():
         for w2, c2 in right.items():
-            for w, c in adem_normalize(p, w1 + w2).word_dict().items():
+            for w, c in adem_normalize(p, w1 + w2).items():
                 acc[w] = (acc.get(w, 0) + c1 * c2 * c) % p.p
     return {w: c for w, c in acc.items() if c}
 
@@ -355,8 +351,8 @@ _short_words = st.lists(_b_tokens, max_size=2).map(tuple)
 @given(_primes, _short_words, _short_words, _short_words)
 def test_fuzz_normal_form_is_associative(pp, a, b, c):
     p = OddPrime(pp)
-    ab = adem_normalize(p, a + b).word_dict()
-    bc = adem_normalize(p, b + c).word_dict()
+    ab = adem_normalize(p, a + b)
+    bc = adem_normalize(p, b + c)
     assert _nf_product(p, ab, {c: 1}) == _nf_product(p, {a: 1}, bc)
 
 
@@ -369,7 +365,7 @@ def test_nf_cache_is_bounded():
     for s in range(1, bound + 100):
         _nf(3, (s,))  # admissible, so one entry each
     assert _nf.cache_info().currsize == bound
-    assert adem_normalize(P3, (1, 1)).word_dict() == {(2,): 2}
+    assert adem_normalize(P3, (1, 1)) == {(2,): 2}
     _nf.cache_clear()
 
 
@@ -383,6 +379,6 @@ def test_adem_cache_is_bounded():
         _adem(3, 1, 0, b)  # P^1 P^b is inadmissible for every b >= 1
     assert _adem.cache_info().currsize == bound
     _nf.cache_clear()
-    assert adem_normalize(P3, (1, 1)).word_dict() == {(2,): 2}
+    assert adem_normalize(P3, (1, 1)) == {(2,): 2}
     _adem.cache_clear()
     _nf.cache_clear()

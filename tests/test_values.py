@@ -13,12 +13,6 @@ from whcalc import emit
 from whcalc.ahss import ChartClass, ChartPage, ChartTarget, build_e2
 from whcalc.arith import OddPrime
 from whcalc.errors import PreconditionError
-from whcalc.steenrod import (
-    AdmissibleMonomial,
-    FpLinearCombo,
-    MilnorPrimitive,
-    milnor_primitive,
-)
 from whcalc.stems import COK_J, StemClass, alpha_bar
 from whcalc.torsion import (
     ConcordanceFirstTorsion,
@@ -46,9 +40,6 @@ VALUES = [
         ChartClass(BETA1, 2, 1),
         ("theta", "k", "valuation", "axis_factor", "aggregate_only"),
     ),
-    (AdmissibleMonomial((0, 3, 0, 1)), ("word",)),
-    (FpLinearCombo(((AdmissibleMonomial((1,)), 2),)), ("terms",)),
-    (milnor_primitive(P3, 1), ("index", "expansion")),
     (sigma_c_summands(P3)[11], ("generator", "valuation")),
     (StemSummand("sigma(beta1)", 1), ("generator", "valuation")),
     (ProfileEntry(11, 1, ("sigma(beta1)",)), ("degree", "valuation", "generators")),
@@ -104,8 +95,7 @@ def test_value_class_defaults_and_types():
     assert CheckResult(3, "stub", "pass").detail == ""
     kinds = {type(v) for v, _ in VALUES}
     assert kinds == {
-        OddPrime, StemClass, ChartClass, AdmissibleMonomial, FpLinearCombo,
-        MilnorPrimitive, StemSummand, ProfileEntry,
+        OddPrime, StemClass, ChartClass, StemSummand, ProfileEntry,
         TorsionProfile, FirstTorsion, ConcordanceFirstTorsion,
         CohomologyReport, CheckResult,
     }

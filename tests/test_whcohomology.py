@@ -157,6 +157,17 @@ def test_payload_serialization():
     assert degrees == sorted(degrees)
 
 
+def test_report_degrees_come_in_ascending_order():
+    # report_payload writes the degrees in the order the report holds them,
+    # so a piece built out of order would change the emitted bytes
+    primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+    for pp in (*primes, 1009):
+        for top in (0, 1, 5, 40, 120, 512):
+            report = h_wh_report(OddPrime(pp), top, assume_regular=True)
+            for dims in (*report.pieces.values(), report.total):
+                assert list(dims) == sorted(dims), (pp, top)
+
+
 def test_consistency_against_quotient_module_dims():
     report = delta_star_report(P5, 30)
     shifted = report["ker"]["sigma^2 C_1/A(b,Q1)"]
