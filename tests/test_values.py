@@ -1,5 +1,6 @@
 """Value classes: immutable, hashed as their field tuple, with a
-`Name(field=value, ...)` repr; a package namespace that imports lazily;
+`Name(field=value, ...)` repr; Steenrod elements that are plain words and
+dicts; a package namespace that imports lazily;
 and CLI calls that load only the modules they run."""
 
 import os
@@ -13,6 +14,13 @@ from whcalc import emit
 from whcalc.ahss import ChartClass, ChartPage, ChartTarget, build_e2
 from whcalc.arith import OddPrime
 from whcalc.errors import PreconditionError
+from whcalc.steenrod import (
+    admissible_basis,
+    adem_normalize,
+    milnor_primitive,
+    word_degree,
+    word_str,
+)
 from whcalc.stems import COK_J, StemClass, alpha_bar
 from whcalc.torsion import (
     ConcordanceFirstTorsion,
@@ -65,12 +73,15 @@ VALUES = [
     ),
     (CheckResult(3, "stub", "pass"), ("p", "name", "status", "detail")),
 ]
+# Case numbers 4-6 belonged to the Steenrod element classes, which are now
+# plain words and dicts (tested below); the other cases keep their ids.
+CASE_NUMBERS = (*range(4), *range(7, 15))
 
 
 @pytest.mark.parametrize(
     "value, names",
     VALUES,
-    ids=[f"{type(v).__name__}{i}" for i, (v, _) in enumerate(VALUES)],
+    ids=[f"{type(v).__name__}{i}" for i, (v, _) in zip(CASE_NUMBERS, VALUES)],
 )
 def test_value_class_contract(value, names):
     fields = tuple(getattr(value, n) for n in names)
@@ -99,6 +110,52 @@ def test_value_class_defaults_and_types():
         TorsionProfile, FirstTorsion, ConcordanceFirstTorsion,
         CohomologyReport, CheckResult,
     }
+
+
+# A Steenrod element has no class of its own: a monomial is its admissible
+# word, a tuple of int tokens, and a combination (an Adem normal form or a
+# Milnor primitive) a fresh dict of nonzero coefficients mod p keyed by
+# words of one degree.
+
+
+def _assert_plain_combination(p, combo):
+    assert type(combo) is dict
+    for word, coeff in combo.items():
+        assert type(word) is tuple and all(type(g) is int for g in word)
+        assert 0 < coeff < p.p
+    assert len({word_degree(p, w) for w in combo}) <= 1
+
+
+def test_steenrod_monomial_is_its_word():
+    basis = admissible_basis(P3, 20)
+    assert (0, 3, 1) in basis and word_str((0, 3, 1)) == "b P3 P1"
+    assert basis == sorted(basis, key=lambda w: (word_degree(P3, w), w))
+    for word in basis:
+        assert type(word) is tuple and all(type(g) is int for g in word)
+        assert hash(word) == hash(tuple(word))
+        assert adem_normalize(P3, word) == {word: 1}
+
+
+def test_adem_normal_form_is_a_plain_dict():
+    for p in (P3, OddPrime(5)):
+        for word in ((0, 0), (1, 1), (1, 0, 1), (2, 0, 1), (4, 0, 1, 0)):
+            combo = adem_normalize(p, word)
+            _assert_plain_combination(p, combo)
+            assert list(combo) == sorted(combo)
+    combo = adem_normalize(P3, (1, 1))
+    combo.clear()
+    assert adem_normalize(P3, (1, 1)) == {(2,): 2}
+
+
+def test_milnor_primitive_is_a_plain_dict():
+    for p in (P3, OddPrime(5)):
+        for n in range(4):
+            qn = milnor_primitive(p, n)
+            _assert_plain_combination(p, qn)
+            assert qn and {word_degree(p, w) for w in qn} == {2 * p.p**n - 1}
+    qn = milnor_primitive(P3, 1)
+    qn.clear()
+    assert milnor_primitive(P3, 1) == {(1, 0): 1, (0, 1): 2}
 
 
 def test_odd_prime_validates_and_stays_fixed():
