@@ -16,11 +16,11 @@ complete rule set valid below the second beta-family class:
   R1  axis rule (all charts): the differentials leaving the horizontal axis
       kill total p-valuation v_p(n!) among the image-of-J classes in each
       odd total degree 2n-1, leaving the integral axis class n! * b_n.
-      Only the aggregate killed order is determined, so surviving
-      image-of-J cells are marked aggregate_only; the canonical absorption
-      below is deterministic and never touches alpha_bar(1)*b_k with k
-      divisible by p (the first-possible differential there has coefficient
-      k mod p = 0, so those cells survive the axis rule).
+      Only the aggregate killed order is determined, so cells holding a
+      surviving image-of-J summand are marked aggregate_only; the canonical
+      absorption below is deterministic and never touches alpha_bar(1)*b_k
+      with k divisible by p (the first-possible differential there has
+      coefficient k mod p = 0, so those summands survive the axis rule).
   R2  (S_OF_CP, S_OF_CPBAR): a differential of length q pairs
       theta*b_{k+p-1} with alpha1*theta*b_k for theta in {beta1, beta1^2},
       k >= 1, k not divisible by p (coefficient k mod p).
@@ -46,7 +46,7 @@ torsion sums are one range-add per class.  R1 on it visits only what the
 axis rule leaves: alpha_bar(i)*b(k) has valuation 1+v_p(i) on every column
 k >= 1, so in each odd total degree the index at which the budget runs out
 is found by bisection in the running sums of those valuations.  So its
-cells, about twenty times those of the EINF page, are built only when
+summands, about twenty times those of the EINF page, are built only when
 read, which `page_payload` does for `ahss --page e2`.
 
 Every window is stated through `stems.beta2_degree`, and a page to total
@@ -62,7 +62,6 @@ from bisect import bisect_left
 from collections import defaultdict
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple
 
 from .arith import OddPrime, vp_factorial
 from .errors import InconsistencyError, PreconditionError, WindowError
@@ -80,30 +79,14 @@ class ChartTarget(enum.Enum):
     S_OF_CPBAR = "s-cpbar"
 
 
-class ChartClass(NamedTuple):
-    """One summand of a chart cell: theta * b_k, or an axis class when
-    theta is None.  valuation None means an infinite (integral) class."""
-
-    theta: StemClass | None
-    k: int
-    valuation: int | None
-    axis_factor: int | None = None  # n for the EINF axis label "n!*b(n)"
-    aggregate_only: bool = False
-
-    @property
-    def label(self) -> str:
-        if self.theta is None:
-            if self.axis_factor is not None:
-                return f"{self.axis_factor}!*b({self.k})"
-            return f"b({self.k})"
-        return f"{self.theta.name}*b({self.k})"
-
-
 class ChartPage:
-    """One chart page: the summands of each (s, t) cell and, on EINF, the
-    kills per total degree.  Mutable, so `torsion_by_degree` can be cached.
+    """One chart page: its torsion summands theta*b(k), each keyed by
+    (theta, k) and mapped to its valuation in page order (by theta, then
+    k), and on EINF the kills per total degree.  The axis classes follow
+    from the window, so they are not stored; `page_payload` adds them.
+    Mutable, so `torsion_by_degree` can be cached.
 
-    `run_differentials` returns the EINF page with its cells in a dict;
+    `run_differentials` returns the EINF page with its summands in a dict;
     `build_e2` returns an `_E2Page`, which derives them from the stem table
     only when read."""
 
@@ -113,29 +96,28 @@ class ChartPage:
         p: OddPrime,
         page_label: str,
         max_total_degree: int,
-        cells: dict[tuple[int, int], tuple[ChartClass, ...]],
+        summands: dict[tuple[StemClass, int], int],
         kill_ledger: dict[int, int] | None = None,
     ) -> None:
         self.target = target
         self.p = p
         self.page_label = page_label
         self.max_total_degree = max_total_degree
-        self.cells = cells
+        self.summands = summands
         self.kill_ledger = kill_ledger
 
     def __repr__(self) -> str:
-        shown = ("target", "p", "page_label", "max_total_degree", "cells")
+        shown = ("target", "p", "page_label", "max_total_degree", "summands")
         return f"ChartPage({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
 
     @cached_property
     def torsion_by_degree(self) -> dict[int, int]:
         """Torsion valuation above the axis per total degree, summed over
-        the cells in one pass the first time it is read.  Degrees without
-        torsion are absent."""
+        the summands in one pass the first time it is read.  Degrees
+        without torsion are absent."""
         sums: dict[int, int] = defaultdict(int)
-        for (s, t), summands in self.cells.items():
-            if t > 0:
-                sums[s + t] += sum(c.valuation for c in summands)
+        for (theta, k), valuation in self.summands.items():
+            sums[2 * k + theta.degree] += valuation
         return dict(sums)
 
 
@@ -171,7 +153,7 @@ def _page_classes(
 class _E2Page(ChartPage):
     """The E2 page of (p, target, max_total_degree).  Its content is the
     stem table placed on every column, so summand valuations and the
-    per-degree sums come from the table, and `cells` is built only when
+    per-degree sums come from the table, and `summands` is built only when
     read (by `page_payload`)."""
 
     def __init__(
@@ -184,22 +166,13 @@ class _E2Page(ChartPage):
         self.kill_ledger = None
 
     @cached_property
-    def cells(self) -> dict[tuple[int, int], tuple[ChartClass, ...]]:
+    def summands(self) -> dict[tuple[StemClass, int], int]:
         top = self.max_total_degree
-        cells: dict[tuple[int, int], list[ChartClass]] = defaultdict(list)
-        # horizontal axis: integral classes b_k
-        for k in range(1, top // 2 + 1):
-            cells[(2 * k, 0)].append(ChartClass(None, k, None))
-        if self.target is ChartTarget.S_OF_CPBAR:
-            cells[(-2, 0)].append(ChartClass(None, -1, None))
-        # The classes come sorted by (degree, name) and k is fixed within a
-        # cell, so every cell's summands are appended in label order.
-        for theta in _page_classes(self.p, self.target, top):
-            for k in _columns(self.target, top, theta.degree):
-                cells[(2 * k, theta.degree)].append(
-                    ChartClass(theta, k, theta.order_valuation)
-                )
-        return {st: tuple(v) for st, v in cells.items()}
+        return {
+            (theta, k): theta.order_valuation
+            for theta in _page_classes(self.p, self.target, top)
+            for k in _columns(self.target, top, theta.degree)
+        }
 
     @cached_property
     def torsion_by_degree(self) -> dict[int, int]:
@@ -296,7 +269,7 @@ def run_differentials(page: ChartPage) -> ChartPage:
     """Push an E2 page to EINF with rules R1-R5; returns a new page.
 
     The E2 summands are read through the page's `_axis_kept` and
-    `summand_valuation`, so the E2 page is never built cell by cell."""
+    `summand_valuation`, so a lazy E2 page's `summands` is never built."""
     if page.page_label != E2:
         raise PreconditionError("run_differentials expects an E2 page")
     p = page.p
@@ -317,9 +290,8 @@ def run_differentials(page: ChartPage) -> ChartPage:
         if killed:
             ledger[2 * n - 1] += killed
 
-    # mutable torsion content: valuation keyed by (theta name, column index),
-    # in page order, so survivors keep each cell's label order
-    tors: dict[tuple[str, int], int] = {}
+    # the summands left so far, in page order, so survivors keep it
+    tors: dict[tuple[StemClass, int], int] = {}
     for theta in page_classes:
         if theta.kind == IM_J:  # R1 has read the columns k >= 1
             summands = [(-1, valuation(theta, -1)), *kept[theta.index]]
@@ -330,21 +302,21 @@ def run_differentials(page: ChartPage) -> ChartPage:
             ]
         for k, val in summands:
             if val:
-                tors[(theta.name, k)] = val
+                tors[(theta, k)] = val
 
     def kill_pair(src: tuple[str, int], tgt: tuple[str, int], rule: str) -> None:
+        """src and tgt name their summands as (theta name, k)."""
         tgt_total = 2 * tgt[1] + classes[tgt[0]].degree
         if tgt_total > max_total:
             return
-        for key, total in ((tgt, tgt_total), (src, tgt_total + 1)):
+        for (name, k), total in ((tgt, tgt_total), (src, tgt_total + 1)):
             if total > max_total:
                 continue  # source beyond the stored window; the kill stands
-            if tors.get(key) != 1:
+            if tors.pop((classes[name], k), None) != 1:
                 raise InconsistencyError(
-                    f"{rule}: expected {key[0]}*b({key[1]}) with valuation 1 "
+                    f"{rule}: expected {name}*b({k}) with valuation 1 "
                     f"on the page"
                 )
-            del tors[key]
             ledger[total] += 1
 
     if target in (ChartTarget.S_OF_CP, ChartTarget.S_OF_CPBAR):
@@ -381,24 +353,10 @@ def run_differentials(page: ChartPage) -> ChartPage:
         ):
             kill_pair(src, tgt, "R4")
         # R5: image-of-J content of the b_{-1} column dies from the axis.
-        for key in [
-            key for key in tors if key[1] == -1 and classes[key[0]].kind == IM_J
-        ]:
-            ledger[-2 + classes[key[0]].degree] += tors.pop(key)
+        for key in [key for key in tors if key[1] == -1 and key[0].kind == IM_J]:
+            ledger[-2 + key[0].degree] += tors.pop(key)
 
-    # the axis classes all survive, b_k for k >= 1 as n! * b_n
-    out: dict[tuple[int, int], list[ChartClass]] = defaultdict(list)
-    for k in range(1, max_total // 2 + 1):
-        out[(2 * k, 0)].append(ChartClass(None, k, None, axis_factor=k))
-    if target is ChartTarget.S_OF_CPBAR:
-        out[(-2, 0)].append(ChartClass(None, -1, None))
-    for (name, k), val in tors.items():
-        theta = classes[name]
-        out[(2 * k, theta.degree)].append(
-            ChartClass(theta, k, val, aggregate_only=theta.kind == IM_J)
-        )
-    fixed = {st: tuple(v) for st, v in out.items()}
-    return ChartPage(target, p, EINF, max_total, fixed, dict(ledger))
+    return ChartPage(target, p, EINF, max_total, tors, dict(ledger))
 
 
 def j_order_valuation(p: OddPrime, n: int) -> int:
@@ -415,28 +373,44 @@ def j_order_valuation(p: OddPrime, n: int) -> int:
 
 
 def page_payload(page: ChartPage) -> dict:
-    """JSON-ready projection of a page; deterministic field order."""
-    records = []
-    for (s, t) in sorted(page.cells):
-        summands = page.cells[(s, t)]
-        if t == 0:
-            valuation: int | str = "infinite"
-        else:
-            valuation = sum(c.valuation for c in summands)
-        records.append(
-            {
+    """JSON-ready projection of a page; deterministic field order.
+
+    The one place where cells are formed: the summands grouped by
+    (s, t) = (2k, |theta|), in page order within a cell, plus the axis
+    classes the window implies (b(k) on E2, k!*b(k) on EINF, and b(-1) over
+    the stunted spectrum).  A cell is aggregate-only when it holds an
+    image-of-J summand of an EINF page, whose valuation R1 fixes only in
+    aggregate."""
+    einf = page.page_label == EINF
+    cells: dict[tuple[int, int], dict] = {}
+
+    def cell(s: int, t: int) -> dict:
+        if (s, t) not in cells:
+            cells[(s, t)] = {
                 "s": s,
                 "t": t,
-                "labels": [c.label for c in summands],
-                "valuation": valuation,
-                "aggregate_only": any(c.aggregate_only for c in summands),
+                "labels": [],
+                "valuation": 0 if t else "infinite",
+                "aggregate_only": False,
             }
-        )
+        return cells[(s, t)]
+
+    for k in range(1, page.max_total_degree // 2 + 1):
+        cell(2 * k, 0)["labels"].append(f"{k}!*b({k})" if einf else f"b({k})")
+    if page.target is ChartTarget.S_OF_CPBAR:
+        cell(-2, 0)["labels"].append("b(-1)")
+    # Page order is by theta's (degree, name), then k, so a cell, whose
+    # summands share degree and k, gets its labels in name order.
+    for (theta, k), valuation in page.summands.items():
+        record = cell(2 * k, theta.degree)
+        record["labels"].append(f"{theta.name}*b({k})")
+        record["valuation"] += valuation
+        record["aggregate_only"] |= einf and theta.kind == IM_J
     return {
         "kind": "ahss-chart",
         "p": page.p.p,
         "target": page.target.value,
         "page_label": page.page_label,
         "max_total_degree": page.max_total_degree,
-        "cells": records,
+        "cells": [cells[st] for st in sorted(cells)],
     }

@@ -45,12 +45,12 @@ def _shifted(
         return {}
     dims = quotient_module_dims(p, spec, max_degree - shift, a=a)
     out = {}
-    for d in sorted(dims):
+    for d, dim in dims.items():  # in ascending degree
         if d + shift < 0:
             raise InconsistencyError(
                 f"graded piece reaches negative degree {d + shift} after shift"
             )
-        out[d + shift] = dims[d]
+        out[d + shift] = dim
     return out
 
 

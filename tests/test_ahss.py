@@ -2,7 +2,6 @@
 
 import hashlib
 from collections import Counter, defaultdict
-from functools import cached_property
 
 import pytest
 
@@ -27,21 +26,12 @@ P5 = OddPrime(5)
 
 
 class _HandBuiltPage(ChartPage):
-    """An E2 page read from a cell dict, summand by summand: the reference
-    for the lazy page's table lookups and its bisection R1."""
-
-    @cached_property
-    def _valuations(self) -> dict[tuple[str, int], int]:
-        return {
-            (c.theta.name, c.k): c.valuation
-            for summands in self.cells.values()
-            for c in summands
-            if c.theta is not None
-        }
+    """An E2 page read from a summands dict, summand by summand: the
+    reference for the lazy page's table lookups and its bisection R1."""
 
     def summand_valuation(self, theta, k):
         """Valuation of the summand theta*b(k); None when the page lacks it."""
-        return self._valuations.get((theta.name, k))
+        return self.summands.get((theta, k))
 
     def _axis_kept(self, alpha, budgets):
         """R1 summand by summand.  The image-of-J cells in total degree 2n-1
@@ -72,6 +62,11 @@ class _HandBuiltPage(ChartPage):
         return kept
 
 
+def _cells(page):
+    """The page's payload cells, keyed by (s, t)."""
+    return {(c["s"], c["t"]): c for c in page_payload(page)["cells"]}
+
+
 def test_chart_windows():
     assert chart_window(P3, ChartTarget.J_OF_CP) == 28
     assert chart_window(P3, ChartTarget.S_OF_CP) == 28
@@ -95,26 +90,29 @@ def test_window_errors():
 
 def test_e2_cells_examples():
     jpage = build_e2(P3, ChartTarget.J_OF_CP, 20)
-    cell = jpage.cells[(2, 3)]
-    assert [c.label for c in cell] == ["alpha_bar(1)*b(1)"]
-    assert cell[0].valuation == 1
+    jcells = _cells(jpage)
+    cell = jcells[(2, 3)]
+    assert cell["labels"] == ["alpha_bar(1)*b(1)"]
+    assert cell["valuation"] == 1
+    assert jpage.summands[(stems.alpha_bar(P3, 1), 1)] == 1
 
     spage = build_e2(P3, ChartTarget.S_OF_CPBAR, 20)
-    cell = spage.cells[(-2, 10)]
-    assert [c.label for c in cell] == ["beta1*b(-1)"]
-    assert cell[0].valuation == 1
+    scells = _cells(spage)
+    cell = scells[(-2, 10)]
+    assert cell["labels"] == ["beta1*b(-1)"]
+    assert cell["valuation"] == 1
 
-    assert (2, 1) not in jpage.cells
-    assert (2, 1) not in spage.cells
+    assert (2, 1) not in jcells
+    assert (2, 1) not in scells
 
 
 def test_e2_axis_and_column_rules():
-    spage = build_e2(P3, ChartTarget.S_OF_CPBAR, 20)
-    assert (-2, 0) in spage.cells  # bottom cell b(-1)
-    assert (0, 0) not in spage.cells  # no k = 0 column
-    jpage = build_e2(P3, ChartTarget.J_OF_CP, 20)
-    assert (-2, 0) not in jpage.cells
-    for (s, t) in jpage.cells:
+    scells = _cells(build_e2(P3, ChartTarget.S_OF_CPBAR, 20))
+    assert (-2, 0) in scells  # bottom cell b(-1)
+    assert (0, 0) not in scells  # no k = 0 column
+    jcells = _cells(build_e2(P3, ChartTarget.J_OF_CP, 20))
+    assert (-2, 0) not in jcells
+    for (s, t) in jcells:
         assert s + t <= 20
         assert s >= 2
 
@@ -132,7 +130,7 @@ def test_einf_examples():
     assert page.torsion_by_degree.get(13, 0) == 2
     assert page.torsion_by_degree.get(0, 0) == 0
     # beta1*b(-1) was killed by the rule crossing into the bottom column
-    assert (-2, 10) not in page.cells
+    assert (-2, 10) not in _cells(page)
     page5 = run_differentials(build_e2(P5, ChartTarget.S_OF_CPBAR, 40))
     assert page5.torsion_by_degree.get(1, 0) == 0
 
@@ -183,30 +181,37 @@ def test_torsion_by_degree_sums_cell_valuations():
         for target in ChartTarget:
             e2 = build_e2(p, target, chart_window(p, target) - 1)
             sums = Counter()
-            for (s, t), summands in e2.cells.items():
-                for c in summands:
-                    if t > 0:
-                        sums[s + t] += c.valuation
+            for (s, t), cell in _cells(e2).items():
+                if t > 0:
+                    sums[s + t] += cell["valuation"]
             assert e2.torsion_by_degree == dict(sums)
             assert e2.torsion_by_degree is e2.torsion_by_degree
 
 
 def test_einf_imj_cells_are_aggregate_only():
-    page = run_differentials(build_e2(P3, ChartTarget.S_OF_CPBAR, 23))
-    for (s, t), summands in page.cells.items():
-        for c in summands:
-            if t == 0:
-                assert c.valuation is None
-            elif c.theta.kind == "im_j":
-                assert c.aggregate_only
-            else:
-                assert not c.aggregate_only
+    e2 = build_e2(P3, ChartTarget.S_OF_CPBAR, 23)
+    page = run_differentials(e2)
+    imj = defaultdict(bool)
+    for (theta, k) in page.summands:
+        imj[(2 * k, theta.degree)] |= theta.kind == "im_j"
+    for (s, t), cell in _cells(page).items():
+        if t == 0:
+            assert cell["valuation"] == "infinite"
+            assert not cell["aggregate_only"]
+        else:
+            assert cell["aggregate_only"] == imj[(s, t)]
+    assert any(imj.values())
+    assert not any(cell["aggregate_only"] for cell in _cells(e2).values())
 
 
 def test_axis_classes_renamed_on_einf():
-    page = run_differentials(build_e2(P3, ChartTarget.S_OF_CPBAR, 12))
-    assert [c.label for c in page.cells[(4, 0)]] == ["2!*b(2)"]
-    assert [c.label for c in page.cells[(-2, 0)]] == ["b(-1)"]
+    e2 = build_e2(P3, ChartTarget.S_OF_CPBAR, 12)
+    cells = _cells(run_differentials(e2))
+    assert cells[(4, 0)]["labels"] == ["2!*b(2)"]
+    assert cells[(-2, 0)]["labels"] == ["b(-1)"]
+    cells = _cells(e2)
+    assert cells[(4, 0)]["labels"] == ["b(2)"]
+    assert cells[(-2, 0)]["labels"] == ["b(-1)"]
 
 
 def test_page_payload_shape_and_order():
@@ -228,9 +233,10 @@ def test_axis_rule_names_a_missing_summand():
     # In total degree 9 at p=3 the axis rule needs alpha_bar(2)*b(1): the
     # only other image-of-J cell there, alpha_bar(1)*b(3), has p | k.
     e2 = build_e2(P3, ChartTarget.J_OF_CP, 20)
-    cells = dict(e2.cells)
-    assert [c.label for c in cells.pop((2, 7))] == ["alpha_bar(2)*b(1)"]
-    page = _HandBuiltPage(e2.target, P3, E2, 20, cells)
+    assert _cells(e2)[(2, 7)]["labels"] == ["alpha_bar(2)*b(1)"]
+    summands = dict(e2.summands)
+    assert summands.pop((stems.alpha_bar(P3, 2), 1)) == 1
+    page = _HandBuiltPage(e2.target, P3, E2, 20, summands)
     with pytest.raises(InconsistencyError, match=r"alpha_bar\(2\)\*b\(1\)"):
         run_differentials(page)
 
@@ -250,9 +256,12 @@ def test_lazy_e2_page_matches_its_materialized_cells(pp):
         tops = _tops(p, target) if pp < 17 else [chart_window(p, target) - 1]
         for top in tops:
             lazy = run_differentials(build_e2(p, target, top))
-            cells = dict(build_e2(p, target, top).cells)
-            by_hand = run_differentials(_HandBuiltPage(target, p, E2, top, cells))
-            assert lazy.cells == by_hand.cells  # tuples: order within cells
+            summands = dict(build_e2(p, target, top).summands)
+            by_hand = run_differentials(
+                _HandBuiltPage(target, p, E2, top, summands)
+            )
+            # lists, so the page order is checked too
+            assert list(lazy.summands.items()) == list(by_hand.summands.items())
             assert lazy.kill_ledger == by_hand.kill_ledger
 
 
@@ -300,9 +309,9 @@ def test_einf_run_leaves_e2_cells_unbuilt():
     for target in ChartTarget:
         e2 = build_e2(P5, target, chart_window(P5, target) - 1)
         einf = run_differentials(e2)
-        assert e2.torsion_by_degree and einf.cells
-        assert "cells" not in vars(e2)
-        assert e2.cells and "cells" in vars(e2)
+        assert e2.torsion_by_degree and einf.summands
+        assert "summands" not in vars(e2)
+        assert e2.summands and "summands" in vars(e2)
 
 
 @pytest.mark.parametrize("pp", [3, 5, 7, 11, 13, 17])
@@ -314,10 +323,10 @@ def test_whole_window_j_chart_restricts_to_the_stunted_window(pp):
     top = chart_window(p, ChartTarget.S_OF_CPBAR) - 1
     whole = run_differentials(build_e2(p, target, chart_window(p, target) - 1))
     short = run_differentials(build_e2(p, target, top))
-    assert {
-        st: summands for st, summands in whole.cells.items()
-        if st[1] > 0 and sum(st) <= top
-    } == {st: summands for st, summands in short.cells.items() if st[1] > 0}
+    assert [
+        ((theta, k), val) for (theta, k), val in whole.summands.items()
+        if 2 * k + theta.degree <= top
+    ] == list(short.summands.items())
 
 
 def test_small_windows_run_clean():

@@ -1,6 +1,7 @@
 """Value classes: immutable, hashed as their field tuple, with a
 `Name(field=value, ...)` repr; Steenrod elements that are plain words and
-dicts; a package namespace that imports lazily;
+dicts; chart summands that are plain keys; a package namespace that
+imports lazily;
 and CLI calls that load only the modules they run."""
 
 import os
@@ -11,7 +12,13 @@ import pytest
 
 import whcalc
 from whcalc import emit
-from whcalc.ahss import ChartClass, ChartPage, ChartTarget, build_e2
+from whcalc.ahss import (
+    ChartPage,
+    ChartTarget,
+    build_e2,
+    chart_window,
+    run_differentials,
+)
 from whcalc.arith import OddPrime
 from whcalc.errors import PreconditionError
 from whcalc.steenrod import (
@@ -44,10 +51,6 @@ VALUES = [
     (P3, ("p",)),
     (BETA1, ("name", "degree", "order_valuation", "kind", "index")),
     (alpha_bar(P3, 3), ("name", "degree", "order_valuation", "kind", "index")),
-    (
-        ChartClass(BETA1, 2, 1),
-        ("theta", "k", "valuation", "axis_factor", "aggregate_only"),
-    ),
     (sigma_c_summands(P3)[11], ("generator", "valuation")),
     (StemSummand("sigma(beta1)", 1), ("generator", "valuation")),
     (ProfileEntry(11, 1, ("sigma(beta1)",)), ("degree", "valuation", "generators")),
@@ -73,9 +76,10 @@ VALUES = [
     ),
     (CheckResult(3, "stub", "pass"), ("p", "name", "status", "detail")),
 ]
-# Case numbers 4-6 belonged to the Steenrod element classes, which are now
-# plain words and dicts (tested below); the other cases keep their ids.
-CASE_NUMBERS = (*range(4), *range(7, 15))
+# Case number 3 belonged to the chart summand class and 4-6 to the Steenrod
+# element classes, which are now plain keys, words and dicts (tested
+# below); the other cases keep their ids.
+CASE_NUMBERS = (*range(3), *range(7, 15))
 
 
 @pytest.mark.parametrize(
@@ -101,12 +105,10 @@ def test_value_class_contract(value, names):
 
 def test_value_class_defaults_and_types():
     assert BETA1.index is None
-    cell = ChartClass(None, 3, None)
-    assert (cell.axis_factor, cell.aggregate_only) == (None, False)
     assert CheckResult(3, "stub", "pass").detail == ""
     kinds = {type(v) for v, _ in VALUES}
     assert kinds == {
-        OddPrime, StemClass, ChartClass, StemSummand, ProfileEntry,
+        OddPrime, StemClass, StemSummand, ProfileEntry,
         TorsionProfile, FirstTorsion, ConcordanceFirstTorsion,
         CohomologyReport, CheckResult,
     }
@@ -158,6 +160,28 @@ def test_milnor_primitive_is_a_plain_dict():
     assert milnor_primitive(P3, 1) == {(1, 0): 1, (0, 1): 2}
 
 
+# A chart summand theta*b(k) has no class of its own either: a page maps
+# the plain key (theta, k), a stem class and a column index, to its
+# valuation.
+
+
+def test_chart_summand_is_a_plain_key():
+    for p in (P3, OddPrime(5)):
+        for target in ChartTarget:
+            e2 = build_e2(p, target, chart_window(p, target) - 1)
+            einf = run_differentials(e2)
+            assert einf.summands
+            for page in (e2, einf):
+                assert type(page.summands) is dict
+                for key, valuation in page.summands.items():
+                    assert type(key) is tuple and len(key) == 2
+                    theta, k = key
+                    assert type(theta) is StemClass and type(k) is int
+                    assert type(valuation) is int and valuation > 0
+            for (theta, _), valuation in e2.summands.items():
+                assert valuation == theta.order_valuation
+
+
 def test_odd_prime_validates_and_stays_fixed():
     for bad in (4, 9, 2, 1, 15):
         with pytest.raises(PreconditionError):
@@ -175,10 +199,10 @@ def test_chart_page_repr_and_cached_sums():
     assert page.kill_ledger is None
     assert repr(page) == (
         f"ChartPage(target={ChartTarget.J_OF_CP!r}, p={P3!r}, "
-        f"page_label='E2', max_total_degree=12, cells={page.cells!r})"
+        f"page_label='E2', max_total_degree=12, summands={page.summands!r})"
     )
     assert page.torsion_by_degree is page.torsion_by_degree
-    fresh = ChartPage(page.target, P3, "E2", 12, dict(page.cells), {4: 1})
+    fresh = ChartPage(page.target, P3, "E2", 12, dict(page.summands), {4: 1})
     assert fresh.kill_ledger == {4: 1}
     assert fresh.torsion_by_degree == page.torsion_by_degree
 
