@@ -3,7 +3,8 @@
 Every emission is {"header": ..., "payload": ...}: the header carries tool
 provenance and the normalized command line, the payload carries only
 mathematical content.  Serialization uses insertion order (keys are built
-in ascending numeric order), two-space indentation and a trailing newline,
+in ascending numeric order, and an int key, such as a degree, is written
+as its decimal string), two-space indentation and a trailing newline,
 so output is byte-stable across runs and suitable for golden-file
 comparison.  `json_text` writes the bytes of `json.dumps(doc, indent=2)`
 without importing `json`, whose encoder runs in pure Python at that
@@ -42,9 +43,11 @@ def envelope_text(command: str, payload: dict) -> str:
 
 def json_text(value) -> str:
     """The bytes of `json.dumps(value, indent=2) + "\\n"` for nested dicts
-    (with str keys), lists, tuples, str, int, bool and None; any other
-    type, a float included, raises TypeError.  Strings are quoted by the
-    C function that `json.dumps` uses, ints written by `int.__repr__`."""
+    (with str or int keys), lists, tuples, str, int, bool and None; any
+    other type, a float included, and any other key, a bool included,
+    raise TypeError.  Strings are quoted by the C function that
+    `json.dumps` uses, ints (an int key as its quoted digits) written by
+    `int.__repr__`."""
     try:
         from _json import encode_basestring_ascii as quote
     except ImportError:  # an interpreter without json's C accelerator
@@ -61,9 +64,9 @@ def _json_lines(value, quote, pad: str, head: str, lines: list[str]) -> None:
     """Append the lines of `value` at indent `pad`: the first opened by
     `head` (a quoted key and ": ", or nothing), the last closed by a comma.
     One string per line keeps a large document's pieces few."""
-    if isinstance(value, dict):  # quote() raises TypeError on a non-str key
+    if isinstance(value, dict):
         brackets, sep = "{}", ": "
-        pairs = zip(map(quote, value), value.values())
+        pairs = zip(map(quote, map(_json_key, value)), value.values())
     elif isinstance(value, (list, tuple)):
         brackets, sep = "[]", ""
         pairs = zip(repeat(""), value)
@@ -79,6 +82,14 @@ def _json_lines(value, quote, pad: str, head: str, lines: list[str]) -> None:
         _json_lines(item, quote, inner, key + sep, lines)
     lines[-1] = lines[-1][:-1]
     lines.append(f"{pad}{brackets[1]},")
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, int) and not isinstance(key, bool):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str or int, not {type(key).__name__}")
 
 
 def _json_scalar(value, quote) -> str:
@@ -100,13 +111,14 @@ def _json_scalar(value, quote) -> str:
 def pi_wh(
     p: OddPrime, max_degree: int, *, assume_regular: bool = False
 ) -> tuple[str, dict]:
-    from .torsion import profile_payload, wh_torsion_profile
+    from .torsion import wh_torsion_profile
 
     command = f"pi-wh --p {p.p} --max-degree {max_degree}"
     if assume_regular:
         command += " --assume-regular"
-    profile = wh_torsion_profile(p, max_degree, assume_regular=assume_regular)
-    return command, profile_payload(profile)
+    return command, wh_torsion_profile(
+        p, max_degree, assume_regular=assume_regular
+    )
 
 
 def ahss(
@@ -126,47 +138,23 @@ def ahss(
     return command, page_payload(chart)
 
 
-def _piece_names(p: OddPrime, piece: str) -> list[str]:
-    from .whcohomology import (
-        COKER_MAIN_PIECE,
-        HP_PIECE,
-        SIGMA_C_PIECE,
-        _cp_piece_name,
-        _ker_piece_name,
-        _odd_summand_indices,
-    )
-
-    odd = _odd_summand_indices(p)
-    if piece == "sigma-c":
-        return [SIGMA_C_PIECE]
-    if piece == "hp":
-        return [HP_PIECE]
-    if piece == "coker":
-        return [COKER_MAIN_PIECE] + [_cp_piece_name(a) for a in odd]
-    if piece == "ker":
-        return [_ker_piece_name(a) for a in odd]
-    raise PreconditionError(f"unknown piece {piece!r}")
-
-
 def cohomology(
     p: OddPrime, max_degree: int, piece: str = "all", *,
     assume_regular: bool = False,
 ) -> tuple[str, dict]:
-    from .whcohomology import h_wh_report, report_payload
+    from .whcohomology import h_wh_report, piece_names
 
     if piece not in PIECES:
         raise PreconditionError(f"unknown piece {piece!r}")
     command = f"cohomology --p {p.p} --max-degree {max_degree} --piece {piece}"
     if assume_regular:
         command += " --assume-regular"
-    report = h_wh_report(p, max_degree, assume_regular=assume_regular)
-    payload = report_payload(report)
+    payload = h_wh_report(p, max_degree, assume_regular=assume_regular)
     if piece == "total":
         payload["pieces"] = {}
     elif piece != "all":
-        keep = _piece_names(p, piece)
         payload["pieces"] = {
-            name: payload["pieces"][name] for name in keep
+            name: payload["pieces"][name] for name in piece_names(p, piece)
         }
         del payload["total"]
     return command, payload

@@ -1,9 +1,11 @@
 """Plain-text and SVG projections of the serialized payloads.
 
-Every renderer is a pure function of the JSON payload dictionary (the
-"payload" member of the CLI envelope), so re-parsing emitted JSON and
-re-rendering reproduces the other formats byte for byte.  SVG output is
-static SVG 1.1 with integer coordinates only.
+Every renderer is a pure function of the payload dictionary (the
+"payload" member of the CLI envelope), and reads a degree key the same
+whether it is an int, as the library returns it, or its decimal string,
+as JSON holds it; so re-parsing emitted JSON and re-rendering reproduces
+the other formats byte for byte.  SVG output is static SVG 1.1 with
+integer coordinates only.
 """
 
 from __future__ import annotations
@@ -249,8 +251,8 @@ def _report_svg(payload: dict) -> str:
             f'<text x="10" y="{y}" font-family="monospace" font-size="10">'
             f"{_esc(name)}</text>\n"
         )
-        for d_str, v in table[name].items():
-            x = left + cell * int(d_str)
+        for d, v in table[name].items():
+            x = left + cell * int(d)
             parts.append(
                 f'<text x="{x}" y="{y}" font-family="monospace" '
                 f'font-size="10">{v}</text>\n'

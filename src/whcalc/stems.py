@@ -9,7 +9,7 @@ boundary, which is excluded).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .arith import OddPrime, vp
 from .errors import WindowError
@@ -18,12 +18,10 @@ IM_J = "im_j"
 COK_J = "cok_j"
 
 
-class StemClass(NamedTuple):
-    name: str
-    degree: int
-    order_valuation: int
-    kind: str  # IM_J or COK_J
-    index: int | None = None  # i for the alpha_bar family
+# kind is IM_J or COK_J; index is i for the alpha_bar family, else None.
+StemClass = namedtuple(
+    "StemClass", "name degree order_valuation kind index", defaults=(None,)
+)
 
 
 def beta2_degree(p: OddPrime) -> int:

@@ -19,7 +19,7 @@ valuation at n and odd d = 2n+1 uses the odd-degree valuation at n.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .arith import OddPrime, ensure_regular
 from .errors import InconsistencyError, PreconditionError, WindowError
@@ -92,58 +92,37 @@ def cpbar_odd_valuation(p: OddPrime, n: int) -> int:
     return 0
 
 
-class StemSummand(NamedTuple):
-    generator: str
-    valuation: int
+def sigma_c_summands(p: OddPrime) -> dict:
+    """The classes sigma(theta) of the suspended cokernel-of-J piece, as
+    {|theta| + 1: theta} over the cokernel-of-J stem classes theta: each
+    sigma(theta) has theta's order, and every other degree below
+    beta2_degree(p) + 1 has none."""
+    return {theta.degree + 1: theta for theta in _cokernel_classes(p)}
 
 
-def sigma_c_summands(p: OddPrime) -> dict[int, StemSummand]:
-    """The classes sigma(theta) of the suspended cokernel-of-J piece, one
-    for each cokernel-of-J stem class theta and in degree |theta| + 1, keyed
-    by degree; every other degree below beta2_degree(p) + 1 has none."""
-    return {
-        c.degree + 1: StemSummand(f"sigma({c.name})", c.order_valuation)
-        for c in _cokernel_classes(p)
-    }
-
-
-class ProfileEntry(NamedTuple):
-    degree: int
-    valuation: int
-    generators: tuple[str, ...]
-
-
-class TorsionProfile(NamedTuple):
-    p: int
-    max_degree: int
-    assumptions: tuple[str, ...]
-    entries: tuple[ProfileEntry, ...]
-    annotations: tuple[str, ...]
-
-
-def _degree_valuation(
-    p: OddPrime, sigma: dict[int, StemSummand], d: int
-) -> tuple[int, tuple[str, ...]]:
+def _degree_valuation(p: OddPrime, sigma: dict, d: int) -> tuple[int, list]:
     """Torsion valuation and named generators in degree d, for
     1 <= d < torsion_window(p); sigma is `sigma_c_summands(p)`."""
     val = 0
-    gens: list[str] = []
-    named = sigma.get(d)
-    if named is not None:
-        val += named.valuation
-        gens.append(named.generator)
+    gens = []
+    theta = sigma.get(d)
+    if theta is not None:
+        val += theta.order_valuation
+        gens.append(f"sigma({theta.name})")
     if d % 2 == 0:
         if d >= 2:
             val += cpbar_even_valuation(p, d // 2)
     else:
         val += cpbar_odd_valuation(p, (d - 1) // 2)
-    return val, tuple(gens)
+    return val, gens
 
 
 def wh_torsion_profile(
     p: OddPrime, max_degree: int, *, assume_regular: bool = False
-) -> TorsionProfile:
-    """p-torsion valuation of the Whitehead spectrum in degrees 1..max_degree.
+) -> dict:
+    """p-torsion valuation of the Whitehead spectrum in degrees 1..max_degree,
+    as the `torsion-profile` payload: its entries are the degrees of nonzero
+    torsion, ascending, each {"degree", "valuation", "generators"}.
 
     Requires a regular prime (or the explicit override) and a degree window
     inside which both parity formulas are valid.
@@ -161,19 +140,22 @@ def wh_torsion_profile(
     for d in range(1, max_degree + 1):
         val, gens = _degree_valuation(p, sigma, d)
         if val:
-            entries.append(ProfileEntry(d, val, gens))
+            entries.append({"degree": d, "valuation": val, "generators": gens})
     annotations = [GENERIC_ANNOTATION]
     if p.p == 3 and max_degree >= 14:
         annotations.append(P3_DEGREE14_ANNOTATION)
-    return TorsionProfile(
-        p.p, max_degree, assumptions, tuple(entries), tuple(annotations)
-    )
+    return {
+        "kind": "torsion-profile",
+        "p": p.p,
+        "max_degree": max_degree,
+        "assumptions": list(assumptions),
+        "entries": entries,
+        "annotations": annotations,
+    }
 
 
-class FirstTorsion(NamedTuple):
-    degree: int
-    valuation: int
-    generator: str | None
+# generator is None for an unnamed stunted-spectrum class.
+FirstTorsion = namedtuple("FirstTorsion", "degree valuation generator")
 
 
 def first_p_torsion(p: OddPrime, *, assume_regular: bool = False) -> FirstTorsion:
@@ -189,7 +171,12 @@ def first_p_torsion(p: OddPrime, *, assume_regular: bool = False) -> FirstTorsio
     )
 
 
-class ConcordanceFirstTorsion(NamedTuple):
+ConcordanceFirstTorsion = namedtuple(
+    "ConcordanceFirstTorsion",
+    "p pi_degree_C pi_degree_H group_valuation connectivity_hypothesis "
+    "dimension_hypothesis",
+)
+ConcordanceFirstTorsion.__doc__ = (
     """First p-torsion transported to concordance and h-cobordism spaces.
 
     For a sufficiently connected compact smooth n-manifold the stable range
@@ -198,13 +185,7 @@ class ConcordanceFirstTorsion(NamedTuple):
     required connectivity and the dimension bound n >= max(2k+7, 3k+4)
     needed for stability one degree past the h-cobordism degree k.
     """
-
-    p: int
-    pi_degree_C: int
-    pi_degree_H: int
-    group_valuation: int
-    connectivity_hypothesis: int
-    dimension_hypothesis: int
+)
 
 
 def concordance_first_torsion(
@@ -220,22 +201,3 @@ def concordance_first_torsion(
         connectivity_hypothesis=first.degree,
         dimension_hypothesis=max(2 * k + 7, 3 * k + 4),
     )
-
-
-def profile_payload(profile: TorsionProfile) -> dict:
-    """JSON-ready projection with deterministic field order."""
-    return {
-        "kind": "torsion-profile",
-        "p": profile.p,
-        "max_degree": profile.max_degree,
-        "assumptions": list(profile.assumptions),
-        "entries": [
-            {
-                "degree": e.degree,
-                "valuation": e.valuation,
-                "generators": list(e.generators),
-            }
-            for e in profile.entries
-        ],
-        "annotations": list(profile.annotations),
-    }

@@ -14,9 +14,8 @@ runs.
 from __future__ import annotations
 
 import os
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import emit
 from .ahss import (
@@ -69,11 +68,7 @@ SKIP = "skip"
 MAX_CHART_WINDOW = 14760
 
 
-class CheckResult(NamedTuple):
-    p: int
-    name: str
-    status: str
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "p name status detail", defaults=("",))
 
 
 class _Failure(Exception):
@@ -106,8 +101,8 @@ def _check_torsion_vs_charts(p: OddPrime, deep: bool) -> str:
     # degree d reads total degree d-1 of the stunted chart, whose window
     # ends one degree below the profile's
     _, chart = _chart(p, ChartTarget.S_OF_CPBAR)
-    table = {e.degree: e.valuation for e in profile.entries}
-    sigma = {d: s.valuation for d, s in sigma_c_summands(p).items()}
+    table = {e["degree"]: e["valuation"] for e in profile["entries"]}
+    sigma = {d: t.order_valuation for d, t in sigma_c_summands(p).items()}
     for d in range(1, top + 1):
         engine = sigma.get(d, 0) + chart.torsion_by_degree.get(d - 1, 0)
         if table.get(d, 0) != engine:
@@ -346,14 +341,13 @@ def _check_cohomology_additivity(p: OddPrime, deep: bool) -> str:
     """Report total == sum of the pieces; p=3 carries no kernel block."""
     bound = 60 if deep else 30
     report = h_wh_report(p, bound)
-    if _add(*report.pieces.values()) != report.total:
+    pieces = report["pieces"]
+    if _add(*pieces.values()) != report["total"]:
         raise _Failure("total differs from the sum of the pieces")
     if p.p == 3:
         want = {SIGMA_C_PIECE, HP_PIECE, COKER_MAIN_PIECE}
-        if set(report.pieces) != want:
-            raise _Failure(
-                f"p=3 pieces {sorted(report.pieces)} != {sorted(want)}"
-            )
+        if set(pieces) != want:
+            raise _Failure(f"p=3 pieces {sorted(pieces)} != {sorted(want)}")
     return f"pieces sum to the total through degree {bound}"
 
 

@@ -18,8 +18,6 @@ deliberately not assembled.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .arith import OddPrime, ensure_regular
 from .errors import InconsistencyError, PreconditionError
 from .steenrod import quotient_module_dims
@@ -85,6 +83,21 @@ def _odd_summand_indices(p: OddPrime) -> list[int]:
     return list(range(1, p.p - 3, 2))
 
 
+def piece_names(p: OddPrime, piece: str) -> list[str]:
+    """The report's pieces in the CLI's `--piece` group `piece`: sigma-c,
+    hp, coker or ker."""
+    odd = _odd_summand_indices(p)
+    if piece == "sigma-c":
+        return [SIGMA_C_PIECE]
+    if piece == "hp":
+        return [HP_PIECE]
+    if piece == "coker":
+        return [COKER_MAIN_PIECE] + [_cp_piece_name(a) for a in odd]
+    if piece == "ker":
+        return [_ker_piece_name(a) for a in odd]
+    raise PreconditionError(f"unknown piece {piece!r}")
+
+
 def delta_star_report(p: OddPrime, max_degree: int) -> dict:
     """Named graded dimensions of cok(delta*) and of the shifted kernel
     block sigma^-1 ker(delta*), each as {piece name: {degree: dim}}."""
@@ -124,20 +137,13 @@ def delta_star_rank_data(p: OddPrime, max_degree: int) -> dict:
     return {"source": source, "target": target}
 
 
-class CohomologyReport(NamedTuple):
-    p: int
-    max_degree: int
-    assumptions: tuple[str, ...]
-    pieces: dict[str, dict[int, int]]
-    total: dict[int, int]
-    annotations: tuple[str, ...]
-
-
 def h_wh_report(
     p: OddPrime, max_degree: int, *, assume_regular: bool = False
-) -> CohomologyReport:
-    """Full graded-dimension report; total(d) is the sum of the pieces,
-    since the assembling extensions preserve dimension."""
+) -> dict:
+    """Full graded-dimension report, as the `cohomology-report` payload:
+    each piece and the total map int degrees, ascending, to dimensions;
+    total(d) is the sum of the pieces, since the assembling extensions
+    preserve dimension.  The degrees become decimal strings only in JSON."""
     assumptions = ensure_regular(p, assume_regular)
     if max_degree < 0:
         raise PreconditionError(f"max_degree must be >= 0, got {max_degree}")
@@ -168,23 +174,12 @@ def h_wh_report(
             f"of the kernel block, to sigma y^{2 * p.p - 1} in the "
             f"stunted-projective block"
         )
-    return CohomologyReport(
-        p.p, max_degree, assumptions, pieces, total, tuple(annotations)
-    )
-
-
-def report_payload(report: CohomologyReport) -> dict:
-    """JSON-ready projection; degree keys are decimal strings, in the
-    ascending order `h_wh_report` builds every piece and the total in."""
     return {
         "kind": "cohomology-report",
-        "p": report.p,
-        "max_degree": report.max_degree,
-        "assumptions": list(report.assumptions),
-        "pieces": {
-            name: {str(d): v for d, v in dims.items()}
-            for name, dims in report.pieces.items()
-        },
-        "total": {str(d): v for d, v in report.total.items()},
-        "annotations": list(report.annotations),
+        "p": p.p,
+        "max_degree": max_degree,
+        "assumptions": list(assumptions),
+        "pieces": pieces,
+        "total": total,
+        "annotations": annotations,
     }

@@ -157,8 +157,14 @@ def test_closed_or_failing_stdout_exits_2(redirect, why, argv):
     assert proc.stderr == f"error: cannot write stdout: {why}\n"
 
 
-def test_projections_rerender_from_json_payload(capsys):
-    base = ["ahss", "--p", "3", "--max-degree", "20", "--page", "einf"]
+# The CLI renders the library's payload, whose cohomology degrees are ints;
+# the re-parsed JSON holds them as strings, and both render the same bytes.
+@pytest.mark.parametrize("base", [
+    ["ahss", "--p", "3", "--max-degree", "20", "--page", "einf"],
+    ["pi-wh", "--p", "5", "--max-degree", "84"],
+    ["cohomology", "--p", "5", "--max-degree", "60"],
+], ids=["ahss", "pi-wh", "cohomology"])
+def test_projections_rerender_from_json_payload(capsys, base):
     _, json_out, _ = run_cli(capsys, *base, "--format", "json")
     payload = json.loads(json_out)["payload"]
     for fmt, fn in (

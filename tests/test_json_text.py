@@ -14,7 +14,7 @@ DOCS = st.recursive(
     lambda inner: (
         st.lists(inner, max_size=4)
         | st.lists(inner, max_size=3).map(tuple)
-        | st.dictionaries(st.text(), inner, max_size=4)
+        | st.dictionaries(st.text() | st.integers(), inner, max_size=4)
     ),
     max_leaves=20,
 )
@@ -29,6 +29,7 @@ def test_json_text_writes_the_bytes_of_json_dumps(doc):
 @pytest.mark.parametrize("doc", [
     {}, [], (), "", 0, -(10**30), True, None,
     {"a": {}, "b": [], "c": [{}, [[]]], "": ""},
+    {1: 2}, {-(10**30): [0], 0: {5: 1}, "0": None},
     ["\x00\x1f\"\\/é \U0001f600", "\t\n\r", "\ud800"],
 ])
 def test_json_text_edge_cases(doc):
@@ -36,7 +37,8 @@ def test_json_text_edge_cases(doc):
 
 
 @pytest.mark.parametrize("doc", [
-    1.5, {"a": [0.0]}, [float("nan")], {1: 2}, {"a": {3}}, [b"x"],
+    1.5, {"a": [0.0]}, [float("nan")], {"a": {3}}, [b"x"],
+    {True: 1}, {1.5: 1}, {None: 1}, {(1,): 1},
 ])
 def test_json_text_refuses_other_types(doc):
     with pytest.raises(TypeError):

@@ -5,12 +5,12 @@ import pytest
 from whcalc.ahss import ChartTarget, chart_window
 from whcalc.arith import OddPrime
 from whcalc.errors import PreconditionError, WindowError
+from whcalc.stems import COK_J
 from whcalc.torsion import (
     concordance_first_torsion,
     cpbar_even_valuation,
     cpbar_odd_valuation,
     first_p_torsion,
-    profile_payload,
     sigma_c_summands,
     torsion_window,
     wh_torsion_profile,
@@ -77,16 +77,24 @@ def test_odd_valuation_guards():
         cpbar_odd_valuation(P3, 12)  # degree 25 >= 25
 
 
+def _sigma_generators(p):
+    """{degree: (generator label, valuation)} of the sigma classes."""
+    return {
+        d: (f"sigma({theta.name})", theta.order_valuation)
+        for d, theta in sigma_c_summands(p).items()
+    }
+
+
 def test_sigma_c_examples():
-    hit = sigma_c_summands(P3)[11]
-    assert (hit.generator, hit.valuation) == ("sigma(beta1)", 1)
-    hit = sigma_c_summands(P5)[77]
-    assert (hit.generator, hit.valuation) == ("sigma(beta1_sq)", 1)
+    theta = sigma_c_summands(P3)[11]
+    assert (theta.name, theta.degree, theta.kind) == ("beta1", 10, COK_J)
+    assert _sigma_generators(P3)[11] == ("sigma(beta1)", 1)
+    assert _sigma_generators(P5)[77] == ("sigma(beta1_sq)", 1)
     assert 12 not in sigma_c_summands(P3)
     # the hand formula for the degrees, independent of the stem table
     for p in PRIMES_TO_61:
         pp, q = p.p, p.q
-        assert sigma_c_summands(p) == {
+        assert _sigma_generators(p) == {
             pp * q - 1: ("sigma(beta1)", 1),
             (pp + 1) * q - 2: ("sigma(alpha1_beta1)", 1),
             2 * pp * q - 3: ("sigma(beta1_sq)", 1),
@@ -97,25 +105,27 @@ def test_sigma_c_examples():
 
 def test_profile_p3():
     profile = wh_torsion_profile(P3, 24)
-    assert {e.degree: e.valuation for e in profile.entries} == P3_TABLE
-    named = {e.degree: e.generators for e in profile.entries}
-    assert named[11] == ("sigma(beta1)",)
-    assert named[14] == ("sigma(alpha1_beta1)",)
-    assert named[21] == ("sigma(beta1_sq)",)
-    assert named[24] == ("sigma(alpha1_beta1_sq)",)
-    assert named[16] == ()
-    assert any("degree 14 at p=3" in a for a in profile.annotations)
+    entries = profile["entries"]
+    assert {e["degree"]: e["valuation"] for e in entries} == P3_TABLE
+    named = {e["degree"]: e["generators"] for e in entries}
+    assert named[11] == ["sigma(beta1)"]
+    assert named[14] == ["sigma(alpha1_beta1)"]
+    assert named[21] == ["sigma(beta1_sq)"]
+    assert named[24] == ["sigma(alpha1_beta1_sq)"]
+    assert named[16] == []
+    assert any("degree 14 at p=3" in a for a in profile["annotations"])
 
 
 def test_profile_p5():
     profile = wh_torsion_profile(P5, 84)
-    assert {e.degree: e.valuation for e in profile.entries} == P5_TABLE
-    assert not any("degree 14" in a for a in profile.annotations)
+    entries = profile["entries"]
+    assert {e["degree"]: e["valuation"] for e in entries} == P5_TABLE
+    assert not any("degree 14" in a for a in profile["annotations"])
 
 
 def test_profile_below_first_torsion_is_empty():
-    assert wh_torsion_profile(P5, 17).entries == ()
-    assert wh_torsion_profile(P3, 0).entries == ()
+    assert wh_torsion_profile(P5, 17)["entries"] == []
+    assert wh_torsion_profile(P3, 0)["entries"] == []
 
 
 def test_profile_guards():
@@ -125,22 +135,23 @@ def test_profile_guards():
         wh_torsion_profile(P3, -1)
     with pytest.raises(PreconditionError):
         wh_torsion_profile(OddPrime(37), 24)
-    assert wh_torsion_profile(OddPrime(37), 24, assume_regular=True).entries == ()
+    flagged = wh_torsion_profile(OddPrime(37), 24, assume_regular=True)
+    assert flagged["entries"] == []
 
 
 def test_profile_prefix_property():
     full = wh_torsion_profile(P3, 24)
     for d in range(0, 25):
         part = wh_torsion_profile(P3, d)
-        assert part.entries == tuple(
-            e for e in full.entries if e.degree <= d
-        )
+        assert part["entries"] == [
+            e for e in full["entries"] if e["degree"] <= d
+        ]
 
 
 def test_no_zero_valuation_entries():
     for p in (P3, P5, P7):
         profile = wh_torsion_profile(p, torsion_window(p) - 1)
-        assert all(e.valuation > 0 for e in profile.entries)
+        assert all(e["valuation"] > 0 for e in profile["entries"])
 
 
 def test_first_torsion():
@@ -170,7 +181,7 @@ def test_concordance_first_torsion():
 
 
 def test_payload_shape():
-    payload = profile_payload(wh_torsion_profile(P3, 24))
+    payload = wh_torsion_profile(P3, 24)
     assert list(payload) == [
         "kind",
         "p",

@@ -1,7 +1,7 @@
 """Value classes: immutable, hashed as their field tuple, with a
 `Name(field=value, ...)` repr; Steenrod elements that are plain words and
-dicts; chart summands that are plain keys; a package namespace that
-imports lazily;
+dicts; chart summands that are plain keys; results that are the payload
+dicts the CLI emits; a package namespace that imports lazily;
 and CLI calls that load only the modules they run."""
 
 import os
@@ -32,16 +32,13 @@ from whcalc.stems import COK_J, StemClass, alpha_bar
 from whcalc.torsion import (
     ConcordanceFirstTorsion,
     FirstTorsion,
-    ProfileEntry,
-    StemSummand,
-    TorsionProfile,
     concordance_first_torsion,
     first_p_torsion,
     sigma_c_summands,
     wh_torsion_profile,
 )
 from whcalc.verify import CheckResult
-from whcalc.whcohomology import CohomologyReport, h_wh_report
+from whcalc.whcohomology import h_wh_report
 
 P3 = OddPrime(3)
 BETA1 = StemClass("beta1", 10, 1, COK_J)
@@ -51,13 +48,6 @@ VALUES = [
     (P3, ("p",)),
     (BETA1, ("name", "degree", "order_valuation", "kind", "index")),
     (alpha_bar(P3, 3), ("name", "degree", "order_valuation", "kind", "index")),
-    (sigma_c_summands(P3)[11], ("generator", "valuation")),
-    (StemSummand("sigma(beta1)", 1), ("generator", "valuation")),
-    (ProfileEntry(11, 1, ("sigma(beta1)",)), ("degree", "valuation", "generators")),
-    (
-        wh_torsion_profile(P3, 24),
-        ("p", "max_degree", "assumptions", "entries", "annotations"),
-    ),
     (first_p_torsion(P3), ("degree", "valuation", "generator")),
     (
         concordance_first_torsion(P3),
@@ -70,16 +60,14 @@ VALUES = [
             "dimension_hypothesis",
         ),
     ),
-    (
-        h_wh_report(P3, 12),
-        ("p", "max_degree", "assumptions", "pieces", "total", "annotations"),
-    ),
     (CheckResult(3, "stub", "pass"), ("p", "name", "status", "detail")),
 ]
-# Case number 3 belonged to the chart summand class and 4-6 to the Steenrod
-# element classes, which are now plain keys, words and dicts (tested
-# below); the other cases keep their ids.
-CASE_NUMBERS = (*range(3), *range(7, 15))
+# Case number 3 belonged to the chart summand class, 4-6 to the Steenrod
+# element classes, 7-8 to the sigma summand class, 9-10 to the torsion
+# profile classes and 13 to the cohomology report class, which are now
+# plain keys, words, dicts and stem classes (tested below); the other
+# cases keep their ids.
+CASE_NUMBERS = (0, 1, 2, 11, 12, 14)
 
 
 @pytest.mark.parametrize(
@@ -89,13 +77,7 @@ CASE_NUMBERS = (*range(3), *range(7, 15))
 )
 def test_value_class_contract(value, names):
     fields = tuple(getattr(value, n) for n in names)
-    try:
-        want = hash(fields)
-    except TypeError:  # a report holding dicts is unhashable, like its fields
-        with pytest.raises(TypeError):
-            hash(value)
-    else:
-        assert hash(value) == want
+    assert hash(value) == hash(fields)
     assert type(value)(*fields) == value
     with pytest.raises(AttributeError):
         setattr(value, names[0], fields[0])
@@ -108,10 +90,31 @@ def test_value_class_defaults_and_types():
     assert CheckResult(3, "stub", "pass").detail == ""
     kinds = {type(v) for v, _ in VALUES}
     assert kinds == {
-        OddPrime, StemClass, StemSummand, ProfileEntry,
-        TorsionProfile, FirstTorsion, ConcordanceFirstTorsion,
-        CohomologyReport, CheckResult,
+        OddPrime, StemClass, FirstTorsion, ConcordanceFirstTorsion, CheckResult,
     }
+    assert ConcordanceFirstTorsion.__doc__.startswith(
+        "First p-torsion transported to concordance and h-cobordism spaces."
+    )
+
+
+# The two results have no class of their own: `wh_torsion_profile` and
+# `h_wh_report` return the payload dicts the CLI emits, and a sigma class
+# is its cokernel-of-J stem class, keyed by the degree |theta| + 1.
+
+
+def test_results_are_their_payloads():
+    profile = wh_torsion_profile(P3, 24)
+    assert emit.pi_wh(P3, 24)[1] == profile
+    assert type(profile) is dict and type(profile["entries"]) is list
+    assert all(type(e) is dict for e in profile["entries"])
+    report = h_wh_report(P3, 12)
+    assert emit.cohomology(P3, 12)[1] == report
+    assert type(report) is dict
+    for dims in (*report["pieces"].values(), report["total"]):
+        assert type(dims) is dict and all(type(d) is int for d in dims)
+    for d, theta in sigma_c_summands(P3).items():
+        assert type(theta) is StemClass and theta.kind == COK_J
+        assert d == theta.degree + 1
 
 
 # A Steenrod element has no class of its own: a monomial is its admissible
@@ -209,7 +212,7 @@ def test_chart_page_repr_and_cached_sums():
 
 # Per call: the arguments, modules it must load (so the check is not
 # vacuous) and modules it must leave out.  No call loads `dataclasses`,
-# `inspect`, `argparse`, `gettext`, `locale` or `json`.
+# `inspect`, `argparse`, `gettext`, `locale`, `json`, `typing` or `re`.
 IMPORT_CASES = {
     "version": (
         ["--version"],
@@ -270,7 +273,10 @@ def test_cli_call_imports_only_what_it_runs(case):
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stderr.split())
     assert loaded <= modules
-    never = {"dataclasses", "inspect", "argparse", "gettext", "locale", "json"}
+    never = {
+        "dataclasses", "inspect", "argparse", "gettext", "locale", "json",
+        "typing", "re",
+    }
     assert not (left_out | never) & modules
 
 

@@ -1,7 +1,10 @@
 """Cohomology assembly: pieces, connecting-map bookkeeping, annotations."""
 
+import json
+
 import pytest
 
+from whcalc import emit
 from whcalc.arith import OddPrime
 from whcalc.errors import PreconditionError
 from whcalc.steenrod import milnor_dual_dims, quotient_module_dims
@@ -14,7 +17,6 @@ from whcalc.whcohomology import (
     h_sigma_c_dims,
     h_sigma_hp_dims,
     h_wh_report,
-    report_payload,
 )
 
 P3 = OddPrime(3)
@@ -101,47 +103,50 @@ def test_rank_nullity_identity():
 def test_report_additivity_and_p3_pieces():
     report = h_wh_report(P3, 40)
     total: dict[int, int] = {}
-    for dims in report.pieces.values():
+    for dims in report["pieces"].values():
         for d, v in dims.items():
             total[d] = total.get(d, 0) + v
-    assert total == report.total
-    assert set(report.pieces) == {SIGMA_C_PIECE, HP_PIECE, COKER_MAIN_PIECE}
+    assert total == report["total"]
+    want = {SIGMA_C_PIECE, HP_PIECE, COKER_MAIN_PIECE}
+    assert set(report["pieces"]) == want
 
 
 def test_report_low_degree_values():
     report = h_wh_report(P3, 10)
-    assert report.total.get(0, 0) == 0
-    assert report.total.get(3, 0) == 0  # engine value; no anchored table here
-    assert report.pieces[HP_PIECE][5] == 1
-    assert report.total[5] == 1
+    assert report["total"].get(0, 0) == 0
+    assert report["total"].get(3, 0) == 0  # engine value; no anchored table
+    assert report["pieces"][HP_PIECE][5] == 1
+    assert report["total"][5] == 1
 
 
 def test_report_annotations():
     r3 = h_wh_report(P3, 20)
-    assert any("trivial at p=3" in a for a in r3.annotations)
-    assert any("degrees below 3" in a for a in r3.annotations)
-    r5 = h_wh_report(P5, 20)
-    assert any("nontrivial" in a for a in r5.annotations)
-    assert any("sigma y^9" in a and "sigma^2 P2" in a for a in r5.annotations)
+    assert any("trivial at p=3" in a for a in r3["annotations"])
+    assert any("degrees below 3" in a for a in r3["annotations"])
+    notes = h_wh_report(P5, 20)["annotations"]
+    assert any("nontrivial" in a for a in notes)
+    assert any("sigma y^9" in a and "sigma^2 P2" in a for a in notes)
 
 
 def test_report_regularity_gate():
     with pytest.raises(PreconditionError):
         h_wh_report(OddPrime(37), 10)
     flagged = h_wh_report(OddPrime(37), 10, assume_regular=True)
-    assert flagged.assumptions[0].startswith("odd prime, regularity assumed")
+    assumed = flagged["assumptions"][0]
+    assert assumed.startswith("odd prime, regularity assumed")
 
 
 def test_quotient_pieces_bounded_by_algebra():
     report = h_wh_report(P3, 30)
     full = milnor_dual_dims(P3, 32)
-    main = report.pieces[COKER_MAIN_PIECE]
+    main = report["pieces"][COKER_MAIN_PIECE]
     for d, v in main.items():
         assert v <= full.get(d + 2, 0)  # internal degree is d + 2
 
 
 def test_payload_serialization():
-    payload = report_payload(h_wh_report(P3, 14))
+    text = emit.envelope_text(*emit.cohomology(P3, 14))
+    payload = json.loads(text)["payload"]
     assert payload["kind"] == "cohomology-report"
     assert list(payload) == [
         "kind",
@@ -155,16 +160,19 @@ def test_payload_serialization():
     assert payload["pieces"][HP_PIECE] == {"5": 1, "9": 1, "13": 1}
     degrees = [int(d) for d in payload["total"]]
     assert degrees == sorted(degrees)
+    report = h_wh_report(P3, 14)
+    assert list(report) == list(payload)
+    assert report["pieces"][HP_PIECE] == {5: 1, 9: 1, 13: 1}
 
 
 def test_report_degrees_come_in_ascending_order():
-    # report_payload writes the degrees in the order the report holds them,
-    # so a piece built out of order would change the emitted bytes
+    # JSON writes the degrees in the order the report holds them, so a
+    # piece built out of order would change the emitted bytes
     primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
     for pp in (*primes, 1009):
         for top in (0, 1, 5, 40, 120, 512):
             report = h_wh_report(OddPrime(pp), top, assume_regular=True)
-            for dims in (*report.pieces.values(), report.total):
+            for dims in (*report["pieces"].values(), report["total"]):
                 assert list(dims) == sorted(dims), (pp, top)
 
 
