@@ -45,9 +45,10 @@ its content is the stem table placed on every column.  Its per-degree
 torsion sums are one range-add per class.  R1 on it visits only what the
 axis rule leaves: alpha_bar(i)*b(k) has valuation 1+v_p(i) on every column
 k >= 1, so in each odd total degree the index at which the budget runs out
-is found by bisection in the running sums of those valuations.  So its
+is found by bisection in the running sums of those valuations, and
+`page_payload` forms its cells column by column from the table.  So its
 summands, about twenty times those of the EINF page, are built only when
-read, which `page_payload` does for `ahss --page e2`.
+read, which no command does.
 
 Every window is stated through `stems.beta2_degree`, and a page to total
 degree top reads only the stem classes of degree at most top + 2 (the
@@ -58,7 +59,7 @@ not p.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from functools import cached_property
 from itertools import accumulate
@@ -153,8 +154,8 @@ def _page_classes(
 class _E2Page(ChartPage):
     """The E2 page of (p, target, max_total_degree).  Its content is the
     stem table placed on every column, so summand valuations and the
-    per-degree sums come from the table, and `summands` is built only when
-    read (by `page_payload`)."""
+    per-degree sums and the cells of `page_payload` come from the table,
+    and `summands` is built only when read."""
 
     def __init__(
         self, target: ChartTarget, p: OddPrime, max_total_degree: int
@@ -380,37 +381,68 @@ def page_payload(page: ChartPage) -> dict:
     classes the window implies (b(k) on E2, k!*b(k) on EINF, and b(-1) over
     the stunted spectrum).  A cell is aggregate-only when it holds an
     image-of-J summand of an EINF page, whose valuation R1 fixes only in
-    aggregate."""
-    einf = page.page_label == EINF
-    cells: dict[tuple[int, int], dict] = {}
+    aggregate.  "cells" is a generator that forms them one at a time in
+    (s, t) order, so a writer can stream a large page; an E2 page's come
+    straight from the stem table, without building its `summands`."""
+    top = page.max_total_degree
+    ks = [-1] if page.target is ChartTarget.S_OF_CPBAR else []
+    ks += range(1, top // 2 + 1)
+    if page.page_label == EINF:
+        columns: dict[int, list[tuple[StemClass, int]]] = defaultdict(list)
+        for (theta, k), valuation in page.summands.items():
+            columns[k].append((theta, valuation))
+        column = columns.get
+    else:
+        classes = [
+            (theta, theta.order_valuation)
+            for theta in _page_classes(page.p, page.target, top)
+        ]
+        degrees = [theta.degree for theta, _ in classes]
 
-    def cell(s: int, t: int) -> dict:
-        if (s, t) not in cells:
-            cells[(s, t)] = {
-                "s": s,
-                "t": t,
-                "labels": [],
-                "valuation": 0 if t else "infinite",
-                "aggregate_only": False,
-            }
-        return cells[(s, t)]
+        def column(k: int) -> list[tuple[StemClass, int]]:
+            # b(-1) carries every page class, b(k) those of degree <= top - 2k
+            if k == -1:
+                return classes
+            return classes[:bisect_right(degrees, top - 2 * k)]
 
-    for k in range(1, page.max_total_degree // 2 + 1):
-        cell(2 * k, 0)["labels"].append(f"{k}!*b({k})" if einf else f"b({k})")
-    if page.target is ChartTarget.S_OF_CPBAR:
-        cell(-2, 0)["labels"].append("b(-1)")
-    # Page order is by theta's (degree, name), then k, so a cell, whose
-    # summands share degree and k, gets its labels in name order.
-    for (theta, k), valuation in page.summands.items():
-        record = cell(2 * k, theta.degree)
-        record["labels"].append(f"{theta.name}*b({k})")
-        record["valuation"] += valuation
-        record["aggregate_only"] |= einf and theta.kind == IM_J
     return {
         "kind": "ahss-chart",
         "p": page.p.p,
         "target": page.target.value,
         "page_label": page.page_label,
-        "max_total_degree": page.max_total_degree,
-        "cells": [cells[st] for st in sorted(cells)],
+        "max_total_degree": top,
+        "cells": _cells(ks, column, page.page_label == EINF),
     }
+
+
+def _cells(ks: list[int], column, einf: bool):
+    """The cells of columns b(k), k in `ks`: the axis cell, then one cell
+    per degree of the summands `column(k)`, which come in page order, that
+    is by theta's (degree, name)."""
+    for k in ks:
+        s = 2 * k
+        axis = f"{k}!*b({k})" if einf and k != -1 else f"b({k})"
+        yield {
+            "s": s,
+            "t": 0,
+            "labels": [axis],
+            "valuation": "infinite",
+            "aggregate_only": False,
+        }
+        cell = None
+        for theta, valuation in column(k) or ():
+            if cell is None or cell["t"] != theta.degree:
+                if cell is not None:
+                    yield cell
+                cell = {
+                    "s": s,
+                    "t": theta.degree,
+                    "labels": [],
+                    "valuation": 0,
+                    "aggregate_only": False,
+                }
+            cell["labels"].append(f"{theta.name}*b({k})")
+            cell["valuation"] += valuation
+            cell["aggregate_only"] |= einf and theta.kind == IM_J
+        if cell is not None:
+            yield cell

@@ -144,7 +144,7 @@ def _usage_error(command: str | None, message: str):
 
 def _print_and_exit(text: str):
     try:
-        _write(text, None)
+        _write(_whole(text), None)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PRECONDITION) from None
@@ -275,29 +275,36 @@ def _emit_for(args: dict) -> tuple[str, dict]:
     return emit.cohomology(p, top, args["piece"], assume_regular=assume)
 
 
-def _render(fmt: str, command: str, payload: dict) -> str:
+def _emission(fmt: str, command: str, payload: dict):
+    """The function that hands the payload, rendered in `fmt`, to the
+    `write` it is called with, in chunks of a bounded number of lines.  A
+    payload kind with no renderer is refused here, before any byte."""
     if fmt == "json":
-        return emit.envelope_text(command, payload)
+        return lambda write: emit.write_envelope(command, payload, write)
     from . import render
 
-    if fmt == "csv":
-        return render.to_csv(payload)
-    if fmt == "ascii-chart":
-        return render.to_ascii(payload)
-    return render.to_svg(payload)
+    lines = render.lines(fmt, payload)
+    return lambda write: emit.write_lines(lines, write)
 
 
-def _write(text: str, out: str | None) -> None:
-    """Write to stdout or to `out`.  A new or regular file (symlinks
-    followed) is written beside itself and renamed into place with the old
-    mode and owner, so a failed write leaves no partial file.  A device or
-    FIFO, or a file whose directory or owner forbids that, is written
-    through directly.  A closed or failing stdout raises OSError too."""
+def _whole(text: str):
+    """The emission of a text already formed: one chunk."""
+    return lambda write: write(text)
+
+
+def _write(emission, out: str | None) -> None:
+    """Write the chunks that `emission` hands its `write` argument to
+    stdout or to `out`, never holding them all.  A new or regular file
+    (symlinks followed) is written beside itself and renamed into place
+    with the old mode and owner, so a failed write leaves no partial file.
+    A device or FIFO, or a file whose directory or owner forbids that, is
+    written through directly.  A closed or failing stdout raises OSError
+    too."""
     if not out:
         try:
             if sys.stdout is None:
                 raise OSError("it is closed")
-            sys.stdout.write(text)
+            emission(sys.stdout.write)
             sys.stdout.flush()
         except OSError as exc:
             why = exc.strerror or exc
@@ -306,26 +313,36 @@ def _write(text: str, out: str | None) -> None:
     path = os.path.realpath(out)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        regular = not os.path.exists(out) or os.path.isfile(out)
+        if os.path.exists(out) and not os.path.isfile(out):
+            _write_through(out, emission)  # a device or FIFO
+            return
+        old = os.stat(out) if os.path.exists(out) else None
         try:
-            if regular:
-                old = os.stat(out) if os.path.exists(out) else None
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                if old is not None:
-                    os.chmod(tmp, old.st_mode & 0o7777)
-                    os.chown(tmp, old.st_uid, old.st_gid)
-                os.replace(tmp, path)
-        except PermissionError:
-            regular = False
-        if not regular:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            fh = open(tmp, "w", encoding="utf-8")
+        except PermissionError:  # the directory takes no file beside `out`
+            _write_through(out, emission)
+            return
+        with fh:
+            emission(fh.write)
+        try:
+            if old is not None:
+                os.chmod(tmp, old.st_mode & 0o7777)
+                os.chown(tmp, old.st_uid, old.st_gid)
+            os.replace(tmp, path)
+        except PermissionError:  # the owner cannot be kept: copy in place
+            with open(tmp, "rb") as src, open(out, "wb") as dst:
+                while chunk := src.read(1 << 16):
+                    dst.write(chunk)
     except OSError as exc:
         raise OSError(f"cannot write {out}: {exc.strerror or exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def _write_through(out: str, emission) -> None:
+    with open(out, "w", encoding="utf-8") as fh:
+        emission(fh.write)
 
 
 def _int(text: str, name: str) -> int:
@@ -345,7 +362,7 @@ def _run_verify(args: dict) -> int:
         raise PreconditionError(f"--p {listed!r} names no prime")
     primes = [OddPrime(n) for n in dict.fromkeys(tokens)]
     results = verify.run_checks(primes, deep=args["deep"])
-    _write(verify.format_matrix(results) + "\n", None)
+    _write(_whole(verify.format_matrix(results) + "\n"), None)
     failed = any(r.status == verify.FAIL for r in results)
     return EXIT_INCONSISTENT if failed else EXIT_OK
 
@@ -362,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{cap}; raise {CAP_ENV} to go higher"
             )
         command, payload = _emit_for(args)
-        _write(_render(args["format"], command, payload), args["out"])
+        _write(_emission(args["format"], command, payload), args["out"])
         return EXIT_OK
     except InconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)

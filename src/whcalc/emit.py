@@ -6,10 +6,12 @@ mathematical content.  Serialization uses insertion order (keys are built
 in ascending numeric order, and an int key, such as a degree, is written
 as its decimal string), two-space indentation and a trailing newline,
 so output is byte-stable across runs and suitable for golden-file
-comparison.  `json_text` writes the bytes of `json.dumps(doc, indent=2)`
+comparison.  `write_json` writes the bytes of `json.dumps(doc, indent=2)`
 without importing `json`, whose encoder runs in pure Python at that
-indent.  Each builder imports the library modules it runs when it is
-called, so a cold CLI call loads only those.
+indent, and hands them on in batches of lines as it goes, so the CLI
+never holds a whole document; `json_text` collects them into one string.
+Each builder imports the library modules it runs when it is called, so a
+cold CLI call loads only those.
 """
 
 from __future__ import annotations
@@ -28,8 +30,13 @@ TARGETS = ("j-cp", "s-cp", "s-cpbar")
 PAGES = ("e2", "einf")
 
 
-def envelope_text(command: str, payload: dict) -> str:
-    doc = {
+# Lines the writers hold before handing them on to `write`, so a large
+# emission never exists whole in memory.
+BATCH_LINES = 64
+
+
+def _envelope(command: str, payload: dict) -> dict:
+    return {
         "header": {
             "format": "whcalc.v1",
             "tool": "whcalc",
@@ -38,15 +45,31 @@ def envelope_text(command: str, payload: dict) -> str:
         },
         "payload": payload,
     }
-    return json_text(doc)
+
+
+def write_envelope(command: str, payload: dict, write) -> None:
+    write_json(_envelope(command, payload), write)
+
+
+def envelope_text(command: str, payload: dict) -> str:
+    return json_text(_envelope(command, payload))
 
 
 def json_text(value) -> str:
-    """The bytes of `json.dumps(value, indent=2) + "\\n"` for nested dicts
-    (with str or int keys), lists, tuples, str, int, bool and None; any
-    other type, a float included, and any other key, a bool included,
-    raise TypeError.  Strings are quoted by the C function that
-    `json.dumps` uses, ints (an int key as its quoted digits) written by
+    """The bytes of `json.dumps(value, indent=2) + "\\n"`; see `write_json`."""
+    chunks: list[str] = []
+    write_json(value, chunks.append)
+    return "".join(chunks)
+
+
+def write_json(value, write) -> None:
+    """Hand `write` the bytes of `json.dumps(value, indent=2) + "\\n"`, in
+    chunks of about BATCH_LINES lines, for nested dicts (with str or int
+    keys), lists, tuples, str, int, bool and None, and iterators, which
+    are written as lists (a chart's cells come as a generator).  Any other
+    type, a float included, and any other key, a bool included, raise
+    TypeError.  Strings are quoted by the C function that `json.dumps`
+    uses, ints (an int key as its quoted digits) written by
     `int.__repr__`."""
     try:
         from _json import encode_basestring_ascii as quote
@@ -54,34 +77,73 @@ def json_text(value) -> str:
         from json.encoder import py_encode_basestring_ascii as quote
 
     lines: list[str] = []
-    _json_lines(value, quote, "", "", lines)
+    _json_lines(value, quote, "", "", lines, write, BATCH_LINES)
     lines[-1] = lines[-1][:-1]
     lines.append("")
-    return "\n".join(lines)
+    write("\n".join(lines))
 
 
-def _json_lines(value, quote, pad: str, head: str, lines: list[str]) -> None:
+def _json_lines(
+    value, quote, pad: str, head: str, lines: list[str], write, batch: int
+) -> None:
     """Append the lines of `value` at indent `pad`: the first opened by
     `head` (a quoted key and ": ", or nothing), the last closed by a comma.
-    One string per line keeps a large document's pieces few."""
+    One string per line keeps a large document's pieces few.  Whenever
+    more than `batch` lines are held, all but the last go to `write`; the
+    last stays, as a closing bracket may still drop its comma."""
     if isinstance(value, dict):
-        brackets, sep = "{}", ": "
-        pairs = zip(map(quote, map(_json_key, value)), value.values())
-    elif isinstance(value, (list, tuple)):
-        brackets, sep = "[]", ""
-        pairs = zip(repeat(""), value)
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)) or hasattr(value, "__next__"):
+        brackets = "[]"
     else:
         lines.append(f"{pad}{head}{_json_scalar(value, quote)},")
         return
-    if not value:
+    if not value:  # an iterator is true even when empty; see below
         lines.append(f"{pad}{head}{brackets},")
         return
     lines.append(f"{pad}{head}{brackets[0]}")
+    if brackets == "{}":
+        pairs = zip(map("{}: ".format, map(quote, map(_json_key, value))),
+                    value.values())
+    else:
+        pairs = zip(repeat(""), value)
     inner = pad + "  "
+    key = None
     for key, item in pairs:
-        _json_lines(item, quote, inner, key + sep, lines)
-    lines[-1] = lines[-1][:-1]
-    lines.append(f"{pad}{brackets[1]},")
+        kind = type(item)
+        if kind is str:
+            lines.append(f"{inner}{key}{quote(item)},")
+        elif kind is int:
+            lines.append(f"{inner}{key}{int.__repr__(item)},")
+        elif kind is bool:
+            lines.append(f"{inner}{key}{'true' if item else 'false'},")
+        elif item is None:
+            lines.append(f"{inner}{key}null,")
+        else:
+            _json_lines(item, quote, inner, key, lines, write, batch)
+        if len(lines) > batch:
+            last = lines[-1]
+            lines[-1] = ""
+            write("\n".join(lines))
+            lines[:] = (last,)
+    if key is None:  # an empty iterator: its opening line is still held
+        lines[-1] = f"{pad}{head}{brackets},"
+    else:
+        lines[-1] = lines[-1][:-1]
+        lines.append(f"{pad}{brackets[1]},")
+
+
+def write_lines(lines, write) -> None:
+    """Hand `write` the strings of `lines` (each ending in a newline)
+    joined in batches of BATCH_LINES."""
+    batch: list[str] = []
+    for line in lines:
+        batch.append(line)
+        if len(batch) >= BATCH_LINES:
+            write("".join(batch))
+            batch.clear()
+    if batch:
+        write("".join(batch))
 
 
 def _json_key(key) -> str:

@@ -4,8 +4,9 @@ Every renderer is a pure function of the payload dictionary (the
 "payload" member of the CLI envelope), and reads a degree key the same
 whether it is an int, as the library returns it, or its decimal string,
 as JSON holds it; so re-parsing emitted JSON and re-rendering reproduces
-the other formats byte for byte.  SVG output is static SVG 1.1 with
-integer coordinates only.
+the other formats byte for byte.  Each renderer is a generator of lines,
+so the CLI writes them in batches as they are formed.  SVG output is
+static SVG 1.1 with integer coordinates only.
 """
 
 from __future__ import annotations
@@ -19,117 +20,99 @@ def _esc(text: str) -> str:
     )
 
 
-def to_csv(payload: dict) -> str:
-    kind = payload.get("kind")
-    if kind == "torsion-profile":
-        lines = ["degree,valuation,generators"]
-        for e in payload["entries"]:
-            lines.append(
-                f"{e['degree']},{e['valuation']},{'|'.join(e['generators'])}"
-            )
-        return "\n".join(lines) + "\n"
-    if kind == "ahss-chart":
-        lines = ["s,t,labels,valuation,aggregate_only"]
-        for c in payload["cells"]:
-            lines.append(
-                f"{c['s']},{c['t']},{'|'.join(c['labels'])},"
-                f"{c['valuation']},{str(c['aggregate_only']).lower()}"
-            )
-        return "\n".join(lines) + "\n"
-    if kind == "cohomology-report":
-        lines = ["piece,degree,dim"]
-        for name, dims in payload["pieces"].items():
-            for d in dims:
-                lines.append(f"{name},{d},{dims[d]}")
-        for d in payload.get("total", {}):
-            lines.append(f"total,{d},{payload['total'][d]}")
-        return "\n".join(lines) + "\n"
-    raise PreconditionError(f"no csv renderer for payload kind {kind!r}")
+def _profile_csv(payload: dict):
+    yield "degree,valuation,generators\n"
+    for e in payload["entries"]:
+        yield f"{e['degree']},{e['valuation']},{'|'.join(e['generators'])}\n"
 
 
-def _profile_ascii(payload: dict) -> str:
-    lines = [f"# p-torsion profile, p={payload['p']}, degrees 1..{payload['max_degree']}"]
+def _chart_csv(payload: dict):
+    yield "s,t,labels,valuation,aggregate_only\n"
+    for c in payload["cells"]:
+        yield (
+            f"{c['s']},{c['t']},{'|'.join(c['labels'])},"
+            f"{c['valuation']},{str(c['aggregate_only']).lower()}\n"
+        )
+
+
+def _report_csv(payload: dict):
+    yield "piece,degree,dim\n"
+    for name, dims in payload["pieces"].items():
+        for d in dims:
+            yield f"{name},{d},{dims[d]}\n"
+    for d in payload.get("total", {}):
+        yield f"total,{d},{payload['total'][d]}\n"
+
+
+def _profile_ascii(payload: dict):
+    yield (
+        f"# p-torsion profile, p={payload['p']}, "
+        f"degrees 1..{payload['max_degree']}\n"
+    )
     for a in payload["assumptions"]:
-        lines.append(f"# assumes: {a}")
+        yield f"# assumes: {a}\n"
     if payload["entries"]:
         width = max(len(str(e["degree"])) for e in payload["entries"])
         for e in payload["entries"]:
             gens = f"  [{', '.join(e['generators'])}]" if e["generators"] else ""
-            lines.append(
-                f"degree {e['degree']:>{width}}: valuation {e['valuation']}{gens}"
-            )
+            yield f"degree {e['degree']:>{width}}: valuation {e['valuation']}{gens}\n"
     else:
-        lines.append("(no torsion)")
+        yield "(no torsion)\n"
     for a in payload.get("annotations", []):
-        lines.append(f"# note: {a}")
-    return "\n".join(lines) + "\n"
+        yield f"# note: {a}\n"
 
 
-def _chart_ascii(payload: dict) -> str:
-    cells = payload["cells"]
-    lines = [
+def _chart_ascii(payload: dict):
+    yield (
         f"# chart {payload['target']} page {payload['page_label']} p={payload['p']}"
-        f" (total degrees <= {payload['max_total_degree']})",
+        f" (total degrees <= {payload['max_total_degree']})\n"
+    )
+    yield (
         "# cell marks: Z = integral class, digit = torsion valuation,"
-        " ~ = aggregate-only",
-    ]
-    if not cells:
-        return "\n".join(lines + ["(empty)"]) + "\n"
-    smin = min(c["s"] for c in cells)
-    smax = max(c["s"] for c in cells)
-    tmax = max(c["t"] for c in cells)
-    twidth = len(str(tmax))
-    ncols = (smax - smin) // 2 + 1
-    # Only the rows that have cells are built; columns step by 2 in s.
-    rows: dict[int, list[str]] = {}
-    for c in cells:
-        col, odd = divmod(c["s"] - smin, 2)
-        if odd:
-            continue
-        row = rows.get(c["t"])
-        if row is None:
-            row = rows[c["t"]] = [" . "] * ncols
+        " ~ = aggregate-only\n"
+    )
+    # The grid's bounds need every cell, so each one's mark is kept, by row
+    # t and column s; only the rows that have cells are built.
+    rows: dict[int, dict[int, str]] = {}
+    for c in payload["cells"]:
         if c["t"] == 0:
-            row[col] = " Z "
+            mark = " Z "
         else:
-            mark = "~" if c["aggregate_only"] else " "
-            row[col] = f"{c['valuation']:>2}{mark}"
-    blank = " . " * ncols
+            mark = f"{c['valuation']:>2}{'~' if c['aggregate_only'] else ' '}"
+        rows.setdefault(c["t"], {})[c["s"]] = mark
+    if not rows:
+        yield "(empty)\n"
+        return
+    smin = min(min(row) for row in rows.values())
+    smax = max(max(row) for row in rows.values())
+    tmax = max(rows)
+    twidth = len(str(tmax))
+    columns = range(smin, smax + 1, 2)  # columns step by 2 in s
+    blank = " . " * len(columns)
     for t in range(tmax, -1, -1):
-        body = "".join(rows[t]) if t in rows else blank
-        lines.append(f"t={t:>{twidth}} |{body}")
+        row = rows.get(t)
+        body = "".join([row.get(s, " . ") for s in columns]) if row else blank
+        yield f"t={t:>{twidth}} |{body}\n"
     pad = " " * (twidth + 4)
-    lines.append(pad + "".join(f"{s:>3}" for s in range(smin, smax + 1, 2)))
-    lines.append(pad + "(s)")
-    return "\n".join(lines) + "\n"
+    yield pad + "".join(f"{s:>3}" for s in columns) + "\n"
+    yield pad + "(s)\n"
 
 
-def _report_ascii(payload: dict) -> str:
-    lines = [
-        f"# cohomology report, p={payload['p']}, degrees 0..{payload['max_degree']}"
-    ]
+def _report_ascii(payload: dict):
+    yield (
+        f"# cohomology report, p={payload['p']}, "
+        f"degrees 0..{payload['max_degree']}\n"
+    )
     for a in payload.get("assumptions", []):
-        lines.append(f"# assumes: {a}")
+        yield f"# assumes: {a}\n"
     for name, dims in payload["pieces"].items():
         body = ", ".join(f"{d}:{v}" for d, v in dims.items()) or "0"
-        lines.append(f"{name}: {body}")
+        yield f"{name}: {body}\n"
     if "total" in payload:
         body = ", ".join(f"{d}:{v}" for d, v in payload["total"].items()) or "0"
-        lines.append(f"total: {body}")
+        yield f"total: {body}\n"
     for a in payload.get("annotations", []):
-        lines.append(f"# note: {a}")
-    return "\n".join(lines) + "\n"
-
-
-def to_ascii(payload: dict) -> str:
-    kind = payload.get("kind")
-    if kind == "torsion-profile":
-        return _profile_ascii(payload)
-    if kind == "ahss-chart":
-        return _chart_ascii(payload)
-    if kind == "cohomology-report":
-        return _report_ascii(payload)
-    raise PreconditionError(f"no ascii renderer for payload kind {kind!r}")
+        yield f"# note: {a}\n"
 
 
 _SVG_HEAD = (
@@ -146,69 +129,74 @@ _HATCH_DEF = (
 )
 
 
-def _profile_svg(payload: dict) -> str:
+def _profile_svg(payload: dict):
     entries = payload["entries"]
     max_degree = payload["max_degree"]
     max_val = max((e["valuation"] for e in entries), default=1)
     cell, base, left = 14, 30, 40
     w = left + cell * (max_degree + 2)
     h = base + 20 * max_val + 30
-    parts = [_SVG_HEAD.format(w=w, h=h)]
-    parts.append(
+    yield _SVG_HEAD.format(w=w, h=h)
+    yield (
         f'<text x="{left}" y="16" font-family="monospace" font-size="12">'
         f"p-torsion valuations, p={payload['p']}</text>\n"
     )
     axis_y = h - base
-    parts.append(
+    yield (
         f'<line x1="{left}" y1="{axis_y}" x2="{w - 10}" y2="{axis_y}" '
         'stroke="#000" stroke-width="1"/>\n'
     )
     for e in entries:
         x = left + cell * e["degree"]
         bh = 20 * e["valuation"]
-        parts.append(
+        yield (
             f'<rect x="{x}" y="{axis_y - bh}" width="{cell - 4}" height="{bh}" '
             'fill="#4a7" stroke="#000" stroke-width="1"/>\n'
         )
-        parts.append(
+        yield (
             f'<text x="{x}" y="{axis_y - bh - 4}" font-family="monospace" '
             f'font-size="10">{e["valuation"]}</text>\n'
         )
     for d in range(0, max_degree + 1, 5):
         x = left + cell * d
-        parts.append(
+        yield (
             f'<text x="{x}" y="{axis_y + 14}" font-family="monospace" '
             f'font-size="10">{d}</text>\n'
         )
-    parts.append("</svg>\n")
-    return "".join(parts)
+    yield "</svg>\n"
 
 
-def _chart_svg(payload: dict) -> str:
-    cells = payload["cells"]
-    smin = min((c["s"] for c in cells), default=0)
-    smax = max((c["s"] for c in cells), default=0)
-    tmax = max((c["t"] for c in cells), default=0)
+def _svg_cell(c: dict) -> tuple:
+    """A cell's position and what it shows: (s, t, fill, title, mark)."""
+    if c["t"] == 0:
+        fill, mark = "#ddd", "Z"
+    else:
+        fill = "url(#hatch)" if c["aggregate_only"] else "#fff"
+        mark = str(c["valuation"])
+    return c["s"], c["t"], fill, _esc(", ".join(c["labels"])), mark
+
+
+def _chart_svg(payload: dict):
+    # the canvas size needs every cell, so each is kept in this short form
+    cells = list(map(_svg_cell, payload["cells"]))
+    smin = min((c[0] for c in cells), default=0)
+    smax = max((c[0] for c in cells), default=0)
+    tmax = max((c[1] for c in cells), default=0)
     cell, left, top = 26, 50, 30
     cols = (smax - smin) // 2 + 1
     w = left + cell * cols + 20
     h = top + cell * (tmax + 1) + 40
-    parts = [_SVG_HEAD.format(w=w, h=h), _HATCH_DEF]
-    parts.append(
+    yield _SVG_HEAD.format(w=w, h=h)
+    yield _HATCH_DEF
+    yield (
         f'<text x="10" y="18" font-family="monospace" font-size="12">'
         f"{_esc(payload['target'])} {payload['page_label']} "
         f"p={payload['p']}</text>\n"
     )
-    for c in cells:
-        col = (c["s"] - smin) // 2
-        x = left + cell * col
-        y = top + cell * (tmax - c["t"])
-        fill = "url(#hatch)" if c["aggregate_only"] else "#fff"
-        if c["t"] == 0:
-            fill = "#ddd"
-        title = _esc(", ".join(c["labels"]))
-        mark = "Z" if c["t"] == 0 else str(c["valuation"])
-        parts.append(
+    for s, t, fill, title, mark in cells:
+        x = left + cell * ((s - smin) // 2)
+        y = top + cell * (tmax - t)
+        yield (
             f'<g><rect x="{x}" y="{y}" width="{cell - 2}" height="{cell - 2}" '
             f'fill="{fill}" stroke="#000" stroke-width="1">'
             f"<title>{title}</title></rect>"
@@ -217,21 +205,20 @@ def _chart_svg(payload: dict) -> str:
         )
     for col in range(cols):
         s = smin + 2 * col
-        parts.append(
+        yield (
             f'<text x="{left + cell * col}" y="{h - 14}" '
             f'font-family="monospace" font-size="10">{s}</text>\n'
         )
     for t in range(tmax + 1):
         y = top + cell * (tmax - t) + 17
-        parts.append(
+        yield (
             f'<text x="10" y="{y}" font-family="monospace" '
             f'font-size="10">{t}</text>\n'
         )
-    parts.append("</svg>\n")
-    return "".join(parts)
+    yield "</svg>\n"
 
 
-def _report_svg(payload: dict) -> str:
+def _report_svg(payload: dict):
     names = list(payload["pieces"]) + (["total"] if "total" in payload else [])
     table = dict(payload["pieces"])
     if "total" in payload:
@@ -240,38 +227,73 @@ def _report_svg(payload: dict) -> str:
     cell, left, top = 18, 260, 30
     w = left + cell * (max_degree + 1) + 20
     h = top + 20 * len(names) + 40
-    parts = [_SVG_HEAD.format(w=w, h=h)]
-    parts.append(
+    yield _SVG_HEAD.format(w=w, h=h)
+    yield (
         f'<text x="10" y="18" font-family="monospace" font-size="12">'
         f"cohomology dims, p={payload['p']}</text>\n"
     )
     for row, name in enumerate(names):
         y = top + 20 * row + 14
-        parts.append(
+        yield (
             f'<text x="10" y="{y}" font-family="monospace" font-size="10">'
             f"{_esc(name)}</text>\n"
         )
         for d, v in table[name].items():
             x = left + cell * int(d)
-            parts.append(
+            yield (
                 f'<text x="{x}" y="{y}" font-family="monospace" '
                 f'font-size="10">{v}</text>\n'
             )
     for d in range(0, max_degree + 1, 5):
-        parts.append(
+        yield (
             f'<text x="{left + cell * d}" y="{h - 16}" '
             f'font-family="monospace" font-size="10">{d}</text>\n'
         )
-    parts.append("</svg>\n")
-    return "".join(parts)
+    yield "</svg>\n"
+
+
+# Each format's renderer for each payload kind, and the format's short name.
+_RENDERERS = {
+    "csv": {
+        "torsion-profile": _profile_csv,
+        "ahss-chart": _chart_csv,
+        "cohomology-report": _report_csv,
+    },
+    "ascii-chart": {
+        "torsion-profile": _profile_ascii,
+        "ahss-chart": _chart_ascii,
+        "cohomology-report": _report_ascii,
+    },
+    "svg-chart": {
+        "torsion-profile": _profile_svg,
+        "ahss-chart": _chart_svg,
+        "cohomology-report": _report_svg,
+    },
+}
+
+
+def lines(fmt: str, payload: dict):
+    """The text of `payload` in format `fmt` ("csv", "ascii-chart" or
+    "svg-chart"), as a generator of pieces that each end a line.  CSV is
+    formed one row at a time, so a chart's cells stream through it; the
+    ASCII and SVG charts need the whole grid for their bounds, so they
+    read every cell first.  A payload kind with no renderer is refused
+    here, before any line is formed."""
+    by_kind = _RENDERERS[fmt]
+    kind = payload.get("kind")
+    if kind not in by_kind:
+        name = fmt.partition("-")[0]
+        raise PreconditionError(f"no {name} renderer for payload kind {kind!r}")
+    return by_kind[kind](payload)
+
+
+def to_csv(payload: dict) -> str:
+    return "".join(lines("csv", payload))
+
+
+def to_ascii(payload: dict) -> str:
+    return "".join(lines("ascii-chart", payload))
 
 
 def to_svg(payload: dict) -> str:
-    kind = payload.get("kind")
-    if kind == "torsion-profile":
-        return _profile_svg(payload)
-    if kind == "ahss-chart":
-        return _chart_svg(payload)
-    if kind == "cohomology-report":
-        return _report_svg(payload)
-    raise PreconditionError(f"no svg renderer for payload kind {kind!r}")
+    return "".join(lines("svg-chart", payload))

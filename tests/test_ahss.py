@@ -62,6 +62,43 @@ class _HandBuiltPage(ChartPage):
         return kept
 
 
+def _grouped_page_payload(page):
+    """The payload by grouping the page's `summands` into cells, the
+    reference for `page_payload`'s lazy cells, which an E2 page forms
+    column by column from the stem table."""
+    einf = page.page_label == EINF
+    cells = {}
+
+    def cell(s, t):
+        if (s, t) not in cells:
+            cells[(s, t)] = {
+                "s": s,
+                "t": t,
+                "labels": [],
+                "valuation": 0 if t else "infinite",
+                "aggregate_only": False,
+            }
+        return cells[(s, t)]
+
+    for k in range(1, page.max_total_degree // 2 + 1):
+        cell(2 * k, 0)["labels"].append(f"{k}!*b({k})" if einf else f"b({k})")
+    if page.target is ChartTarget.S_OF_CPBAR:
+        cell(-2, 0)["labels"].append("b(-1)")
+    for (theta, k), valuation in page.summands.items():
+        record = cell(2 * k, theta.degree)
+        record["labels"].append(f"{theta.name}*b({k})")
+        record["valuation"] += valuation
+        record["aggregate_only"] |= einf and theta.kind == "im_j"
+    return {
+        "kind": "ahss-chart",
+        "p": page.p.p,
+        "target": page.target.value,
+        "page_label": page.page_label,
+        "max_total_degree": page.max_total_degree,
+        "cells": [cells[st] for st in sorted(cells)],
+    }
+
+
 def _cells(page):
     """The page's payload cells, keyed by (s, t)."""
     return {(c["s"], c["t"]): c for c in page_payload(page)["cells"]}
@@ -220,13 +257,29 @@ def test_page_payload_shape_and_order():
     assert payload["kind"] == "ahss-chart"
     assert payload["target"] == "s-cpbar"
     assert payload["page_label"] == EINF
-    cells = payload["cells"]
+    cells = list(payload["cells"])
     assert cells == sorted(cells, key=lambda c: (c["s"], c["t"]))
     for cell in cells:
         if cell["t"] == 0:
             assert cell["valuation"] == "infinite"
         else:
             assert isinstance(cell["valuation"], int)
+
+
+@pytest.mark.parametrize("pp", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_lazy_cells_match_the_grouped_summands(pp):
+    p = OddPrime(pp)
+    for target in ChartTarget:
+        last = chart_window(p, target) - 1
+        for top in sorted({t for t in (0, 1, 40) if t <= last} | {last}):
+            e2 = build_e2(p, target, top)
+            pages = (e2, run_differentials(e2))
+            lazy = [page_payload(page) for page in pages]
+            for payload in lazy:
+                payload["cells"] = list(payload["cells"])
+            # the E2 cells came from the stem table, not from its summands
+            assert "summands" not in vars(e2)
+            assert lazy == [_grouped_page_payload(page) for page in pages]
 
 
 def test_axis_rule_names_a_missing_summand():
@@ -300,8 +353,9 @@ def test_chart_cost_follows_the_window_not_p(monkeypatch):
     for target in emit.TARGETS:
         for page in emit.PAGES:
             _, payload = emit.ahss(p, target, page, 40)
-            assert payload["cells"]
-            assert all(cell["t"] == 0 for cell in payload["cells"])
+            cells = list(payload["cells"])
+            assert cells
+            assert all(cell["t"] == 0 for cell in cells)
     assert calls["alpha_bar"] < 100
 
 

@@ -157,6 +157,124 @@ def test_closed_or_failing_stdout_exits_2(redirect, why, argv):
     assert proc.stderr == f"error: cannot write stdout: {why}\n"
 
 
+# An E2 chart of about 11,000 JSON lines, many batches.
+LARGE = ["ahss", "--p", "13", "--target", "j-cp", "--page", "e2",
+         "--max-degree", "392"]
+# An E2 chart to degree 300 or to 3000 (7.5 MB of JSON, 3.3 MB of CSV,
+# far more than a pipe holds), above the default degree cap.
+HUGE = ["ahss", "--p", "29", "--target", "j-cp", "--page", "e2",
+        "--max-degree"]
+HUGE_ENV = {**os.environ, cli.CAP_ENV: "3000"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_stdout_failing_mid_stream_exits_2(fmt):
+    argv = [sys.executable, "-m", "whcalc", *HUGE, "3000", "--format", fmt]
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=HUGE_ENV)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: cannot write stdout: No space left on device\n"
+        )
+    # the reader takes a few bytes and goes away
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=HUGE_ENV)
+    assert proc.stdout.read(10)
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 2
+    assert proc.stderr.read() == "error: cannot write stdout: Broken pipe\n"
+    proc.stderr.close()
+
+
+@pytest.mark.parametrize("fmt,writer", [
+    ("json", "write_envelope"),
+    ("csv", "write_lines"),
+])
+def test_out_failing_mid_stream_leaves_no_file(capsys, tmp_path, monkeypatch,
+                                               fmt, writer):
+    real = getattr(emit, writer)
+
+    def fail_after_one_chunk(*args):
+        *head, write = args
+        written = []
+
+        def write_once(chunk):
+            if written:
+                raise OSError(28, "No space left on device")
+            written.append(chunk)
+            write(chunk)
+
+        real(*head, write_once)
+
+    monkeypatch.setattr(emit, "BATCH_LINES", 8)
+    monkeypatch.setattr(emit, writer, fail_after_one_chunk)
+    fresh = tmp_path / "fresh.out"
+    argv = [*LARGE, "--format", fmt]
+    code, out, err = run_cli(capsys, *argv, "--out", str(fresh))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {fresh}: No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
+    kept = tmp_path / "kept.out"
+    kept.write_text("old", encoding="utf-8")
+    assert run_cli(capsys, *argv, "--out", str(kept))[0] == 2
+    assert list(tmp_path.iterdir()) == [kept]
+    assert kept.read_text(encoding="utf-8") == "old"
+
+
+def test_out_whose_owner_cannot_be_kept_is_copied_in_place(
+    capsys, tmp_path, monkeypatch
+):
+    _, expected, _ = run_cli(capsys, *LARGE)
+    target = tmp_path / "chart.json"
+    target.write_text("old", encoding="utf-8")
+
+    def refuse(*args):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "chown", refuse)
+    assert run_cli(capsys, *LARGE, "--out", str(target))[0] == 0
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text(encoding="utf-8") == expected
+
+
+# A lean parent, since Linux carries a parent's peak RSS into a child it
+# spawns: it runs `python ARGS...` with stdout on the null device and prints
+# the child's exit code and peak RSS in kB.
+_PEAK_RSS = (
+    "import os, sys\n"
+    "null = os.open(os.devnull, os.O_WRONLY)\n"
+    "argv = [sys.executable, *sys.argv[1:]]\n"
+    "pid = os.posix_spawn(sys.executable, argv, os.environ,\n"
+    "                     file_actions=[(os.POSIX_SPAWN_DUP2, null, 1)])\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def _peak_rss_mb(*argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(whcalc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _PEAK_RSS, "-m", "whcalc", *argv],
+        capture_output=True,
+        text=True,
+        env={**HUGE_ENV, "PYTHONPATH": src},
+        check=True,
+    )
+    code, kb = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    return kb / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in kB")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_peak_rss_is_flat_in_output_size(fmt):
+    small = _peak_rss_mb(*HUGE, "300", "--format", fmt)
+    large = _peak_rss_mb(*HUGE, "3000", "--format", fmt)
+    assert large - small < 8
+
+
 # The CLI renders the library's payload, whose cohomology degrees are ints;
 # the re-parsed JSON holds them as strings, and both render the same bytes.
 @pytest.mark.parametrize("base", [

@@ -43,3 +43,61 @@ def test_json_text_edge_cases(doc):
 def test_json_text_refuses_other_types(doc):
     with pytest.raises(TypeError):
         emit.json_text(doc)
+
+
+def _p13_chart_payload():
+    from whcalc.arith import OddPrime
+
+    _, payload = emit.ahss(OddPrime(13), "j-cp", "e2", 392)
+    return {**payload, "cells": list(payload["cells"])}
+
+
+BATCHES = [1, 2, 3]
+
+
+def _depth(value) -> int:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return 1 + max(map(_depth, value), default=0)
+    return 0
+
+
+def _chunks(doc, batch, monkeypatch):
+    monkeypatch.setattr(emit, "BATCH_LINES", batch)
+    chunks = []
+    emit.write_json(doc, chunks.append)
+    # A flush keeps the last line back, and each level of nesting may close
+    # with one more line before the next flush.
+    bound = batch + _depth(doc)
+    assert all(chunk.count("\n") <= bound for chunk in chunks)
+    return chunks
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@settings(max_examples=100, deadline=None)
+@given(doc=DOCS)
+def test_batched_json_text_writes_the_bytes_of_json_dumps(doc, batch):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        chunks = _chunks(doc, batch, monkeypatch)
+        assert "".join(chunks) == json.dumps(doc, indent=2) + "\n"
+        assert emit.json_text(doc) == "".join(chunks)
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("make", [
+    lambda: list(range(5000)),
+    lambda: {"a": [[], {}, [[0]]] * 1000, "b": {"c": [None, True, "x"]}},
+    _p13_chart_payload,
+], ids=["5000-list", "nested", "p13-e2-chart"])
+def test_batch_boundaries(batch, make, monkeypatch):
+    doc = make()
+    chunks = _chunks(doc, batch, monkeypatch)
+    assert len(chunks) > 100
+    assert "".join(chunks) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_iterators_are_written_as_lists():
+    doc = {"a": iter([1, {"b": iter(())}]), "c": (n for n in range(3))}
+    listed = {"a": [1, {"b": []}], "c": [0, 1, 2]}
+    assert emit.json_text(doc) == json.dumps(listed, indent=2) + "\n"
