@@ -47,8 +47,7 @@ axis rule leaves: alpha_bar(i)*b(k) has valuation 1+v_p(i) on every column
 k >= 1, so in each odd total degree the index at which the budget runs out
 is found by bisection in the running sums of those valuations, and
 `page_payload` forms its cells column by column from the table.  So its
-summands, about twenty times those of the EINF page, are built only when
-read, which no command does.
+summands, about twenty times those of the EINF page, are never built.
 
 Every window is stated through `stems.beta2_degree`, and a page to total
 degree top reads only the stem classes of degree at most top + 2 (the
@@ -88,8 +87,8 @@ class ChartPage:
     Mutable, so `torsion_by_degree` can be cached.
 
     `run_differentials` returns the EINF page with its summands in a dict;
-    `build_e2` returns an `_E2Page`, which derives them from the stem table
-    only when read."""
+    `build_e2` returns an `_E2Page`, which holds none and reads its
+    valuations from the stem table."""
 
     def __init__(
         self,
@@ -108,7 +107,9 @@ class ChartPage:
         self.kill_ledger = kill_ledger
 
     def __repr__(self) -> str:
-        shown = ("target", "p", "page_label", "max_total_degree", "summands")
+        shown = ["target", "p", "page_label", "max_total_degree"]
+        if hasattr(self, "summands"):  # an E2 page holds none
+            shown.append("summands")
         return f"ChartPage({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
 
     @cached_property
@@ -155,7 +156,7 @@ class _E2Page(ChartPage):
     """The E2 page of (p, target, max_total_degree).  Its content is the
     stem table placed on every column, so summand valuations and the
     per-degree sums and the cells of `page_payload` come from the table,
-    and `summands` is built only when read."""
+    and it holds no `summands`."""
 
     def __init__(
         self, target: ChartTarget, p: OddPrime, max_total_degree: int
@@ -165,15 +166,6 @@ class _E2Page(ChartPage):
         self.page_label = E2
         self.max_total_degree = max_total_degree
         self.kill_ledger = None
-
-    @cached_property
-    def summands(self) -> dict[tuple[StemClass, int], int]:
-        top = self.max_total_degree
-        return {
-            (theta, k): theta.order_valuation
-            for theta in _page_classes(self.p, self.target, top)
-            for k in _columns(self.target, top, theta.degree)
-        }
 
     @cached_property
     def torsion_by_degree(self) -> dict[int, int]:
@@ -270,7 +262,7 @@ def run_differentials(page: ChartPage) -> ChartPage:
     """Push an E2 page to EINF with rules R1-R5; returns a new page.
 
     The E2 summands are read through the page's `_axis_kept` and
-    `summand_valuation`, so a lazy E2 page's `summands` is never built."""
+    `summand_valuation`, so an E2 page needs no `summands`."""
     if page.page_label != E2:
         raise PreconditionError("run_differentials expects an E2 page")
     p = page.p
@@ -383,7 +375,7 @@ def page_payload(page: ChartPage) -> dict:
     image-of-J summand of an EINF page, whose valuation R1 fixes only in
     aggregate.  "cells" is a generator that forms them one at a time in
     (s, t) order, so a writer can stream a large page; an E2 page's come
-    straight from the stem table, without building its `summands`."""
+    straight from the stem table."""
     top = page.max_total_degree
     ks = [-1] if page.target is ChartTarget.S_OF_CPBAR else []
     ks += range(1, top // 2 + 1)

@@ -7,14 +7,16 @@ disagreed), 2 precondition failure (bad flags, irregular prime) or I/O
 failure, 3 window or range violation.  JSON output is byte-stable for
 fixed flags; csv, ascii-chart and svg-chart are pure projections of the
 same payload.  Each call is a cold process, so `render` and `verify` are
-imported only on the paths that use them, and the flags are read from a
-table by a small parser that keeps argparse's grammar (`--flag=value`,
-unique prefixes, the last of a repeated flag wins, `-h`, exit 2 with a
-usage line) without its imports.
+imported only on the paths that use them, `run` ends the process without
+the interpreter's teardown, and the flags are read from a table by a
+small parser that keeps argparse's grammar (`--flag=value`, unique
+prefixes, the last of a repeated flag wins, `-h`, exit 2 with a usage
+line) without its imports.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import sys
 
@@ -307,8 +309,7 @@ def _write(emission, out: str | None) -> None:
             emission(sys.stdout.write)
             sys.stdout.flush()
         except OSError as exc:
-            why = exc.strerror or exc
-            raise OSError(f"cannot write stdout: {why}") from exc
+            raise _stdout_error(exc) from exc
         return
     path = os.path.realpath(out)
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -338,6 +339,10 @@ def _write(emission, out: str | None) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def _stdout_error(exc: OSError) -> OSError:
+    return OSError(f"cannot write stdout: {exc.strerror or exc}")
 
 
 def _write_through(out: str, emission) -> None:
@@ -392,9 +397,58 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECONDITION
 
 
+def _observed() -> bool:
+    """Whether a tracer, profiler or debugger watches this process
+    (coverage, cProfile, pdb), through the trace and profile hooks or, from
+    Python 3.12, through `sys.monitoring`; or `-i` asks for a prompt after
+    the call."""
+    hooked = sys.gettrace() is not None or sys.getprofile() is not None
+    if hooked or sys.flags.inspect:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6)  # ids 0-5
+    )
+
+
+def run(argv: list[str] | None = None) -> int:
+    """`main(argv)` as the whole process: the entry point of `python -m
+    whcalc` and of every console script.  With the exit code of `main`, or
+    of the SystemExit that `-h`, `--version` or a usage error raises, it
+    runs the `atexit` callbacks, flushes stdout and stderr and ends the
+    process by `os._exit`, skipping the interpreter's teardown: the final
+    garbage collection and the unloading of every module, which frees
+    nothing a process about to end needs.  A final flush of stdout that
+    fails turns exit 0 into exit 2 with the usual error line.  When
+    `_observed()` holds, it returns the code instead, so the process exits
+    the normal way and a tracer or profiler can write its output.  Any
+    other exception propagates, for the interpreter's traceback and exit
+    1."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    if _observed():
+        return code
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        if code == EXIT_OK:  # a failed emission has already said why
+            print(f"error: {_stdout_error(exc)}", file=sys.stderr)
+            code = EXIT_PRECONDITION
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:  # nowhere left to report it, as at a normal exit
+        pass
+    os._exit(code)
+
+
 def _sub_main(name: str):
     def runner() -> int:
-        return main([name, *sys.argv[1:]])
+        return run([name, *sys.argv[1:]])
 
     return runner
 

@@ -60,11 +60,13 @@ FAIL = "fail"
 SKIP = "skip"
 
 # The chart rows cost about the square of the prime, in time and memory:
-# the EINF summands they keep.  `verify --p 61` takes 26 MB of peak RSS
-# and about 0.16 s of CPU on a 2 vCPU Xeon (p=71: 27 MB, p=97: 39 MB,
-# p=113: 50 MB).  The bound, the chart window (2p+1)(2p-2) at p=61, was
-# set when the rows kept a record per cell (36 MB at p=61, 41 MB at 71);
-# it stays, as the primes it admits are part of the exit-code contract.
+# the EINF summands they keep.  On a 2 vCPU Xeon, a cold `verify --p 61`
+# takes 25 MB of peak RSS and about 0.23 s of CPU, start-up included
+# (with the bound lifted, p=71: 26 MB and 0.22 s, p=97: 39 MB and 0.37 s,
+# p=113: 50 MB and 0.55 s).  The bound, the chart window (2p+1)(2p-2)
+# at p=61, was set when the rows kept a record per cell (36 MB at p=61,
+# 41 MB at 71); it stays, as the primes it admits are part of the
+# exit-code contract.
 MAX_CHART_WINDOW = 14760
 
 

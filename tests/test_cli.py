@@ -456,15 +456,32 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "fail" in out
 
 
-def test_subcommand_wrappers(capsys, monkeypatch):
-    monkeypatch.setattr(
-        sys, "argv", ["pi-wh", "--p", "3", "--max-degree", "11"]
+# Runs a console script's runner as the script does: `python -c SCRIPT
+# NAME ARGS...` calls `sys.exit(cli.NAME())` with argv [NAME, ARGS...].
+_SCRIPT = (
+    "import sys\n"
+    "from whcalc import cli\n"
+    "runner = getattr(cli, sys.argv[1])\n"
+    "sys.argv = sys.argv[1:]\n"
+    "sys.exit(runner())\n"
+)
+
+
+def test_subcommand_wrappers():
+    # the runners end the process, so they run in a child
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, "pi_wh_main",
+         "--p", "3", "--max-degree", "11"],
+        capture_output=True, text=True,
     )
-    assert cli.pi_wh_main() == 0
-    doc = json.loads(capsys.readouterr().out)
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
     assert doc["header"]["command"] == "pi-wh --p 3 --max-degree 11"
-    monkeypatch.setattr(sys, "argv", ["verify", "--p", "37"])
-    assert cli.verify_main() == 2
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, "verify_main", "--p", "37"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
 
 
 def test_module_entry_point():
@@ -479,6 +496,159 @@ def test_module_entry_point():
         resources.files("whcalc").joinpath("golden").joinpath("pi_wh_p3_d24.json")
     ).read_text("utf-8")
     assert proc.stdout == golden
+
+
+def _module(*argv):
+    return subprocess.run([sys.executable, "-m", "whcalc", *argv],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--version"], 0),
+    (["cohomology", "--p", "3", "--max-degree", "40", "--format", "csv"], 0),
+    (["--bogus"], 2),
+    (["verify", "--p", "4"], 2),
+    (["pi-wh", "--p", "3", "--max-degree", "25"], 3),
+])
+def test_module_exit_codes_and_bytes(capsys, argv, code):
+    # the fast exit gives the same code and bytes as `cli.main` in-process
+    proc = _module(*argv)
+    try:
+        want = cli.main(argv)
+    except SystemExit as exc:
+        want = exc.code
+    captured = capsys.readouterr()
+    assert (proc.returncode, want) == (code, code)
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+
+
+# Runs `python -m whcalc ARGS...` through runpy after the set-up lines
+# `PREPARE`: `python -c SCRIPT PREPARE ARGS...`.
+_RUNPY = (
+    "import atexit, runpy, sys\n"
+    "exec(sys.argv[1])\n"
+    "sys.argv = ['whcalc', *sys.argv[2:]]\n"
+    "runpy.run_module('whcalc', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def _runpy(prepare, *argv):
+    return subprocess.run([sys.executable, "-c", _RUNPY, prepare, *argv],
+                          capture_output=True, text=True)
+
+
+def test_module_exits_1_when_a_check_fails():
+    proc = _runpy(
+        "import whcalc.verify\n"
+        "from whcalc.verify import CheckResult\n"
+        "whcalc.verify.run_checks = lambda primes, deep=False: "
+        "[CheckResult(3, 'stub', 'fail', 'boom')]",
+        "verify", "--p", "3",
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == (
+        "p=3  stub  fail  boom\n0 passed, 1 failed, 0 skipped\n"
+    )
+    assert proc.stderr == ""
+    # an uncaught exception keeps the interpreter's traceback and exit 1
+    proc = _runpy(
+        "import whcalc.verify\n"
+        "def broken(primes, deep=False):\n"
+        "    raise RuntimeError('boom')\n"
+        "whcalc.verify.run_checks = broken",
+        "verify", "--p", "3",
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback (most recent call last):")
+    assert proc.stderr.endswith("RuntimeError: boom\n")
+
+
+def test_module_runs_atexit_callbacks_before_the_final_flush():
+    proc = _runpy(
+        "atexit.register(print, 'callback ran', end='')",
+        "pi-wh", "--p", "3", "--max-degree", "24",
+    )
+    assert proc.returncode == 0
+    golden = resources.files("whcalc").joinpath("golden", "pi_wh_p3_d24.json")
+    assert proc.stdout == golden.read_text("utf-8") + "callback ran"
+
+
+def test_module_skips_the_interpreter_teardown():
+    # a finalizer left for the teardown never runs: the process ends first
+    proc = _runpy(
+        "class Noisy:\n"
+        "    def __del__(self):\n"
+        "        sys.stderr.write('torn down')\n"
+        "noisy = Noisy()",
+        "--version",
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "whcalc 0.1.0\n", ""
+    )
+
+
+def test_module_final_flush_that_fails_exits_2(tmp_path):
+    out = tmp_path / "profile.json"
+    proc = _runpy(
+        "class Full:\n"
+        "    def write(self, text):\n"
+        "        return len(text)\n"
+        "    def flush(self):\n"
+        "        raise OSError(28, 'No space left on device')\n"
+        "sys.stdout = Full()",
+        "pi-wh", "--p", "3", "--max-degree", "24", "--out", str(out),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+    assert out.read_text("utf-8") == resources.files("whcalc").joinpath(
+        "golden", "pi_wh_p3_d24.json").read_text("utf-8")
+
+
+def test_module_out_file_is_whole_after_the_fast_exit(capsys, tmp_path):
+    out = tmp_path / "chart.csv"
+    argv = [*LARGE, "--format", "csv"]
+    proc = _module(*argv, "--out", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    _, expected, _ = run_cli(capsys, *argv)
+    assert out.read_text("utf-8") == expected
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_module_under_a_profiler_exits_normally():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "whcalc", "--version"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    first, *stats = proc.stdout.splitlines()
+    assert first == "whcalc 0.1.0"
+    assert any("function calls" in line for line in stats)
+    assert any("Ordered by" in line for line in stats)
+
+
+def test_module_under_python_i_reaches_the_prompt():
+    proc = subprocess.run(
+        [sys.executable, "-i", "-m", "whcalc", "--version"],
+        input="print('prompt', 6 * 7)\n", capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "whcalc 0.1.0\nprompt 42\n"
+
+
+def test_a_monitoring_tool_counts_as_observed(monkeypatch):
+    class Monitoring:
+        def __init__(self, tools):
+            self.tools = tools
+
+        def get_tool(self, tool):
+            return self.tools.get(tool)
+
+    hooked = sys.gettrace() is not None or sys.getprofile() is not None
+    hooked = hooked or bool(sys.flags.inspect)
+    monkeypatch.setattr(sys, "monitoring", Monitoring({}), raising=False)
+    assert cli._observed() is hooked
+    monkeypatch.setattr(sys, "monitoring", Monitoring({2: "cProfile"}))
+    assert cli._observed()
 
 
 def test_csv_projection_of_profile(capsys):

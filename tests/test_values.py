@@ -40,6 +40,8 @@ from whcalc.torsion import (
 from whcalc.verify import CheckResult
 from whcalc.whcohomology import h_wh_report
 
+from test_ahss import _e2_summands
+
 P3 = OddPrime(3)
 BETA1 = StemClass("beta1", 10, 1, COK_J)
 
@@ -174,14 +176,14 @@ def test_chart_summand_is_a_plain_key():
             e2 = build_e2(p, target, chart_window(p, target) - 1)
             einf = run_differentials(e2)
             assert einf.summands
-            for page in (e2, einf):
-                assert type(page.summands) is dict
-                for key, valuation in page.summands.items():
+            for summands in (_e2_summands(e2), einf.summands):
+                assert type(summands) is dict
+                for key, valuation in summands.items():
                     assert type(key) is tuple and len(key) == 2
                     theta, k = key
                     assert type(theta) is StemClass and type(k) is int
                     assert type(valuation) is int and valuation > 0
-            for (theta, _), valuation in e2.summands.items():
+            for (theta, _), valuation in _e2_summands(e2).items():
                 assert valuation == theta.order_valuation
 
 
@@ -200,12 +202,18 @@ def test_odd_prime_validates_and_stays_fixed():
 def test_chart_page_repr_and_cached_sums():
     page = build_e2(P3, ChartTarget.J_OF_CP, 12)
     assert page.kill_ledger is None
+    # an E2 page holds no summands, so its repr shows none
     assert repr(page) == (
         f"ChartPage(target={ChartTarget.J_OF_CP!r}, p={P3!r}, "
-        f"page_label='E2', max_total_degree=12, summands={page.summands!r})"
+        f"page_label='E2', max_total_degree=12)"
     )
     assert page.torsion_by_degree is page.torsion_by_degree
-    fresh = ChartPage(page.target, P3, "E2", 12, dict(page.summands), {4: 1})
+    summands = _e2_summands(page)
+    fresh = ChartPage(page.target, P3, "E2", 12, summands, {4: 1})
+    assert repr(fresh) == (
+        f"ChartPage(target={ChartTarget.J_OF_CP!r}, p={P3!r}, "
+        f"page_label='E2', max_total_degree=12, summands={summands!r})"
+    )
     assert fresh.kill_ledger == {4: 1}
     assert fresh.torsion_by_degree == page.torsion_by_degree
 

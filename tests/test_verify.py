@@ -1,8 +1,11 @@
 """The verify suite: its elimination oracle against the quotient series,
-its chart checks at primes beyond the default list, how often those
-checks build a chart, and the bound on chart size."""
+a plausible slip per row that the row must report as a failure, its
+chart checks at primes beyond the default list, how often those checks
+build a chart, and the bound on chart size."""
 
+import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +33,120 @@ def test_basis_counts_catches_an_off_by_one_series(monkeypatch):
     rows = {r.name: r for r in vf.run_checks([OddPrime(3)])}
     assert rows["basis-counts"].status == vf.FAIL
     assert rows["basis-counts"].detail.startswith("A(b,Q1) has rank 3 in degree 17")
+
+
+def _rows():
+    """The rows of `verify --p 3`, by check name."""
+    return {r.name: r for r in vf.run_checks([OddPrime(3)])}
+
+
+def test_torsion_vs_charts_catches_a_shifted_profile_entry(monkeypatch):
+    real = vf.wh_torsion_profile
+
+    def mutated(p, max_degree):
+        profile = real(p, max_degree)
+        for entry in profile["entries"]:
+            if entry["degree"] == 16:  # the first entry the chart supplies
+                entry["degree"] += 1
+        return profile
+
+    monkeypatch.setattr(vf, "wh_torsion_profile", mutated)
+    row = _rows()["torsion-vs-charts"]
+    assert row.status == vf.FAIL
+    assert row.detail == "degree 16: closed form 0, engine 1"
+
+
+def test_axis_orders_catches_a_dropped_summand(monkeypatch):
+    def chart(p, target):
+        e2 = build_e2(p, target, chart_window(p, target) - 1)
+        einf = run_differentials(e2)
+        if target is ChartTarget.J_OF_CP:
+            del einf.summands[next(iter(einf.summands))]
+        return e2, einf
+
+    monkeypatch.setattr(vf, "_chart", chart)
+    row = _rows()["axis-orders"]
+    assert row.status == vf.FAIL
+    assert row.detail == "stem 9: chart 0, closed form 1"
+
+
+def test_adjustment_sets_catch_a_dropped_summand(monkeypatch):
+    def chart(p, target):
+        e2 = build_e2(p, target, chart_window(p, target) - 1)
+        einf = run_differentials(e2)
+        if target is ChartTarget.S_OF_CPBAR:
+            theta, k = next(key for key in einf.summands if key[1] > 0)
+            del einf.summands[(theta, k)]
+        return e2, einf
+
+    monkeypatch.setattr(vf, "_chart", chart)
+    row = _rows()["chart-adjustment-sets"]
+    assert row.status == vf.FAIL
+    assert row.detail == (
+        "cell sets differ: extra=[] missing=[('alpha_bar(3)', 1)] revalued=[]"
+    )
+
+
+def test_annihilators_catch_a_dropped_annihilator_word(monkeypatch):
+    real = vf.annihilator_basis
+
+    def mutated(p, a, max_degree):
+        words = real(p, a, max_degree)
+        return words[:-1] if a == -1 else words
+
+    monkeypatch.setattr(vf, "annihilator_basis", mutated)
+    row = _rows()["annihilators"]
+    assert row.status == vf.FAIL
+    assert row.detail == "y^-1 live words and annihilator differ on [(9, 1)]"
+
+
+def test_adem_action_catches_a_wrong_coefficient(monkeypatch):
+    real = vf.adem_normalize
+
+    def mutated(p, word):
+        combo = real(p, word)
+        if word == (1, 1):  # P1 P1 = 2 P2, with the binomial's digit lost
+            return {w: 1 for w in combo}
+        return combo
+
+    monkeypatch.setattr(vf, "adem_normalize", mutated)
+    row = _rows()["adem-action"]
+    assert row.status == vf.FAIL
+    assert row.detail == (
+        "word (1, 1) on y^-1: literal {3: 2}, normalized {3: 1}"
+    )
+
+
+def test_delta_rank_catches_a_source_shifted_by_one(monkeypatch):
+    real = vf.delta_star_rank_data
+
+    def mutated(p, max_degree):
+        data = real(p, max_degree)
+        data["source"] = {
+            name: {d + 1: n for d, n in dims.items()}
+            for name, dims in data["source"].items()
+        }
+        return data
+
+    monkeypatch.setattr(vf, "delta_star_rank_data", mutated)
+    row = _rows()["delta-rank"]
+    assert row.status == vf.FAIL
+    assert row.detail == "degree 3: cok - ker = 0, target - source = 1"
+
+
+def test_golden_files_catches_one_changed_byte(monkeypatch, tmp_path):
+    golden = tmp_path / "golden"
+    shutil.copytree(Path(vf.__file__).parent / "golden", golden)
+    target = golden / "pi_wh_p3_d24.json"
+    text = target.read_bytes()
+    at = text.index(b'"valuation": 3')
+    target.write_bytes(text[:at] + b'"valuation": 4' + text[at + 14:])
+    monkeypatch.setattr(vf, "__file__", str(tmp_path / "verify.py"))
+    row = _rows()["golden-files"]
+    assert row.status == vf.FAIL
+    assert row.detail == (
+        "pi_wh_p3_d24.json differs from the regenerated emission"
+    )
 
 
 # Detail lines of the four chart checks at the larger primes, as printed
