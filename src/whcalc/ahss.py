@@ -40,14 +40,14 @@ stored window; a pair whose source lies beyond the window still kills its
 stored target.  A kill ledger per total degree supports the conservation
 check  E2 aggregate - kills = EINF aggregate.
 
-The E2 page from `build_e2` is lazy: it keeps only (p, target, top), as
-its content is the stem table placed on every column.  Its per-degree
-torsion sums are one range-add per class.  R1 on it visits only what the
-axis rule leaves: alpha_bar(i)*b(k) has valuation 1+v_p(i) on every column
-k >= 1, so in each odd total degree the index at which the budget runs out
-is found by bisection in the running sums of those valuations, and
-`page_payload` forms its cells column by column from the table.  So its
-summands, about twenty times those of the EINF page, are never built.
+The E2 page from `build_e2` holds its per-degree torsion sums, one
+range-add per class, but no summands: its content is the stem table placed
+on every column.  R1 visits only what the axis rule leaves:
+alpha_bar(i)*b(k) has valuation 1+v_p(i) on every column k >= 1, so in
+each odd total degree the index at which the budget runs out is found by
+bisection in the running sums of those valuations, and `page_payload`
+forms the E2 cells column by column from the table.  So the E2 summands,
+about twenty times those of the EINF page, are never built.
 
 Every window is stated through `stems.beta2_degree`, and a page to total
 degree top reads only the stem classes of degree at most top + 2 (the
@@ -59,8 +59,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
-from functools import cached_property
+from collections import defaultdict, namedtuple
 from itertools import accumulate
 
 from .arith import OddPrime, vp_factorial
@@ -79,48 +78,19 @@ class ChartTarget(enum.Enum):
     S_OF_CPBAR = "s-cpbar"
 
 
-class ChartPage:
-    """One chart page: its torsion summands theta*b(k), each keyed by
-    (theta, k) and mapped to its valuation in page order (by theta, then
-    k), and on EINF the kills per total degree.  The axis classes follow
-    from the window, so they are not stored; `page_payload` adds them.
-    Mutable, so `torsion_by_degree` can be cached.
-
-    `run_differentials` returns the EINF page with its summands in a dict;
-    `build_e2` returns an `_E2Page`, which holds none and reads its
-    valuations from the stem table."""
-
-    def __init__(
-        self,
-        target: ChartTarget,
-        p: OddPrime,
-        page_label: str,
-        max_total_degree: int,
-        summands: dict[tuple[StemClass, int], int],
-        kill_ledger: dict[int, int] | None = None,
-    ) -> None:
-        self.target = target
-        self.p = p
-        self.page_label = page_label
-        self.max_total_degree = max_total_degree
-        self.summands = summands
-        self.kill_ledger = kill_ledger
-
-    def __repr__(self) -> str:
-        shown = ["target", "p", "page_label", "max_total_degree"]
-        if hasattr(self, "summands"):  # an E2 page holds none
-            shown.append("summands")
-        return f"ChartPage({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
-
-    @cached_property
-    def torsion_by_degree(self) -> dict[int, int]:
-        """Torsion valuation above the axis per total degree, summed over
-        the summands in one pass the first time it is read.  Degrees
-        without torsion are absent."""
-        sums: dict[int, int] = defaultdict(int)
-        for (theta, k), valuation in self.summands.items():
-            sums[2 * k + theta.degree] += valuation
-        return dict(sums)
+# One chart page.  `summands` maps each torsion summand theta*b(k), keyed
+# by (theta, k), to its valuation, in page order (by theta, then k); the
+# axis classes follow from the window, so they are not stored and
+# `page_payload` adds them.  `torsion_by_degree` sums the valuations per
+# total degree (degrees without torsion are absent), and `kill_ledger`
+# holds the kills per total degree.  `build_e2` returns an E2 page with its
+# sums but with `summands` and `kill_ledger` None, as its content is the
+# stem table; `run_differentials` returns the EINF page with all three.
+ChartPage = namedtuple(
+    "ChartPage",
+    "target p page_label max_total_degree summands kill_ledger "
+    "torsion_by_degree",
+)
 
 
 def chart_window(p: OddPrime, target: ChartTarget) -> int:
@@ -152,88 +122,60 @@ def _page_classes(
     return classes
 
 
-class _E2Page(ChartPage):
-    """The E2 page of (p, target, max_total_degree).  Its content is the
-    stem table placed on every column, so summand valuations and the
-    per-degree sums and the cells of `page_payload` come from the table,
-    and it holds no `summands`."""
+def _e2_torsion_by_degree(
+    p: OddPrime, target: ChartTarget, top: int
+) -> dict[int, int]:
+    """The E2 sums per total degree.  A class theta sits in total degrees
+    t+2, t+4, ... up to the top (and t-2 on the b_{-1} column), so each
+    class is one range-add on every other degree."""
+    diff = [0] * (top + 3)
+    for theta in _page_classes(p, target, top):
+        t, v = theta.degree, theta.order_valuation
+        if t + 2 <= top:
+            diff[t + 2] += v
+            diff[t + 2 * ((top - t) // 2) + 2] -= v
+        if target is ChartTarget.S_OF_CPBAR and t - 2 <= top:
+            diff[t - 2] += v
+            diff[t] -= v
+    sums: dict[int, int] = {}
+    running = [0, 0]
+    for d in range(top + 1):
+        running[d & 1] += diff[d]
+        if running[d & 1]:
+            sums[d] = running[d & 1]
+    return sums
 
-    def __init__(
-        self, target: ChartTarget, p: OddPrime, max_total_degree: int
-    ) -> None:
-        self.target = target
-        self.p = p
-        self.page_label = E2
-        self.max_total_degree = max_total_degree
-        self.kill_ledger = None
 
-    @cached_property
-    def torsion_by_degree(self) -> dict[int, int]:
-        """A class theta sits in total degrees t+2, t+4, ... up to the top
-        (and t-2 on the b_{-1} column), so each class is one range-add on
-        every other degree."""
-        top = self.max_total_degree
-        diff = [0] * (top + 3)
-        for theta in _page_classes(self.p, self.target, top):
-            t, v = theta.degree, theta.order_valuation
-            if t + 2 <= top:
-                diff[t + 2] += v
-                diff[t + 2 * ((top - t) // 2) + 2] -= v
-            if self.target is ChartTarget.S_OF_CPBAR and t - 2 <= top:
-                diff[t - 2] += v
-                diff[t] -= v
-        sums: dict[int, int] = {}
-        running = [0, 0]
-        for d in range(top + 1):
-            running[d & 1] += diff[d]
-            if running[d & 1]:
-                sums[d] = running[d & 1]
-        return sums
-
-    def summand_valuation(self, theta: StemClass, k: int) -> int | None:
-        """Valuation of the summand theta*b(k); None when the page lacks it."""
-        top = self.max_total_degree
-        if k == -1:
-            on_page = (
-                self.target is ChartTarget.S_OF_CPBAR and theta.degree - 2 <= top
-            )
-        else:
-            on_page = (
-                k >= 1
-                and 2 * k + theta.degree <= top
-                and (theta.kind == IM_J or self.target is not ChartTarget.J_OF_CP)
-            )
-        return theta.order_valuation if on_page else None
-
-    def _axis_kept(
-        self, alpha: list[StemClass | None], budgets: list[int]
-    ) -> dict[int, list[tuple[int, int]]]:
-        """R1 by bisection.  Every alpha_bar(i)*b(k) with k >= 1 in the
-        window is on this page with valuation 1+v_p(i), so the budget takes
-        the indices 1, 2, ... in order (passing over alpha_bar(1)*b(k) when
-        p | k), and the index where it runs out is a bisection in their
-        running sums.  Only that index, the untouched tail after it and a
-        passed-over alpha_bar(1) are visited."""
-        pp = self.p.p
-        # cum[i]: summed valuations of alpha_bar(1..i)
-        cum = [0, *accumulate(c.order_valuation for c in alpha[1:])]
-        kept: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for n, budget in enumerate(budgets):
-            last = (n - 1) // (pp - 1)  # the largest i with a column k >= 1
-            first = 1
-            if budget:  # so n >= p and last >= 1
-                skip = (n - (pp - 1)) % pp == 0
-                i = bisect_left(cum, budget + skip, 0, last + 1)
-                if i > last:
-                    raise _under_supplied(self.p, n, budget + skip - cum[last])
-                if skip:
-                    kept[1].append((n - (pp - 1), 1))
-                if cum[i] - skip > budget:
-                    kept[i].append((n - (pp - 1) * i, cum[i] - skip - budget))
-                first = i + 1
-            for i in range(first, last + 1):
-                kept[i].append((n - (pp - 1) * i, cum[i] - cum[i - 1]))
-        return kept
+def _axis_kept(
+    p: OddPrime, alpha: list[StemClass | None], budgets: list[int]
+) -> dict[int, list[tuple[int, int]]]:
+    """R1 by bisection, returning what each alpha_bar(i) keeps on the
+    columns k >= 1, in column order.  Every alpha_bar(i)*b(k) with k >= 1
+    in the window is on the E2 page with valuation 1+v_p(i), so the budget
+    takes the indices 1, 2, ... in order (passing over alpha_bar(1)*b(k)
+    when p | k), and the index where it runs out is a bisection in their
+    running sums.  Only that index, the untouched tail after it and a
+    passed-over alpha_bar(1) are visited."""
+    pp = p.p
+    # cum[i]: summed valuations of alpha_bar(1..i)
+    cum = [0, *accumulate(c.order_valuation for c in alpha[1:])]
+    kept: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for n, budget in enumerate(budgets):
+        last = (n - 1) // (pp - 1)  # the largest i with a column k >= 1
+        first = 1
+        if budget:  # so n >= p and last >= 1
+            skip = (n - (pp - 1)) % pp == 0
+            i = bisect_left(cum, budget + skip, 0, last + 1)
+            if i > last:
+                raise _under_supplied(p, n, budget + skip - cum[last])
+            if skip:
+                kept[1].append((n - (pp - 1), 1))
+            if cum[i] - skip > budget:
+                kept[i].append((n - (pp - 1) * i, cum[i] - skip - budget))
+            first = i + 1
+        for i in range(first, last + 1):
+            kept[i].append((n - (pp - 1) * i, cum[i] - cum[i - 1]))
+    return kept
 
 
 def _under_supplied(p: OddPrime, n: int, residual: int) -> InconsistencyError:
@@ -255,14 +197,17 @@ def build_e2(p: OddPrime, target: ChartTarget, max_total_degree: int) -> ChartPa
             f"chart {target.value} at p={p.p} is only valid in total degrees "
             f"< {window}; got max_total_degree={max_total_degree}"
         )
-    return _E2Page(target, p, max_total_degree)
+    return ChartPage(
+        target, p, E2, max_total_degree, None, None,
+        _e2_torsion_by_degree(p, target, max_total_degree),
+    )
 
 
 def run_differentials(page: ChartPage) -> ChartPage:
     """Push an E2 page to EINF with rules R1-R5; returns a new page.
 
-    The E2 summands are read through the page's `_axis_kept` and
-    `summand_valuation`, so an E2 page needs no `summands`."""
+    The E2 summands come from the stem table: R1 is `_axis_kept`, and every
+    other summand is placed from the table with its order valuation."""
     if page.page_label != E2:
         raise PreconditionError("run_differentials expects an E2 page")
     p = page.p
@@ -272,30 +217,27 @@ def run_differentials(page: ChartPage) -> ChartPage:
     page_classes = _page_classes(p, target, max_total)
     # R2-R4 name cokernel-of-J classes that may lie beyond the window
     classes = {c.name: c for c in (*_cokernel_classes(p), *page_classes)}
-    valuation = page.summand_valuation
     ledger: dict[int, int] = defaultdict(int)
 
     # R1: axis rule, killing v_p(n!) in each odd total degree 2n-1.
     alpha = [None] + [c for c in page_classes if c.kind == IM_J]
     budgets = [vp_factorial(p, n) for n in range((max_total + 1) // 2 + 1)]
-    kept = page._axis_kept(alpha, budgets)
+    kept = _axis_kept(p, alpha, budgets)
     for n, killed in enumerate(budgets):
         if killed:
             ledger[2 * n - 1] += killed
 
-    # the summands left so far, in page order, so survivors keep it
+    # the summands left so far, in page order, so survivors keep it; over
+    # the stunted spectrum every page class reaches b(-1)
     tors: dict[tuple[StemClass, int], int] = {}
     for theta in page_classes:
         if theta.kind == IM_J:  # R1 has read the columns k >= 1
-            summands = [(-1, valuation(theta, -1)), *kept[theta.index]]
+            if target is ChartTarget.S_OF_CPBAR:
+                tors[(theta, -1)] = theta.order_valuation
+            tors.update(((theta, k), val) for k, val in kept[theta.index])
         else:
-            summands = [
-                (k, valuation(theta, k))
-                for k in _columns(target, max_total, theta.degree)
-            ]
-        for k, val in summands:
-            if val:
-                tors[(theta, k)] = val
+            for k in _columns(target, max_total, theta.degree):
+                tors[(theta, k)] = theta.order_valuation
 
     def kill_pair(src: tuple[str, int], tgt: tuple[str, int], rule: str) -> None:
         """src and tgt name their summands as (theta name, k)."""
@@ -349,7 +291,12 @@ def run_differentials(page: ChartPage) -> ChartPage:
         for key in [key for key in tors if key[1] == -1 and key[0].kind == IM_J]:
             ledger[-2 + key[0].degree] += tors.pop(key)
 
-    return ChartPage(target, p, EINF, max_total, tors, dict(ledger))
+    sums: dict[int, int] = defaultdict(int)
+    for (theta, k), valuation in tors.items():
+        sums[2 * k + theta.degree] += valuation
+    return ChartPage(
+        target, p, EINF, max_total, tors, dict(ledger), dict(sums)
+    )
 
 
 def j_order_valuation(p: OddPrime, n: int) -> int:

@@ -377,10 +377,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args["command"] == "verify":
             return _run_verify(args)
+        top = args["max_degree"]
+        # refused here, so the message names the flag, not the library keyword
+        if top < 0:
+            raise PreconditionError(f"--max-degree must be >= 0, got {top}")
         cap = _int(os.environ.get(CAP_ENV, str(DEFAULT_CAP)), CAP_ENV)
-        if args["max_degree"] > cap:
+        if top > cap:
             raise WindowError(
-                f"--max-degree {args['max_degree']} exceeds the safety cap "
+                f"--max-degree {top} exceeds the safety cap "
                 f"{cap}; raise {CAP_ENV} to go higher"
             )
         command, payload = _emit_for(args)

@@ -78,8 +78,8 @@ class _Failure(Exception):
 
 
 # The four chart checks read three pages per prime, the whole-window chart
-# of each target.  E2 pages are lazy, so each holds only its (p, target,
-# top) and per-degree sums; the EINF pages are the pages kept.
+# of each target.  An E2 page holds its per-degree sums but no summands;
+# the EINF pages hold the summands kept.
 @lru_cache(maxsize=3)
 def _chart(p: OddPrime, target: ChartTarget) -> tuple[ChartPage, ChartPage]:
     """The E2 and EINF pages of one whole-window chart, shared by every
@@ -322,8 +322,7 @@ def _check_delta_rank(p: OddPrime, deep: bool) -> str:
     rank = delta_star_rank_data(p, bound)
     cok = _add(*report["coker"].values())
     ker_block = _add(*report["ker"].values())  # desuspended kernel: ker(d)=block(d-1)
-    src = _add(*rank["source"].values())
-    tgt = _add(*rank["target"].values())
+    src, tgt = rank["source"], rank["target"]
     for d in range(0, bound + 1):
         lhs = cok.get(d, 0) - ker_block.get(d - 1, 0)
         rhs = tgt.get(d, 0) - src.get(d, 0)

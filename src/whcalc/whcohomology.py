@@ -119,21 +119,18 @@ def delta_star_report(p: OddPrime, max_degree: int) -> dict:
 
 
 def delta_star_rank_data(p: OddPrime, max_degree: int) -> dict:
-    """Source and target dims of delta* itself, for consistency checks:
-    in every degree, cok - ker = target - source, and below 2p-2 the map
-    is injective so cok = target - source there."""
-    source: dict[str, dict[int, int]] = {}
-    for i in range(1, (p.p - 1) // 2 + 1):
-        shift = 4 * i - 1
-        source[f"sigma^{shift} A//E1"] = _shifted(p, "A//E1", max_degree, shift)
-    target: dict[str, dict[int, int]] = {
-        "sigma^-2 C/A(b)": _shifted(p, "C/A(b)", max_degree, -2)
-    }
-    for a in _odd_summand_indices(p):
-        target[f"H(sigma CP[{a}])"] = {
-            2 * k + 1: 1
-            for k in range(a, (max_degree - 1) // 2 + 1, p.p - 1)
-        }
+    """Source and target dims of delta* itself, each summed over its pieces
+    into {degree: dim}, for consistency checks: in every degree,
+    cok - ker = target - source, and below 2p-2 the map is injective so
+    cok = target - source there."""
+    source = _add(*(
+        _shifted(p, "A//E1", max_degree, 4 * i - 1)
+        for i in range(1, (p.p - 1) // 2 + 1)
+    ))
+    target = _add(_shifted(p, "C/A(b)", max_degree, -2), *(
+        {2 * k + 1: 1 for k in range(a, (max_degree - 1) // 2 + 1, p.p - 1)}
+        for a in _odd_summand_indices(p)
+    ))
     return {"source": source, "target": target}
 
 

@@ -5,11 +5,9 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from whcalc import emit, stems
+from whcalc import ahss, emit, stems
 from whcalc.ahss import (
-    E2,
     EINF,
-    ChartPage,
     ChartTarget,
     _columns,
     _page_classes,
@@ -27,25 +25,21 @@ P3 = OddPrime(3)
 P5 = OddPrime(5)
 
 
-class _HandBuiltPage(ChartPage):
-    """An E2 page read from a summands dict, summand by summand: the
-    reference for the lazy page's table lookups and its bisection R1."""
+def _axis_kept_by_hand(summands):
+    """R1 summand by summand over an E2 page's `summands`, the reference
+    for `ahss._axis_kept`'s bisection, which it replaces under
+    `monkeypatch`.  The image-of-J cells in total degree 2n-1 are
+    alpha_bar(i)*b(n-(p-1)i), consumed in index order until the budget
+    v_p(n!) = budgets[n] runs out.  Returns what each alpha_bar(i) keeps on
+    the columns k >= 1, in column order."""
 
-    def summand_valuation(self, theta, k):
-        """Valuation of the summand theta*b(k); None when the page lacks it."""
-        return self.summands.get((theta, k))
-
-    def _axis_kept(self, alpha, budgets):
-        """R1 summand by summand.  The image-of-J cells in total degree 2n-1
-        are alpha_bar(i)*b(n-(p-1)i), consumed in index order until the
-        budget v_p(n!) = budgets[n] runs out.  Returns what each
-        alpha_bar(i) keeps on the columns k >= 1, in column order."""
-        pp = self.p.p
+    def axis_kept(p, alpha, budgets):
+        pp = p.p
         kept = defaultdict(list)
         for n, budget in enumerate(budgets):
             i, k = 1, n - (pp - 1)
             while k >= 1:
-                val = self.summand_valuation(alpha[i], k)
+                val = summands.get((alpha[i], k))
                 # d_q on alpha_bar(1)*b(k) is k times a unit
                 if budget and (i > 1 or k % pp):
                     if val is None:
@@ -60,8 +54,10 @@ class _HandBuiltPage(ChartPage):
                     kept[i].append((k, val))
                 i, k = i + 1, k - (pp - 1)
             if budget:
-                raise _under_supplied(self.p, n, budget)
+                raise _under_supplied(p, n, budget)
         return kept
+
+    return axis_kept
 
 
 def _e2_summands(page):
@@ -228,16 +224,17 @@ def test_kill_ledger_conservation():
 
 def test_torsion_by_degree_sums_cell_valuations():
     # An E2 page sums its torsion from the stem table, one range-add per
-    # class; the materialized cells must give the same sums.
+    # class, and an EINF page over its survivors; the cells of each page's
+    # payload must give the same sums.
     for p in map(OddPrime, (3, 5, 7, 11, 13, 17)):
         for target in ChartTarget:
             e2 = build_e2(p, target, chart_window(p, target) - 1)
-            sums = Counter()
-            for (s, t), cell in _cells(e2).items():
-                if t > 0:
-                    sums[s + t] += cell["valuation"]
-            assert e2.torsion_by_degree == dict(sums)
-            assert e2.torsion_by_degree is e2.torsion_by_degree
+            for page in (e2, run_differentials(e2)):
+                sums = Counter()
+                for (s, t), cell in _cells(page).items():
+                    if t > 0:
+                        sums[s + t] += cell["valuation"]
+                assert page.torsion_by_degree == dict(sums)
 
 
 def test_einf_imj_cells_are_aggregate_only():
@@ -293,20 +290,20 @@ def test_lazy_cells_match_the_grouped_summands(pp):
             for payload in lazy:
                 payload["cells"] = list(payload["cells"])
             # the E2 cells came from the stem table: the page holds no summands
-            assert not hasattr(e2, "summands")
+            assert e2.summands is None
             assert lazy == [_grouped_page_payload(page) for page in pages]
 
 
-def test_axis_rule_names_a_missing_summand():
+def test_axis_rule_names_a_missing_summand(monkeypatch):
     # In total degree 9 at p=3 the axis rule needs alpha_bar(2)*b(1): the
     # only other image-of-J cell there, alpha_bar(1)*b(3), has p | k.
     e2 = build_e2(P3, ChartTarget.J_OF_CP, 20)
     assert _cells(e2)[(2, 7)]["labels"] == ["alpha_bar(2)*b(1)"]
     summands = _e2_summands(e2)
     assert summands.pop((stems.alpha_bar(P3, 2), 1)) == 1
-    page = _HandBuiltPage(e2.target, P3, E2, 20, summands)
+    monkeypatch.setattr(ahss, "_axis_kept", _axis_kept_by_hand(summands))
     with pytest.raises(InconsistencyError, match=r"alpha_bar\(2\)\*b\(1\)"):
-        run_differentials(page)
+        run_differentials(e2)
 
 
 def _tops(p, target):
@@ -315,39 +312,22 @@ def _tops(p, target):
 
 
 @pytest.mark.parametrize("pp", [3, 5, 7, 11, 13, 17])
-def test_lazy_e2_page_matches_its_materialized_cells(pp):
-    # The hand-built page runs the axis rule summand by summand, the
-    # reference for the lazy page's bisection; at p=17 axis budgets run
-    # across many indices.
+def test_lazy_e2_page_matches_its_materialized_cells(pp, monkeypatch):
+    # The hand-built axis rule runs summand by summand over the E2 page's
+    # materialized summands, the reference for the bisection; at p=17 axis
+    # budgets run across many indices.
     p = OddPrime(pp)
     for target in ChartTarget:
         tops = _tops(p, target) if pp < 17 else [chart_window(p, target) - 1]
         for top in tops:
-            lazy = run_differentials(build_e2(p, target, top))
-            summands = _e2_summands(build_e2(p, target, top))
-            by_hand = run_differentials(
-                _HandBuiltPage(target, p, E2, top, summands)
-            )
+            e2 = build_e2(p, target, top)
+            lazy = run_differentials(e2)
+            with monkeypatch.context() as m:
+                m.setattr(ahss, "_axis_kept", _axis_kept_by_hand(_e2_summands(e2)))
+                by_hand = run_differentials(e2)
             # lists, so the page order is checked too
             assert list(lazy.summands.items()) == list(by_hand.summands.items())
             assert lazy.kill_ledger == by_hand.kill_ledger
-
-
-def test_axis_rule_reads_no_image_of_j_summand_on_a_lazy_page(monkeypatch):
-    p = OddPrime(17)
-    e2 = build_e2(p, ChartTarget.S_OF_CP, chart_window(p, ChartTarget.S_OF_CP) - 1)
-    reads = Counter()
-    real = type(e2).summand_valuation
-
-    def counted(page, theta, k):
-        reads[theta.kind, k >= 1] += 1
-        return real(page, theta, k)
-
-    monkeypatch.setattr(type(e2), "summand_valuation", counted)
-    einf = run_differentials(e2)
-    assert einf.torsion_by_degree
-    assert reads[("im_j", True)] == 0
-    assert reads[("cok_j", True)] > 0  # the other rows are still read
 
 
 def test_chart_cost_follows_the_window_not_p(monkeypatch):
@@ -379,7 +359,7 @@ def test_einf_run_leaves_e2_cells_unbuilt():
         e2 = build_e2(P5, target, chart_window(P5, target) - 1)
         einf = run_differentials(e2)
         assert e2.torsion_by_degree and einf.summands
-        assert not hasattr(e2, "summands")
+        assert e2.summands is None
 
 
 @pytest.mark.parametrize("pp", [3, 5, 7, 11, 13, 17])

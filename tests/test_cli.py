@@ -358,6 +358,13 @@ def test_irregular_prime_names_an_override_that_exists(
     assert err == f"error: {why} ({hint})\n"
 
 
+@pytest.mark.parametrize("command", ["ahss", "pi-wh", "cohomology"])
+def test_negative_max_degree_names_the_flag(capsys, command):
+    code, out, err = run_cli(capsys, command, "--p", "3", "--max-degree", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-degree must be >= 0, got -1\n"
+
+
 def test_degree_cap(capsys, monkeypatch):
     assert run_cli(capsys, "pi-wh", "--p", "3", "--max-degree", "513")[0] == 3
     monkeypatch.setenv(cli.CAP_ENV, "100")

@@ -199,23 +199,25 @@ def test_odd_prime_validates_and_stays_fixed():
     assert {OddPrime(3): 1}[P3] == 1
 
 
-def test_chart_page_repr_and_cached_sums():
-    page = build_e2(P3, ChartTarget.J_OF_CP, 12)
-    assert page.kill_ledger is None
-    # an E2 page holds no summands, so its repr shows none
-    assert repr(page) == (
-        f"ChartPage(target={ChartTarget.J_OF_CP!r}, p={P3!r}, "
-        f"page_label='E2', max_total_degree=12)"
-    )
-    assert page.torsion_by_degree is page.torsion_by_degree
-    summands = _e2_summands(page)
-    fresh = ChartPage(page.target, P3, "E2", 12, summands, {4: 1})
-    assert repr(fresh) == (
-        f"ChartPage(target={ChartTarget.J_OF_CP!r}, p={P3!r}, "
-        f"page_label='E2', max_total_degree=12, summands={summands!r})"
-    )
-    assert fresh.kill_ledger == {4: 1}
-    assert fresh.torsion_by_degree == page.torsion_by_degree
+def test_chart_pages_are_records():
+    e2 = build_e2(P3, ChartTarget.J_OF_CP, 12)
+    einf = run_differentials(e2)
+    for page in (e2, einf):
+        assert type(page) is ChartPage
+        assert page._fields == (
+            "target", "p", "page_label", "max_total_degree", "summands",
+            "kill_ledger", "torsion_by_degree",
+        )
+        with pytest.raises(AttributeError):
+            page.summands = {}
+        assert repr(page).startswith(
+            f"ChartPage(target={ChartTarget.J_OF_CP!r}, p={P3!r}, "
+            f"page_label={page.page_label!r}, max_total_degree=12, "
+        )
+    # an E2 page holds its sums, but no summands and no kill ledger
+    assert e2.summands is None and e2.kill_ledger is None
+    assert e2.torsion_by_degree
+    assert einf.summands and einf.kill_ledger and einf.torsion_by_degree
 
 
 # Per call: the arguments, modules it must load (so the check is not
