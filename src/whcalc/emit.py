@@ -23,9 +23,10 @@ from .arith import OddPrime
 from .errors import PreconditionError
 
 FORMATS = ("json", "csv", "ascii-chart", "svg-chart")
+# The `whcohomology` piece groups, between "all" and "total", and the
+# `ahss.ChartTarget` values, written out so that building the CLI's choices
+# imports neither the Steenrod code nor the chart engine.
 PIECES = ("all", "sigma-c", "hp", "coker", "ker", "total")
-# The `ahss.ChartTarget` values, written out so that building the CLI's
-# choices does not import the chart engine.
 TARGETS = ("j-cp", "s-cp", "s-cpbar")
 PAGES = ("e2", "einf")
 
@@ -190,6 +191,8 @@ def ahss(
 
     if page not in PAGES:
         raise PreconditionError(f"unknown page {page!r}")
+    if target not in TARGETS:
+        raise PreconditionError(f"unknown target {target!r}")
     command = (
         f"ahss --p {p.p} --target {target} --page {page} "
         f"--max-degree {max_degree}"
@@ -204,19 +207,11 @@ def cohomology(
     p: OddPrime, max_degree: int, piece: str = "all", *,
     assume_regular: bool = False,
 ) -> tuple[str, dict]:
-    from .whcohomology import h_wh_report, piece_names
+    from .whcohomology import h_wh_report
 
-    if piece not in PIECES:
-        raise PreconditionError(f"unknown piece {piece!r}")
     command = f"cohomology --p {p.p} --max-degree {max_degree} --piece {piece}"
     if assume_regular:
         command += " --assume-regular"
-    payload = h_wh_report(p, max_degree, assume_regular=assume_regular)
-    if piece == "total":
-        payload["pieces"] = {}
-    elif piece != "all":
-        payload["pieces"] = {
-            name: payload["pieces"][name] for name in piece_names(p, piece)
-        }
-        del payload["total"]
-    return command, payload
+    return command, h_wh_report(
+        p, max_degree, piece=piece, assume_regular=assume_regular
+    )

@@ -35,13 +35,18 @@ def _chart_csv(payload: dict):
         )
 
 
+def _report_rows(payload: dict):
+    """A report's (name, dims) rows: its pieces, then its total, if any."""
+    yield from payload["pieces"].items()
+    if "total" in payload:
+        yield "total", payload["total"]
+
+
 def _report_csv(payload: dict):
     yield "piece,degree,dim\n"
-    for name, dims in payload["pieces"].items():
+    for name, dims in _report_rows(payload):
         for d in dims:
             yield f"{name},{d},{dims[d]}\n"
-    for d in payload.get("total", {}):
-        yield f"total,{d},{payload['total'][d]}\n"
 
 
 def _profile_ascii(payload: dict):
@@ -105,12 +110,9 @@ def _report_ascii(payload: dict):
     )
     for a in payload.get("assumptions", []):
         yield f"# assumes: {a}\n"
-    for name, dims in payload["pieces"].items():
+    for name, dims in _report_rows(payload):
         body = ", ".join(f"{d}:{v}" for d, v in dims.items()) or "0"
         yield f"{name}: {body}\n"
-    if "total" in payload:
-        body = ", ".join(f"{d}:{v}" for d, v in payload["total"].items()) or "0"
-        yield f"total: {body}\n"
     for a in payload.get("annotations", []):
         yield f"# note: {a}\n"
 
@@ -219,26 +221,23 @@ def _chart_svg(payload: dict):
 
 
 def _report_svg(payload: dict):
-    names = list(payload["pieces"]) + (["total"] if "total" in payload else [])
-    table = dict(payload["pieces"])
-    if "total" in payload:
-        table["total"] = payload["total"]
+    rows = list(_report_rows(payload))
     max_degree = payload["max_degree"]
     cell, left, top = 18, 260, 30
     w = left + cell * (max_degree + 1) + 20
-    h = top + 20 * len(names) + 40
+    h = top + 20 * len(rows) + 40
     yield _SVG_HEAD.format(w=w, h=h)
     yield (
         f'<text x="10" y="18" font-family="monospace" font-size="12">'
         f"cohomology dims, p={payload['p']}</text>\n"
     )
-    for row, name in enumerate(names):
+    for row, (name, dims) in enumerate(rows):
         y = top + 20 * row + 14
         yield (
             f'<text x="10" y="{y}" font-family="monospace" font-size="10">'
             f"{_esc(name)}</text>\n"
         )
-        for d, v in table[name].items():
+        for d, v in dims.items():
             x = left + cell * int(d)
             yield (
                 f'<text x="{x}" y="{y}" font-family="monospace" '
@@ -277,9 +276,11 @@ def lines(fmt: str, payload: dict):
     "svg-chart"), as a generator of pieces that each end a line.  CSV is
     formed one row at a time, so a chart's cells stream through it; the
     ASCII and SVG charts need the whole grid for their bounds, so they
-    read every cell first.  A payload kind with no renderer is refused
-    here, before any line is formed."""
-    by_kind = _RENDERERS[fmt]
+    read every cell first.  An unknown format, or a payload kind with no
+    renderer, is refused here, before any line is formed."""
+    by_kind = _RENDERERS.get(fmt)
+    if by_kind is None:
+        raise PreconditionError(f"unknown format {fmt!r}")
     kind = payload.get("kind")
     if kind not in by_kind:
         name = fmt.partition("-")[0]

@@ -339,7 +339,10 @@ def _check_delta_rank(p: OddPrime, deep: bool) -> str:
 
 
 def _check_cohomology_additivity(p: OddPrime, deep: bool) -> str:
-    """Report total == sum of the pieces; p=3 carries no kernel block."""
+    """Report total == sum of the pieces; p=3 carries no kernel block.
+    The total half is the same `_add` the report uses, so only the p=3
+    name set is independent, until ROADMAP item 5 gives the pieces a route
+    of their own."""
     bound = 60 if deep else 30
     report = h_wh_report(p, bound)
     pieces = report["pieces"]

@@ -27,14 +27,6 @@ HP_PIECE = "H(sigma HP)"
 COKER_MAIN_PIECE = "sigma^-2 C/A(b,Q1)"
 
 
-def _cp_piece_name(a: int) -> str:
-    return f"H(sigma CP[{a}])/A(sigma y^{a})"
-
-
-def _ker_piece_name(a: int) -> str:
-    return f"sigma^{2 * a} C_{a}/A(b,Q1)"
-
-
 def _shifted(
     p: OddPrime, spec: str, max_degree: int, shift: int, a: int | None = None
 ) -> dict[int, int]:
@@ -78,24 +70,33 @@ def h_sigma_hp_dims(p: OddPrime, max_degree: int) -> dict[int, int]:
     return {d: 1 for d in range(5, max_degree + 1, 4)}
 
 
-def _odd_summand_indices(p: OddPrime) -> list[int]:
+def _odd_summand_indices(p: OddPrime) -> range:
     """The odd a with 1 <= a <= p-4 (empty for p = 3)."""
-    return list(range(1, p.p - 3, 2))
+    return range(1, p.p - 3, 2)
 
 
-def piece_names(p: OddPrime, piece: str) -> list[str]:
-    """The report's pieces in the CLI's `--piece` group `piece`: sigma-c,
-    hp, coker or ker."""
+def _piece_table(p: OddPrime, top: int) -> dict:
+    """The report's pieces to degree `top` in report order, by `--piece`
+    group: each maps to a function that forms its (name, dims) pairs, names
+    included, only when called.  CP[a] starts at y^a in degree 2a, so its
+    piece at 2a+1; CP[a] and kernel pieces above `top` stay empty unbuilt."""
     odd = _odd_summand_indices(p)
-    if piece == "sigma-c":
-        return [SIGMA_C_PIECE]
-    if piece == "hp":
-        return [HP_PIECE]
-    if piece == "coker":
-        return [COKER_MAIN_PIECE] + [_cp_piece_name(a) for a in odd]
-    if piece == "ker":
-        return [_ker_piece_name(a) for a in odd]
-    raise PreconditionError(f"unknown piece {piece!r}")
+    return {
+        "sigma-c": lambda: [(SIGMA_C_PIECE, h_sigma_c_dims(p, top))],
+        "hp": lambda: [(HP_PIECE, h_sigma_hp_dims(p, top))],
+        "coker": lambda: [
+            (COKER_MAIN_PIECE, _shifted(p, "C/A(b,Q1)", top, -2)),
+            *((f"H(sigma CP[{a}])/A(sigma y^{a})",
+               _shifted(p, "CP[a]/A(y^a)", top, 1, a)
+               if 2 * a + 1 <= top else {})
+              for a in odd),
+        ],
+        "ker": lambda: [
+            (f"sigma^{2 * a} C_{a}/A(b,Q1)",
+             _shifted(p, "C_a/A(b,Q1)", top, 2 * a, a))
+            for a in odd
+        ],
+    }
 
 
 def delta_star_report(p: OddPrime, max_degree: int) -> dict:
@@ -103,19 +104,8 @@ def delta_star_report(p: OddPrime, max_degree: int) -> dict:
     block sigma^-1 ker(delta*), each as {piece name: {degree: dim}}."""
     if max_degree < 0:
         raise PreconditionError(f"max_degree must be >= 0, got {max_degree}")
-    coker: dict[str, dict[int, int]] = {
-        COKER_MAIN_PIECE: _shifted(p, "C/A(b,Q1)", max_degree, -2)
-    }
-    ker: dict[str, dict[int, int]] = {}
-    for a in _odd_summand_indices(p):
-        # CP[a] starts at y^a in degree 2a, so its piece at 2a+1; pieces
-        # that start above max_degree stay empty without being computed.
-        coker[_cp_piece_name(a)] = (
-            _shifted(p, "CP[a]/A(y^a)", max_degree, 1, a)
-            if 2 * a + 1 <= max_degree else {}
-        )
-        ker[_ker_piece_name(a)] = _shifted(p, "C_a/A(b,Q1)", max_degree, 2 * a, a)
-    return {"coker": coker, "ker": ker}
+    table = _piece_table(p, max_degree)
+    return {group: dict(table[group]()) for group in ("coker", "ker")}
 
 
 def delta_star_rank_data(p: OddPrime, max_degree: int) -> dict:
@@ -135,23 +125,24 @@ def delta_star_rank_data(p: OddPrime, max_degree: int) -> dict:
 
 
 def h_wh_report(
-    p: OddPrime, max_degree: int, *, assume_regular: bool = False
+    p: OddPrime, max_degree: int, *, piece: str = "all",
+    assume_regular: bool = False,
 ) -> dict:
-    """Full graded-dimension report, as the `cohomology-report` payload:
-    each piece and the total map int degrees, ascending, to dimensions;
-    total(d) is the sum of the pieces, since the assembling extensions
-    preserve dimension.  The degrees become decimal strings only in JSON."""
+    """Graded-dimension report, as the `cohomology-report` payload.  For a
+    `--piece` group `piece` only its pieces are built and reported; "all"
+    reports every piece and their total, "total" the total alone.  Each
+    maps int degrees, ascending, to dimensions; total(d) is the sum of the
+    pieces, since the assembling extensions preserve dimension.  The
+    degrees become decimal strings only in JSON."""
+    table = _piece_table(p, max_degree)
+    whole = piece in ("all", "total")
+    if not whole and piece not in table:
+        raise PreconditionError(f"unknown piece {piece!r}")
     assumptions = ensure_regular(p, assume_regular)
     if max_degree < 0:
         raise PreconditionError(f"max_degree must be >= 0, got {max_degree}")
-    pieces: dict[str, dict[int, int]] = {
-        SIGMA_C_PIECE: h_sigma_c_dims(p, max_degree),
-        HP_PIECE: h_sigma_hp_dims(p, max_degree),
-    }
-    delta = delta_star_report(p, max_degree)
-    pieces.update(delta["coker"])
-    pieces.update(delta["ker"])
-    total = _add(*pieces.values())
+    groups = table if whole else (piece,)
+    pieces = {name: dims for g in groups for name, dims in table[g]()}
     annotations = [
         f"degrees below {p.q - 1} have no independent cross-check; "
         f"values there are engine-derived",
@@ -171,12 +162,13 @@ def h_wh_report(
             f"of the kernel block, to sigma y^{2 * p.p - 1} in the "
             f"stunted-projective block"
         )
+    total = {"total": _add(*pieces.values())} if whole else {}
     return {
         "kind": "cohomology-report",
         "p": p.p,
         "max_degree": max_degree,
         "assumptions": list(assumptions),
-        "pieces": pieces,
-        "total": total,
+        "pieces": {} if piece == "total" else pieces,
+        **total,
         "annotations": annotations,
     }

@@ -136,6 +136,11 @@ def test_window_errors():
         build_e2(P3, ChartTarget.J_OF_CP, -1)
 
 
+def test_emit_refuses_an_unknown_target():
+    with pytest.raises(PreconditionError, match="unknown target 'bad'"):
+        emit.ahss(P3, "bad", "einf", 20)
+
+
 def test_e2_cells_examples():
     jpage = build_e2(P3, ChartTarget.J_OF_CP, 20)
     jcells = _cells(jpage)

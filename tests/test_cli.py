@@ -12,7 +12,7 @@ import pytest
 
 import whcalc.verify
 from whcalc import cli, emit, render
-from whcalc.errors import InconsistencyError
+from whcalc.errors import InconsistencyError, PreconditionError
 
 
 def run_cli(capsys, *argv):
@@ -667,6 +667,11 @@ def test_csv_projection_of_profile(capsys):
     assert lines[0] == "degree,valuation,generators"
     assert "11,1,sigma(beta1)" in lines
     assert "14,3,sigma(alpha1_beta1)" in lines
+
+
+def test_render_refuses_an_unknown_format():
+    with pytest.raises(PreconditionError, match="unknown format 'pdf'"):
+        render.lines("pdf", {"kind": "cohomology-report"})
 
 
 def test_piece_filtering(capsys):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from whcalc import emit
+from whcalc import emit, whcohomology
 from whcalc.arith import OddPrime
 from whcalc.errors import PreconditionError
 from whcalc.steenrod import milnor_dual_dims, quotient_module_dims
@@ -12,6 +12,8 @@ from whcalc.whcohomology import (
     COKER_MAIN_PIECE,
     HP_PIECE,
     SIGMA_C_PIECE,
+    _odd_summand_indices,
+    _piece_table,
     delta_star_rank_data,
     delta_star_report,
     h_sigma_c_dims,
@@ -181,3 +183,57 @@ def test_consistency_against_quotient_module_dims():
     shifted = report["ker"]["sigma^2 C_1/A(b,Q1)"]
     raw = quotient_module_dims(P5, "C_a/A(b,Q1)", 28, a=1)
     assert shifted == {d + 2: v for d, v in raw.items()}
+
+
+def test_cli_piece_choices_are_the_report_groups():
+    # emit spells the groups out, so that parsing flags imports no
+    # Steenrod code; this ties them to the report's piece table
+    assert emit.PIECES == ("all", *_piece_table(P3, 0), "total")
+
+
+def test_unknown_piece_is_refused():
+    with pytest.raises(PreconditionError, match="unknown piece 'bogus'"):
+        h_wh_report(P3, 10, piece="bogus")
+
+
+def test_a_group_report_is_the_full_report_restricted():
+    for pp in (3, 5, 7, 11, 13):
+        p = OddPrime(pp)
+        # the top CP[a] piece starts at 2a+1
+        boundary = 2 * max(_odd_summand_indices(p), default=1) + 1
+        for top in (0, 1, boundary, 90):
+            full = h_wh_report(p, top)
+            head = {k: v for k, v in full.items() if k != "total"}
+            names = []
+            for group in _piece_table(p, top):
+                report = h_wh_report(p, top, piece=group)
+                assert list(report) == list(head), (pp, top, group)
+                pieces = report.pop("pieces")
+                assert report == {k: v for k, v in head.items() if k != "pieces"}
+                assert pieces == {n: full["pieces"][n] for n in pieces}
+                names += pieces
+            # the groups split the full report's pieces, in its order
+            assert names == list(full["pieces"]), (pp, top)
+            total = h_wh_report(p, top, piece="total")
+            assert total == {**full, "pieces": {}}
+            assert list(total) == list(full)
+
+
+def test_a_group_builds_only_its_own_quotients(monkeypatch):
+    specs = []
+    real = whcohomology.quotient_module_dims
+
+    def spy(p, spec, max_degree, a=None):
+        specs.append(spec)
+        return real(p, spec, max_degree, a=a)
+
+    monkeypatch.setattr(whcohomology, "quotient_module_dims", spy)
+    for group, want in (
+        ("hp", set()),
+        ("sigma-c", {"I(A)/A(b,P1)", "A//A1"}),
+        ("coker", {"C/A(b,Q1)", "CP[a]/A(y^a)"}),
+        ("ker", {"C_a/A(b,Q1)"}),
+    ):
+        specs.clear()
+        h_wh_report(P5, 60, piece=group)
+        assert set(specs) == want, group
