@@ -146,7 +146,7 @@ def _usage_error(command: str | None, message: str):
 
 def _print_and_exit(text: str):
     try:
-        _write(_whole(text), None)
+        _write((text,), None)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PRECONDITION) from None
@@ -277,36 +277,28 @@ def _emit_for(args: dict) -> tuple[str, dict]:
     return emit.cohomology(p, top, args["piece"], assume_regular=assume)
 
 
-def _emission(fmt: str, command: str, payload: dict):
-    """The function that hands the payload, rendered in `fmt`, to the
-    `write` it is called with, in chunks of a bounded number of lines.  A
-    payload kind with no renderer is refused here, before any byte."""
+def _chunks(fmt: str, command: str, payload: dict):
+    """The payload rendered in `fmt`, as chunks of about BATCH_LINES lines.
+    A payload kind with no renderer is refused here, before any byte."""
     if fmt == "json":
-        return lambda write: emit.write_envelope(command, payload, write)
+        return emit.envelope_chunks(command, payload)
     from . import render
 
-    lines = render.lines(fmt, payload)
-    return lambda write: emit.write_lines(lines, write)
+    return emit.batched(render.lines(fmt, payload))
 
 
-def _whole(text: str):
-    """The emission of a text already formed: one chunk."""
-    return lambda write: write(text)
-
-
-def _write(emission, out: str | None) -> None:
-    """Write the chunks that `emission` hands its `write` argument to
-    stdout or to `out`, never holding them all.  A new or regular file
-    (symlinks followed) is written beside itself and renamed into place
-    with the old mode and owner, so a failed write leaves no partial file.
-    A device or FIFO, or a file whose directory or owner forbids that, is
-    written through directly.  A closed or failing stdout raises OSError
-    too."""
-    if not out:
+def _write(chunks, out: str | None) -> None:
+    """Write the str chunks of the iterable `chunks` to stdout or to `out`,
+    never holding them all.  A new or regular file (symlinks followed) is
+    written beside itself and renamed into place with the old mode and
+    owner, so a failed write leaves no partial file.  A device or FIFO, or
+    a file whose directory or owner forbids that, is written through
+    directly.  A closed or failing stdout raises OSError too."""
+    if out is None:
         try:
             if sys.stdout is None:
                 raise OSError("it is closed")
-            emission(sys.stdout.write)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
         except OSError as exc:
             raise _stdout_error(exc) from exc
@@ -315,16 +307,16 @@ def _write(emission, out: str | None) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         if os.path.exists(out) and not os.path.isfile(out):
-            _write_through(out, emission)  # a device or FIFO
+            _write_through(out, chunks)  # a device or FIFO
             return
         old = os.stat(out) if os.path.exists(out) else None
         try:
             fh = open(tmp, "w", encoding="utf-8")
         except PermissionError:  # the directory takes no file beside `out`
-            _write_through(out, emission)
+            _write_through(out, chunks)
             return
         with fh:
-            emission(fh.write)
+            fh.writelines(chunks)
         try:
             if old is not None:
                 os.chmod(tmp, old.st_mode & 0o7777)
@@ -345,9 +337,9 @@ def _stdout_error(exc: OSError) -> OSError:
     return OSError(f"cannot write stdout: {exc.strerror or exc}")
 
 
-def _write_through(out: str, emission) -> None:
+def _write_through(out: str, chunks) -> None:
     with open(out, "w", encoding="utf-8") as fh:
-        emission(fh.write)
+        fh.writelines(chunks)
 
 
 def _int(text: str, name: str) -> int:
@@ -367,7 +359,7 @@ def _run_verify(args: dict) -> int:
         raise PreconditionError(f"--p {listed!r} names no prime")
     primes = [OddPrime(n) for n in dict.fromkeys(tokens)]
     results = verify.run_checks(primes, deep=args["deep"])
-    _write(_whole(verify.format_matrix(results) + "\n"), None)
+    _write((verify.format_matrix(results) + "\n",), None)
     failed = any(r.status == verify.FAIL for r in results)
     return EXIT_INCONSISTENT if failed else EXIT_OK
 
@@ -377,6 +369,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args["command"] == "verify":
             return _run_verify(args)
+        if args["out"] == "":
+            raise PreconditionError("--out '' names no file")
         top = args["max_degree"]
         # refused here, so the message names the flag, not the library keyword
         if top < 0:
@@ -388,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{cap}; raise {CAP_ENV} to go higher"
             )
         command, payload = _emit_for(args)
-        _write(_emission(args["format"], command, payload), args["out"])
+        _write(_chunks(args["format"], command, payload), args["out"])
         return EXIT_OK
     except InconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,17 +6,19 @@ mathematical content.  Serialization uses insertion order (keys are built
 in ascending numeric order, and an int key, such as a degree, is written
 as its decimal string), two-space indentation and a trailing newline,
 so output is byte-stable across runs and suitable for golden-file
-comparison.  `write_json` writes the bytes of `json.dumps(doc, indent=2)`
+comparison.  `json_chunks` yields the bytes of `json.dumps(doc, indent=2)`
 without importing `json`, whose encoder runs in pure Python at that
-indent, and hands them on in batches of lines as it goes, so the CLI
-never holds a whole document; `json_text` collects them into one string.
-Each builder imports the library modules it runs when it is called, so a
-cold CLI call loads only those.
+indent, in chunks of about BATCH_LINES lines as it goes, and `batched`
+joins a renderer's lines into chunks of the same size; so every emission
+is an iterator of text chunks and the CLI never holds a whole document.
+`envelope_text` joins an envelope's chunks into one string.  Each builder
+imports the library modules it runs when it is called, so a cold CLI call
+loads only those.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import islice, repeat
 
 from ._version import __version__
 from .arith import OddPrime
@@ -31,7 +33,7 @@ TARGETS = ("j-cp", "s-cp", "s-cpbar")
 PAGES = ("e2", "einf")
 
 
-# Lines the writers hold before handing them on to `write`, so a large
+# Lines the writers hold before yielding them as one chunk, so a large
 # emission never exists whole in memory.
 BATCH_LINES = 64
 
@@ -48,26 +50,19 @@ def _envelope(command: str, payload: dict) -> dict:
     }
 
 
-def write_envelope(command: str, payload: dict, write) -> None:
-    write_json(_envelope(command, payload), write)
+def envelope_chunks(command: str, payload: dict):
+    return json_chunks(_envelope(command, payload))
 
 
 def envelope_text(command: str, payload: dict) -> str:
-    return json_text(_envelope(command, payload))
+    return "".join(envelope_chunks(command, payload))
 
 
-def json_text(value) -> str:
-    """The bytes of `json.dumps(value, indent=2) + "\\n"`; see `write_json`."""
-    chunks: list[str] = []
-    write_json(value, chunks.append)
-    return "".join(chunks)
-
-
-def write_json(value, write) -> None:
-    """Hand `write` the bytes of `json.dumps(value, indent=2) + "\\n"`, in
-    chunks of about BATCH_LINES lines, for nested dicts (with str or int
-    keys), lists, tuples, str, int, bool and None, and iterators, which
-    are written as lists (a chart's cells come as a generator).  Any other
+def json_chunks(value):
+    """Yield the bytes of `json.dumps(value, indent=2) + "\\n"`, in chunks
+    of about BATCH_LINES lines, for nested dicts (with str or int keys),
+    lists, tuples, str, int, bool and None, and iterators, which are
+    written as lists (a chart's cells come as a generator).  Any other
     type, a float included, and any other key, a bool included, raise
     TypeError.  Strings are quoted by the C function that `json.dumps`
     uses, ints (an int key as its quoted digits) written by
@@ -78,20 +73,19 @@ def write_json(value, write) -> None:
         from json.encoder import py_encode_basestring_ascii as quote
 
     lines: list[str] = []
-    _json_lines(value, quote, "", "", lines, write, BATCH_LINES)
+    yield from _json_lines(value, quote, "", "", lines)
     lines[-1] = lines[-1][:-1]
     lines.append("")
-    write("\n".join(lines))
+    yield "\n".join(lines)
 
 
-def _json_lines(
-    value, quote, pad: str, head: str, lines: list[str], write, batch: int
-) -> None:
+def _json_lines(value, quote, pad: str, head: str, lines: list[str]):
     """Append the lines of `value` at indent `pad`: the first opened by
     `head` (a quoted key and ": ", or nothing), the last closed by a comma.
     One string per line keeps a large document's pieces few.  Whenever
-    more than `batch` lines are held, all but the last go to `write`; the
-    last stays, as a closing bracket may still drop its comma."""
+    more than BATCH_LINES lines are held, all but the last are yielded as
+    one chunk; the last stays, as a closing bracket may still drop its
+    comma."""
     if isinstance(value, dict):
         brackets = "{}"
     elif isinstance(value, (list, tuple)) or hasattr(value, "__next__"):
@@ -121,11 +115,11 @@ def _json_lines(
         elif item is None:
             lines.append(f"{inner}{key}null,")
         else:
-            _json_lines(item, quote, inner, key, lines, write, batch)
-        if len(lines) > batch:
+            yield from _json_lines(item, quote, inner, key, lines)
+        if len(lines) > BATCH_LINES:
             last = lines[-1]
             lines[-1] = ""
-            write("\n".join(lines))
+            yield "\n".join(lines)
             lines[:] = (last,)
     if key is None:  # an empty iterator: its opening line is still held
         lines[-1] = f"{pad}{head}{brackets},"
@@ -134,17 +128,12 @@ def _json_lines(
         lines.append(f"{pad}{brackets[1]},")
 
 
-def write_lines(lines, write) -> None:
-    """Hand `write` the strings of `lines` (each ending in a newline)
-    joined in batches of BATCH_LINES."""
-    batch: list[str] = []
-    for line in lines:
-        batch.append(line)
-        if len(batch) >= BATCH_LINES:
-            write("".join(batch))
-            batch.clear()
-    if batch:
-        write("".join(batch))
+def batched(lines):
+    """Yield the strings of `lines` (each ending in a newline) joined in
+    chunks of BATCH_LINES."""
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, BATCH_LINES)):
+        yield chunk
 
 
 def _json_key(key) -> str:

@@ -20,6 +20,14 @@ def _esc(text: str) -> str:
     )
 
 
+def _text(x: int, y: int, body, size: int = 10) -> str:
+    """An SVG text label at (x, y), with no newline."""
+    return (
+        f'<text x="{x}" y="{y}" font-family="monospace" '
+        f'font-size="{size}">{body}</text>'
+    )
+
+
 def _profile_csv(payload: dict):
     yield "degree,valuation,generators\n"
     for e in payload["entries"]:
@@ -49,13 +57,18 @@ def _report_csv(payload: dict):
             yield f"{name},{d},{dims[d]}\n"
 
 
+def _comments(payload: dict, key: str, tag: str):
+    """The `# tag: ...` line of each string in `payload[key]`, if any."""
+    for text in payload.get(key, ()):
+        yield f"# {tag}: {text}\n"
+
+
 def _profile_ascii(payload: dict):
     yield (
         f"# p-torsion profile, p={payload['p']}, "
         f"degrees 1..{payload['max_degree']}\n"
     )
-    for a in payload["assumptions"]:
-        yield f"# assumes: {a}\n"
+    yield from _comments(payload, "assumptions", "assumes")
     if payload["entries"]:
         width = max(len(str(e["degree"])) for e in payload["entries"])
         for e in payload["entries"]:
@@ -63,8 +76,7 @@ def _profile_ascii(payload: dict):
             yield f"degree {e['degree']:>{width}}: valuation {e['valuation']}{gens}\n"
     else:
         yield "(no torsion)\n"
-    for a in payload.get("annotations", []):
-        yield f"# note: {a}\n"
+    yield from _comments(payload, "annotations", "note")
 
 
 def _chart_ascii(payload: dict):
@@ -108,13 +120,11 @@ def _report_ascii(payload: dict):
         f"# cohomology report, p={payload['p']}, "
         f"degrees 0..{payload['max_degree']}\n"
     )
-    for a in payload.get("assumptions", []):
-        yield f"# assumes: {a}\n"
+    yield from _comments(payload, "assumptions", "assumes")
     for name, dims in _report_rows(payload):
         body = ", ".join(f"{d}:{v}" for d, v in dims.items()) or "0"
         yield f"{name}: {body}\n"
-    for a in payload.get("annotations", []):
-        yield f"# note: {a}\n"
+    yield from _comments(payload, "annotations", "note")
 
 
 _SVG_HEAD = (
@@ -139,10 +149,7 @@ def _profile_svg(payload: dict):
     w = left + cell * (max_degree + 2)
     h = base + 20 * max_val + 30
     yield _SVG_HEAD.format(w=w, h=h)
-    yield (
-        f'<text x="{left}" y="16" font-family="monospace" font-size="12">'
-        f"p-torsion valuations, p={payload['p']}</text>\n"
-    )
+    yield _text(left, 16, f"p-torsion valuations, p={payload['p']}", 12) + "\n"
     axis_y = h - base
     yield (
         f'<line x1="{left}" y1="{axis_y}" x2="{w - 10}" y2="{axis_y}" '
@@ -155,16 +162,9 @@ def _profile_svg(payload: dict):
             f'<rect x="{x}" y="{axis_y - bh}" width="{cell - 4}" height="{bh}" '
             'fill="#4a7" stroke="#000" stroke-width="1"/>\n'
         )
-        yield (
-            f'<text x="{x}" y="{axis_y - bh - 4}" font-family="monospace" '
-            f'font-size="10">{e["valuation"]}</text>\n'
-        )
+        yield _text(x, axis_y - bh - 4, e["valuation"]) + "\n"
     for d in range(0, max_degree + 1, 5):
-        x = left + cell * d
-        yield (
-            f'<text x="{x}" y="{axis_y + 14}" font-family="monospace" '
-            f'font-size="10">{d}</text>\n'
-        )
+        yield _text(left + cell * d, axis_y + 14, d) + "\n"
     yield "</svg>\n"
 
 
@@ -190,11 +190,10 @@ def _chart_svg(payload: dict):
     h = top + cell * (tmax + 1) + 40
     yield _SVG_HEAD.format(w=w, h=h)
     yield _HATCH_DEF
-    yield (
-        f'<text x="10" y="18" font-family="monospace" font-size="12">'
-        f"{_esc(payload['target'])} {payload['page_label']} "
-        f"p={payload['p']}</text>\n"
+    heading = (
+        f"{_esc(payload['target'])} {payload['page_label']} p={payload['p']}"
     )
+    yield _text(10, 18, heading, 12) + "\n"
     for s, t, fill, title, mark in cells:
         x = left + cell * ((s - smin) // 2)
         y = top + cell * (tmax - t)
@@ -202,21 +201,12 @@ def _chart_svg(payload: dict):
             f'<g><rect x="{x}" y="{y}" width="{cell - 2}" height="{cell - 2}" '
             f'fill="{fill}" stroke="#000" stroke-width="1">'
             f"<title>{title}</title></rect>"
-            f'<text x="{x + 6}" y="{y + 17}" font-family="monospace" '
-            f'font-size="12">{mark}</text></g>\n'
+            f"{_text(x + 6, y + 17, mark, 12)}</g>\n"
         )
     for col in range(cols):
-        s = smin + 2 * col
-        yield (
-            f'<text x="{left + cell * col}" y="{h - 14}" '
-            f'font-family="monospace" font-size="10">{s}</text>\n'
-        )
+        yield _text(left + cell * col, h - 14, smin + 2 * col) + "\n"
     for t in range(tmax + 1):
-        y = top + cell * (tmax - t) + 17
-        yield (
-            f'<text x="10" y="{y}" font-family="monospace" '
-            f'font-size="10">{t}</text>\n'
-        )
+        yield _text(10, top + cell * (tmax - t) + 17, t) + "\n"
     yield "</svg>\n"
 
 
@@ -227,27 +217,14 @@ def _report_svg(payload: dict):
     w = left + cell * (max_degree + 1) + 20
     h = top + 20 * len(rows) + 40
     yield _SVG_HEAD.format(w=w, h=h)
-    yield (
-        f'<text x="10" y="18" font-family="monospace" font-size="12">'
-        f"cohomology dims, p={payload['p']}</text>\n"
-    )
+    yield _text(10, 18, f"cohomology dims, p={payload['p']}", 12) + "\n"
     for row, (name, dims) in enumerate(rows):
         y = top + 20 * row + 14
-        yield (
-            f'<text x="10" y="{y}" font-family="monospace" font-size="10">'
-            f"{_esc(name)}</text>\n"
-        )
+        yield _text(10, y, _esc(name)) + "\n"
         for d, v in dims.items():
-            x = left + cell * int(d)
-            yield (
-                f'<text x="{x}" y="{y}" font-family="monospace" '
-                f'font-size="10">{v}</text>\n'
-            )
+            yield _text(left + cell * int(d), y, v) + "\n"
     for d in range(0, max_degree + 1, 5):
-        yield (
-            f'<text x="{left + cell * d}" y="{h - 16}" '
-            f'font-family="monospace" font-size="10">{d}</text>\n'
-        )
+        yield _text(left + cell * d, h - 16, d) + "\n"
     yield "</svg>\n"
 
 

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, byte stability, projections, golden files."""
 
+import hashlib
 import json
 import os
 import stat
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +68,24 @@ def test_golden_files_bit_exact(capsys, tmp_path):
         assert target.read_bytes() == golden
 
 
+# The SHA-256 of the stdout of each query the benchmark makes, keyed by the
+# query: its csv, ascii-chart and svg-chart bytes have no golden file.
+BENCH_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+
+
+def test_every_benchmark_output_keeps_its_digest(capsys, monkeypatch):
+    monkeypatch.delenv(cli.CAP_ENV, raising=False)
+    digests = json.loads(BENCH_DIGESTS.read_text("utf-8"))
+    wrong = []
+    for key, digest in digests.items():
+        code = cli.main(key.split())
+        out = capsys.readouterr().out.encode("utf-8")
+        if code != 0 or hashlib.sha256(out).hexdigest() != digest:
+            wrong.append(key)
+    assert len(digests) > 1000
+    assert wrong == []
+
+
 def test_out_matches_stdout(capsys, tmp_path):
     argv = ["cohomology", "--p", "3", "--max-degree", "12", "--format", "csv"]
     code, out, _ = run_cli(capsys, *argv)
@@ -91,6 +111,19 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert list(tmp_path.iterdir()) == [tmp_path / "taken"]
+
+
+@pytest.mark.parametrize("out", [["--out", ""], ["--out="]])
+def test_empty_out_exits_2_before_any_work(capsys, monkeypatch, out):
+    def compute(args):
+        raise AssertionError("nothing may be computed for an empty --out")
+
+    monkeypatch.setattr(cli, "_emit_for", compute)
+    code, stdout, err = run_cli(
+        capsys, "pi-wh", "--p", "3", "--max-degree", "24", *out
+    )
+    assert (code, stdout) == (2, "")
+    assert err == "error: --out '' names no file\n"
 
 
 def test_out_keeps_links_modes_and_special_files(capsys, tmp_path):
@@ -189,26 +222,17 @@ def test_stdout_failing_mid_stream_exits_2(fmt):
 
 
 @pytest.mark.parametrize("fmt,writer", [
-    ("json", "write_envelope"),
-    ("csv", "write_lines"),
+    ("json", "envelope_chunks"),
+    ("csv", "batched"),
 ])
 def test_out_failing_mid_stream_leaves_no_file(capsys, tmp_path, monkeypatch,
                                                fmt, writer):
     real = getattr(emit, writer)
 
     def fail_after_one_chunk(*args):
-        *head, write = args
-        written = []
+        yield next(iter(real(*args)))
+        raise OSError(28, "No space left on device")
 
-        def write_once(chunk):
-            if written:
-                raise OSError(28, "No space left on device")
-            written.append(chunk)
-            write(chunk)
-
-        real(*head, write_once)
-
-    monkeypatch.setattr(emit, "BATCH_LINES", 8)
     monkeypatch.setattr(emit, writer, fail_after_one_chunk)
     fresh = tmp_path / "fresh.out"
     argv = [*LARGE, "--format", fmt]

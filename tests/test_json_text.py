@@ -1,4 +1,5 @@
-"""`emit.json_text` against `json.dumps(doc, indent=2)`, its reference."""
+"""`emit.json_chunks` against `json.dumps(doc, indent=2)`, its reference,
+and the chunk shape of `emit.batched`."""
 
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whcalc import emit
+from whcalc import emit, render
 
 SCALARS = st.none() | st.booleans() | st.integers() | st.text()
 DOCS = st.recursive(
@@ -20,10 +21,14 @@ DOCS = st.recursive(
 )
 
 
+def json_text(value) -> str:
+    return "".join(emit.json_chunks(value))
+
+
 @settings(max_examples=300, deadline=None)
 @given(DOCS)
 def test_json_text_writes_the_bytes_of_json_dumps(doc):
-    assert emit.json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("doc", [
@@ -33,7 +38,7 @@ def test_json_text_writes_the_bytes_of_json_dumps(doc):
     ["\x00\x1f\"\\/é \U0001f600", "\t\n\r", "\ud800"],
 ])
 def test_json_text_edge_cases(doc):
-    assert emit.json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("doc", [
@@ -42,7 +47,7 @@ def test_json_text_edge_cases(doc):
 ])
 def test_json_text_refuses_other_types(doc):
     with pytest.raises(TypeError):
-        emit.json_text(doc)
+        json_text(doc)
 
 
 def _p13_chart_payload():
@@ -65,8 +70,7 @@ def _depth(value) -> int:
 
 def _chunks(doc, batch, monkeypatch):
     monkeypatch.setattr(emit, "BATCH_LINES", batch)
-    chunks = []
-    emit.write_json(doc, chunks.append)
+    chunks = list(emit.json_chunks(doc))
     # A flush keeps the last line back, and each level of nesting may close
     # with one more line before the next flush.
     bound = batch + _depth(doc)
@@ -81,23 +85,46 @@ def test_batched_json_text_writes_the_bytes_of_json_dumps(doc, batch):
     with pytest.MonkeyPatch.context() as monkeypatch:
         chunks = _chunks(doc, batch, monkeypatch)
         assert "".join(chunks) == json.dumps(doc, indent=2) + "\n"
-        assert emit.json_text(doc) == "".join(chunks)
+
+
+def _json_case(make):
+    def case(batch, monkeypatch):
+        doc = make()
+        expected = json.dumps(doc, indent=2) + "\n"
+        return _chunks(doc, batch, monkeypatch), expected
+
+    return case
+
+
+def _csv_case(batch, monkeypatch):
+    monkeypatch.setattr(emit, "BATCH_LINES", batch)
+    payload = _p13_chart_payload()
+    *full, last = emit.batched(render.lines("csv", payload))
+    assert all(chunk.count("\n") == batch for chunk in full)
+    assert 0 < last.count("\n") <= batch
+    return [*full, last], render.to_csv(payload)
 
 
 @pytest.mark.parametrize("batch", BATCHES)
-@pytest.mark.parametrize("make", [
-    lambda: list(range(5000)),
-    lambda: {"a": [[], {}, [[0]]] * 1000, "b": {"c": [None, True, "x"]}},
-    _p13_chart_payload,
-], ids=["5000-list", "nested", "p13-e2-chart"])
-def test_batch_boundaries(batch, make, monkeypatch):
-    doc = make()
-    chunks = _chunks(doc, batch, monkeypatch)
+@pytest.mark.parametrize("case", [
+    _json_case(lambda: list(range(5000))),
+    _json_case(
+        lambda: {"a": [[], {}, [[0]]] * 1000, "b": {"c": [None, True, "x"]}}
+    ),
+    _json_case(_p13_chart_payload),
+    _csv_case,
+], ids=["5000-list", "nested", "p13-e2-chart", "p13-e2-csv"])
+def test_batch_boundaries(batch, case, monkeypatch):
+    chunks, expected = case(batch, monkeypatch)
     assert len(chunks) > 100
-    assert "".join(chunks) == json.dumps(doc, indent=2) + "\n"
+    assert "".join(chunks) == expected
+
+
+def test_batched_nothing_yields_nothing():
+    assert list(emit.batched(iter(()))) == []
 
 
 def test_iterators_are_written_as_lists():
     doc = {"a": iter([1, {"b": iter(())}]), "c": (n for n in range(3))}
     listed = {"a": [1, {"b": []}], "c": [0, 1, 2]}
-    assert emit.json_text(doc) == json.dumps(listed, indent=2) + "\n"
+    assert json_text(doc) == json.dumps(listed, indent=2) + "\n"
