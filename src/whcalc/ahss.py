@@ -33,7 +33,8 @@ complete rule set valid below the second beta-family class:
       (alpha_bar(1)*b_{(p-2)p}, beta1*b_{-1})
       (alpha1_beta1*b_{(p-2)p}, beta1_sq*b_{-1})
   R5  (S_OF_CPBAR only): every image-of-J class in the b_{-1} column is
-      killed from the horizontal axis.
+      killed from the horizontal axis.  No other rule reads these classes
+      (R4's b_{-1} targets are cokernel-of-J), so none is ever placed.
 
 Pair rules remove Z/p summands from both ends when both lie inside the
 stored window; a pair whose source lies beyond the window still kills its
@@ -228,12 +229,13 @@ def run_differentials(page: ChartPage) -> ChartPage:
             ledger[2 * n - 1] += killed
 
     # the summands left so far, in page order, so survivors keep it; over
-    # the stunted spectrum every page class reaches b(-1)
+    # the stunted spectrum every page class reaches b(-1), and R5 kills an
+    # image-of-J one there as it comes
     tors: dict[tuple[StemClass, int], int] = {}
     for theta in page_classes:
         if theta.kind == IM_J:  # R1 has read the columns k >= 1
             if target is ChartTarget.S_OF_CPBAR:
-                tors[(theta, -1)] = theta.order_valuation
+                ledger[theta.degree - 2] += theta.order_valuation  # R5
             tors.update(((theta, k), val) for k, val in kept[theta.index])
         else:
             for k in _columns(target, max_total, theta.degree):
@@ -287,9 +289,6 @@ def run_differentials(page: ChartPage) -> ChartPage:
             (("alpha1_beta1", (pp - 2) * pp), ("beta1_sq", -1)),
         ):
             kill_pair(src, tgt, "R4")
-        # R5: image-of-J content of the b_{-1} column dies from the axis.
-        for key in [key for key in tors if key[1] == -1 and key[0].kind == IM_J]:
-            ledger[-2 + key[0].degree] += tors.pop(key)
 
     sums: dict[int, int] = defaultdict(int)
     for (theta, k), valuation in tors.items():

@@ -8,9 +8,10 @@ as its decimal string), two-space indentation and a trailing newline,
 so output is byte-stable across runs and suitable for golden-file
 comparison.  `json_chunks` yields the bytes of `json.dumps(doc, indent=2)`
 without importing `json`, whose encoder runs in pure Python at that
-indent, in chunks of about BATCH_LINES lines as it goes, and `batched`
-joins a renderer's lines into chunks of the same size; so every emission
-is an iterator of text chunks and the CLI never holds a whole document.
+indent; it writes forward only, in chunks of BATCH_LINES parts of about
+a line each, and `batched` joins a renderer's lines into chunks of the
+same size; so every emission is an iterator of text chunks and the CLI
+never holds a whole document.
 `envelope_text` joins an envelope's chunks into one string.  Each builder
 imports the library modules it runs when it is called, so a cold CLI call
 loads only those.
@@ -33,13 +34,13 @@ TARGETS = ("j-cp", "s-cp", "s-cpbar")
 PAGES = ("e2", "einf")
 
 
-# Lines the writers hold before yielding them as one chunk, so a large
-# emission never exists whole in memory.
+# Lines (parts of about a line, in the JSON writer) the writers hold before
+# yielding them as one chunk, so a large emission never exists whole.
 BATCH_LINES = 64
 
 
-def _envelope(command: str, payload: dict) -> dict:
-    return {
+def envelope_chunks(command: str, payload: dict):
+    return json_chunks({
         "header": {
             "format": "whcalc.v1",
             "tool": "whcalc",
@@ -47,11 +48,7 @@ def _envelope(command: str, payload: dict) -> dict:
             "command": command,
         },
         "payload": payload,
-    }
-
-
-def envelope_chunks(command: str, payload: dict):
-    return json_chunks(_envelope(command, payload))
+    })
 
 
 def envelope_text(command: str, payload: dict) -> str:
@@ -72,60 +69,49 @@ def json_chunks(value):
     except ImportError:  # an interpreter without json's C accelerator
         from json.encoder import py_encode_basestring_ascii as quote
 
-    lines: list[str] = []
-    yield from _json_lines(value, quote, "", "", lines)
-    lines[-1] = lines[-1][:-1]
-    lines.append("")
-    yield "\n".join(lines)
+    parts: list[str] = []
+    yield from _json_parts(value, quote, "", "", parts)
+    yield "".join(parts) + "\n"
 
 
-def _json_lines(value, quote, pad: str, head: str, lines: list[str]):
-    """Append the lines of `value` at indent `pad`: the first opened by
-    `head` (a quoted key and ": ", or nothing), the last closed by a comma.
-    One string per line keeps a large document's pieces few.  Whenever
-    more than BATCH_LINES lines are held, all but the last are yielded as
-    one chunk; the last stays, as a closing bracket may still drop its
-    comma."""
+def _json_parts(value, quote, pad: str, head: str, parts: list[str]):
+    """Append the parts of `value` at indent `pad`, the first opened by
+    `head` (a separator and quoted key, or nothing).  Each item's part
+    starts with its own separator ("\\n" and the indent, after a comma
+    for all but the first), so no held part is ever revised, and an empty
+    container closes on its opening part.  Whenever BATCH_LINES parts are
+    held, they are yielded joined as one chunk."""
     if isinstance(value, dict):
         brackets = "{}"
-    elif isinstance(value, (list, tuple)) or hasattr(value, "__next__"):
-        brackets = "[]"
-    else:
-        lines.append(f"{pad}{head}{_json_scalar(value, quote)},")
-        return
-    if not value:  # an iterator is true even when empty; see below
-        lines.append(f"{pad}{head}{brackets},")
-        return
-    lines.append(f"{pad}{head}{brackets[0]}")
-    if brackets == "{}":
         pairs = zip(map("{}: ".format, map(quote, map(_json_key, value))),
                     value.values())
-    else:
+    elif isinstance(value, (list, tuple)) or hasattr(value, "__next__"):
+        brackets = "[]"
         pairs = zip(repeat(""), value)
+    else:
+        parts.append(head + _json_scalar(value, quote))
+        return
+    parts.append(head + brackets[0])
     inner = pad + "  "
-    key = None
+    sep = first = "\n" + inner
+    rest = "," + first
     for key, item in pairs:
         kind = type(item)
         if kind is str:
-            lines.append(f"{inner}{key}{quote(item)},")
+            parts.append(f"{sep}{key}{quote(item)}")
         elif kind is int:
-            lines.append(f"{inner}{key}{int.__repr__(item)},")
+            parts.append(f"{sep}{key}{int.__repr__(item)}")
         elif kind is bool:
-            lines.append(f"{inner}{key}{'true' if item else 'false'},")
+            parts.append(f"{sep}{key}{'true' if item else 'false'}")
         elif item is None:
-            lines.append(f"{inner}{key}null,")
+            parts.append(f"{sep}{key}null")
         else:
-            yield from _json_lines(item, quote, inner, key, lines)
-        if len(lines) > BATCH_LINES:
-            last = lines[-1]
-            lines[-1] = ""
-            yield "\n".join(lines)
-            lines[:] = (last,)
-    if key is None:  # an empty iterator: its opening line is still held
-        lines[-1] = f"{pad}{head}{brackets},"
-    else:
-        lines[-1] = lines[-1][:-1]
-        lines.append(f"{pad}{brackets[1]},")
+            yield from _json_parts(item, quote, inner, sep + key, parts)
+        sep = rest
+        if len(parts) >= BATCH_LINES:
+            yield "".join(parts)
+            parts.clear()
+    parts.append(brackets[1] if sep is first else f"\n{pad}{brackets[1]}")
 
 
 def batched(lines):

@@ -139,6 +139,8 @@ def test_window_errors():
 def test_emit_refuses_an_unknown_target():
     with pytest.raises(PreconditionError, match="unknown target 'bad'"):
         emit.ahss(P3, "bad", "einf", 20)
+    with pytest.raises(PreconditionError, match="unknown page 'e3'"):
+        emit.ahss(P3, "s-cpbar", "e3", 20)
 
 
 def test_e2_cells_examples():

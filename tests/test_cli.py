@@ -345,16 +345,20 @@ def test_exit_code_window(capsys):
 
 
 def test_assume_regular_override(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "pi-wh", "--p", "37", "--max-degree", "24", "--assume-regular",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["payload"]["assumptions"][0].startswith(
-        "odd prime, regularity assumed"
-    )
-    assert doc["header"]["command"].endswith("--assume-regular")
+    for command, ending in (
+        ("pi-wh", "--max-degree 24 --assume-regular"),
+        ("cohomology", "--max-degree 24 --piece all --assume-regular"),
+    ):
+        code, out, _ = run_cli(
+            capsys,
+            command, "--p", "37", "--max-degree", "24", "--assume-regular",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["payload"]["assumptions"][0].startswith(
+            "odd prime, regularity assumed"
+        )
+        assert doc["header"]["command"].endswith(ending)
 
 
 IRREGULAR = (
@@ -696,6 +700,10 @@ def test_csv_projection_of_profile(capsys):
 def test_render_refuses_an_unknown_format():
     with pytest.raises(PreconditionError, match="unknown format 'pdf'"):
         render.lines("pdf", {"kind": "cohomology-report"})
+    with pytest.raises(
+        PreconditionError, match="no csv renderer for payload kind 'bogus'"
+    ):
+        render.lines("csv", {"kind": "bogus"})
 
 
 def test_piece_filtering(capsys):

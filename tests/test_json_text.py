@@ -2,6 +2,7 @@
 and the chunk shape of `emit.batched`."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -71,8 +72,9 @@ def _depth(value) -> int:
 def _chunks(doc, batch, monkeypatch):
     monkeypatch.setattr(emit, "BATCH_LINES", batch)
     chunks = list(emit.json_chunks(doc))
-    # A flush keeps the last line back, and each level of nesting may close
-    # with one more line before the next flush.
+    # A flush yields at most `batch` parts, each with at most one newline,
+    # and each level of nesting may close with one more line before the
+    # next flush.
     bound = batch + _depth(doc)
     assert all(chunk.count("\n") <= bound for chunk in chunks)
     return chunks
@@ -122,6 +124,18 @@ def test_batch_boundaries(batch, case, monkeypatch):
 
 def test_batched_nothing_yields_nothing():
     assert list(emit.batched(iter(()))) == []
+
+
+def test_pure_python_quote_fallback(monkeypatch):
+    # without json's C accelerator the writer quotes in pure Python; it
+    # imports the quote function when it starts, so join while unset
+    monkeypatch.setitem(sys.modules, "_json", None)
+    doc = {
+        "é \U0001f600": ["\x00\x1f\"\\/\t\n\r", "\ud800", "\u2028"],
+        7: {-(10**30): "ü", 0: iter(())},
+    }
+    listed = {**doc, 7: {-(10**30): "ü", 0: []}}
+    assert json_text(doc) == json.dumps(listed, indent=2) + "\n"
 
 
 def test_iterators_are_written_as_lists():
