@@ -38,8 +38,9 @@ complete rule set valid below the second beta-family class:
 
 Pair rules remove Z/p summands from both ends when both lie inside the
 stored window; a pair whose source lies beyond the window still kills its
-stored target.  A kill ledger per total degree supports the conservation
-check  E2 aggregate - kills = EINF aggregate.
+stored target.  The pairs are listed before the page is filled, so no
+summand they kill is ever placed.  A kill ledger per total degree
+supports the conservation check  E2 aggregate - kills = EINF aggregate.
 
 The E2 page from `build_e2` holds its per-degree torsion sums, one
 range-add per class, but no summands: its content is the stem table placed
@@ -48,7 +49,10 @@ alpha_bar(i)*b(k) has valuation 1+v_p(i) on every column k >= 1, so in
 each odd total degree the index at which the budget runs out is found by
 bisection in the running sums of those valuations, and `page_payload`
 forms the E2 cells column by column from the table.  So the E2 summands,
-about twenty times those of the EINF page, are never built.
+about twenty times those of the EINF page, are never built.  R1 is the
+only rule of the image-of-J chart, and a differential does not depend on
+the window, so that chart's EINF page to one top holds R1 for the other
+two charts to that top or below: `run_differentials` takes it as `axis`.
 
 Every window is stated through `stems.beta2_degree`, and a page to total
 degree top reads only the stem classes of degree at most top + 2 (the
@@ -60,13 +64,15 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from collections import defaultdict, namedtuple
-from itertools import accumulate
+from collections import Counter, defaultdict, namedtuple
+from itertools import accumulate, islice, repeat
+from operator import itemgetter
 
 from .arith import OddPrime, vp_factorial
 from .errors import InconsistencyError, PreconditionError, WindowError
 from .stems import (
-    IM_J, StemClass, _cokernel_classes, all_torsion_classes, beta2_degree
+    IM_J, StemClass, _cokernel_classes, all_torsion_classes, alpha_bar,
+    beta2_degree,
 )
 
 E2 = "E2"
@@ -138,13 +144,10 @@ def _e2_torsion_by_degree(
         if target is ChartTarget.S_OF_CPBAR and t - 2 <= top:
             diff[t - 2] += v
             diff[t] -= v
-    sums: dict[int, int] = {}
-    running = [0, 0]
-    for d in range(top + 1):
-        running[d & 1] += diff[d]
-        if running[d & 1]:
-            sums[d] = running[d & 1]
-    return sums
+    sums = [0] * (top + 1)  # running sums over each parity
+    sums[0::2] = accumulate(diff[0:top + 1:2])
+    sums[1::2] = accumulate(diff[1:top + 1:2])
+    return {d: v for d, v in enumerate(sums) if v}
 
 
 def _axis_kept(
@@ -204,97 +207,160 @@ def build_e2(p: OddPrime, target: ChartTarget, max_total_degree: int) -> ChartPa
     )
 
 
-def run_differentials(page: ChartPage) -> ChartPage:
+def _axis_page(p: OddPrime, top: int) -> ChartPage:
+    """R1 to total degree top, as the EINF page of the image-of-J chart,
+    whose only rule it is: its summands are what R1 leaves and its ledger
+    holds the order v_p(n!) killed in each odd total degree 2n-1, with the
+    budgets v_p(n!) summed from v_p(n)."""
+    nmax = (top + 1) // 2
+    counts = [0] * (nmax + 1)  # counts[n] = v_p(n)
+    pe = p.p
+    while pe <= nmax:
+        for n in range(pe, nmax + 1, pe):
+            counts[n] += 1
+        pe *= p.p
+    budgets = list(accumulate(counts))
+    alpha = [None, *_page_classes(p, ChartTarget.J_OF_CP, top)]
+    kept = _axis_kept(p, alpha, budgets)
+    summands: dict[tuple[StemClass, int], int] = {}
+    for theta in alpha[1:]:
+        for k, val in kept.get(theta.index, ()):
+            summands[theta, k] = val
+    ledger = {2 * n - 1: killed for n, killed in enumerate(budgets) if killed}
+    return _einf_page(ChartTarget.J_OF_CP, p, top, summands, ledger)
+
+
+def _einf_page(
+    target: ChartTarget, p: OddPrime, top: int, summands: dict, ledger: dict
+) -> ChartPage:
+    """The EINF page with these summands and kills, its sums added up from
+    the summands, in ascending total degree."""
+    sums = [0] * (top + 1)
+    for (theta, k), valuation in summands.items():
+        sums[2 * k + theta.degree] += valuation
+    return ChartPage(
+        target, p, EINF, top, summands, ledger,
+        {d: total for d, total in enumerate(sums) if total},
+    )
+
+
+def run_differentials(
+    page: ChartPage, axis: ChartPage | None = None
+) -> ChartPage:
     """Push an E2 page to EINF with rules R1-R5; returns a new page.
 
-    The E2 summands come from the stem table: R1 is `_axis_kept`, and every
-    other summand is placed from the table with its order valuation."""
+    R1 is read from `axis`, the image-of-J EINF page at the same prime to
+    the page's top or above, within the page's window; it is formed here
+    when not given.  The charts over the sphere's stems place every other
+    summand from the stem table with its order valuation, but for those
+    R2-R4 kill in pairs."""
     if page.page_label != E2:
         raise PreconditionError("run_differentials expects an E2 page")
     p = page.p
     pp = p.p
     target = page.target
-    max_total = page.max_total_degree
-    page_classes = _page_classes(p, target, max_total)
-    # R2-R4 name cokernel-of-J classes that may lie beyond the window
-    classes = {c.name: c for c in (*_cokernel_classes(p), *page_classes)}
-    ledger: dict[int, int] = defaultdict(int)
+    top = page.max_total_degree
+    if axis is None:
+        axis = _axis_page(p, top)
+        if target is ChartTarget.J_OF_CP:
+            return axis
+    elif (axis.target, axis.page_label, axis.p) != (
+        ChartTarget.J_OF_CP, EINF, p
+    ) or axis.max_total_degree < top:
+        raise PreconditionError(
+            f"a {axis.page_label} {axis.target.value} page at p={axis.p.p} to "
+            f"total degree {axis.max_total_degree} cannot give the axis rule "
+            f"of a page at p={pp} to total degree {top}"
+        )
+    ledger = Counter(axis.kill_ledger)
+    for d in range(top + 1, axis.max_total_degree + 1):
+        ledger.pop(d, None)  # beyond the window
+    cpbar = target is ChartTarget.S_OF_CPBAR
 
-    # R1: axis rule, killing v_p(n!) in each odd total degree 2n-1.
-    alpha = [None] + [c for c in page_classes if c.kind == IM_J]
-    budgets = [vp_factorial(p, n) for n in range((max_total + 1) // 2 + 1)]
-    kept = _axis_kept(p, alpha, budgets)
-    for n, killed in enumerate(budgets):
-        if killed:
-            ledger[2 * n - 1] += killed
+    # doomed[theta]: the columns k of the summands theta*b(k) that R2-R4
+    # kill, each with its rule, so that only the survivors are placed
+    doomed: dict[StemClass, dict[int, str]] = defaultdict(dict)
 
-    # the summands left so far, in page order, so survivors keep it; over
-    # the stunted spectrum every page class reaches b(-1), and R5 kills an
-    # image-of-J one there as it comes
+    def kill_pairs(
+        rule: str, source: StemClass, theta: StemClass, ks, shift: int
+    ) -> None:
+        """Kill the pairs source*b(k + shift) -> theta*b(k) for the target
+        columns ks in the window.  A source lies one total degree up, and
+        one beyond the window leaves its target's kill standing."""
+        last = (top - 1 - theta.degree) // 2  # the last k with a source
+        sources = [k + shift for k in ks if k <= last]
+        for cls, cols in ((theta, ks), (source, sources)):
+            twice = doomed[cls].keys() & cols
+            if twice:
+                raise _not_on_page(rule, cls, min(twice))
+            doomed[cls].update(dict.fromkeys(cols, rule))
+            ledger.update([2 * k + cls.degree for k in cols])
+
+    if target is not ChartTarget.J_OF_CP:
+        beta1, alpha1_beta1, beta1_sq, alpha1_beta1_sq = _cokernel_classes(p)
+        alpha1 = alpha_bar(p, 1)
+        # R2: length-q pairs theta*b_{k+p-1} -> alpha1*theta*b_k, p not | k.
+        for theta, product in (
+            (beta1, alpha1_beta1), (beta1_sq, alpha1_beta1_sq)
+        ):
+            ks = range(1, (top - product.degree) // 2 + 1)
+            ks = [k for k in ks if k % pp]
+            kill_pairs("R2", theta, product, ks, pp - 1)
+        # R3: length-(p-1)q pairs theta*alpha1*b_{mp} ->
+        # theta*beta1*b_{mp-(p-1)^2}, m >= p-1.
+        for theta, product in ((alpha1, beta1), (alpha1_beta1, beta1_sq)):
+            ks = range(pp - 1, (top - product.degree) // 2 + 1, pp)
+            kill_pairs("R3", theta, product, ks, (pp - 1) ** 2)
+        if cpbar:
+            # R4: the four pairs crossing into the b_{-1} column.
+            for theta, product, shift in (
+                (beta1, alpha1_beta1, pp - 1),
+                (beta1_sq, alpha1_beta1_sq, pp - 1),
+                (alpha1, beta1, (pp - 2) * pp + 1),
+                (alpha1_beta1, beta1_sq, (pp - 2) * pp + 1),
+            ):
+                ks = [-1] if product.degree - 2 <= top else []
+                kill_pairs("R4", theta, product, ks, shift)
+
+    # the survivors, class by class in page order; over the stunted
+    # spectrum every page class reaches b(-1), and R5 kills an image-of-J
+    # one there as it comes.  A killed summand must be on the page with
+    # valuation 1.  The axis page holds the image-of-J summands class by
+    # class, in the same order, each class in column order; `runs` counts
+    # them per class.
     tors: dict[tuple[StemClass, int], int] = {}
-    for theta in page_classes:
+    runs = Counter(map(itemgetter(0), axis.summands))
+    kept = iter(axis.summands.items())
+    for theta in _page_classes(p, target, top):
         if theta.kind == IM_J:  # R1 has read the columns k >= 1
-            if target is ChartTarget.S_OF_CPBAR:
+            if cpbar:
                 ledger[theta.degree - 2] += theta.order_valuation  # R5
-            tors.update(((theta, k), val) for k, val in kept[theta.index])
+            column = dict(islice(kept, runs[theta]))
+            last = (top - theta.degree) // 2  # its last column in the window
+            while column and next(reversed(column))[1] > last:
+                column.popitem()
         else:
-            for k in _columns(target, max_total, theta.degree):
-                tors[(theta, k)] = theta.order_valuation
+            column = dict.fromkeys(
+                zip(repeat(theta), _columns(target, top, theta.degree)),
+                theta.order_valuation,
+            )
+        gone = doomed.pop(theta, None)
+        if gone:
+            keys = zip(repeat(theta), gone)
+            popped = list(map(column.pop, keys, repeat(None)))
+            if popped.count(1) != len(popped):
+                k = next(k for k, val in zip(gone, popped) if val != 1)
+                raise _not_on_page(gone[k], theta, k)
+        tors.update(column)
+    for theta, gone in doomed.items():  # a class off the page
+        for k, rule in gone.items():
+            raise _not_on_page(rule, theta, k)
+    return _einf_page(target, p, top, tors, dict(ledger))
 
-    def kill_pair(src: tuple[str, int], tgt: tuple[str, int], rule: str) -> None:
-        """src and tgt name their summands as (theta name, k)."""
-        tgt_total = 2 * tgt[1] + classes[tgt[0]].degree
-        if tgt_total > max_total:
-            return
-        for (name, k), total in ((tgt, tgt_total), (src, tgt_total + 1)):
-            if total > max_total:
-                continue  # source beyond the stored window; the kill stands
-            if tors.pop((classes[name], k), None) != 1:
-                raise InconsistencyError(
-                    f"{rule}: expected {name}*b({k}) with valuation 1 "
-                    f"on the page"
-                )
-            ledger[total] += 1
 
-    if target in (ChartTarget.S_OF_CP, ChartTarget.S_OF_CPBAR):
-        # R2: length-q pairs theta*b_{k+p-1} -> alpha1*theta*b_k.
-        for theta_name, product_name in (
-            ("beta1", "alpha1_beta1"),
-            ("beta1_sq", "alpha1_beta1_sq"),
-        ):
-            k = 1
-            while 2 * k + classes[product_name].degree <= max_total:
-                if k % pp != 0:
-                    kill_pair((theta_name, k + pp - 1), (product_name, k), "R2")
-                k += 1
-        # R3: length-(p-1)q pairs theta*alpha1*b_{mp} -> theta*beta1*b_{mp-(p-1)^2}.
-        for src_name, tgt_name in (
-            ("alpha_bar(1)", "beta1"),
-            ("alpha1_beta1", "beta1_sq"),
-        ):
-            m = pp - 1
-            while True:
-                tgt_k = m * pp - (pp - 1) ** 2
-                if 2 * tgt_k + classes[tgt_name].degree > max_total:
-                    break
-                kill_pair((src_name, m * pp), (tgt_name, tgt_k), "R3")
-                m += 1
-
-    if target is ChartTarget.S_OF_CPBAR:
-        # R4: the four pairs crossing into the b_{-1} column.
-        for src, tgt in (
-            (("beta1", pp - 2), ("alpha1_beta1", -1)),
-            (("beta1_sq", pp - 2), ("alpha1_beta1_sq", -1)),
-            (("alpha_bar(1)", (pp - 2) * pp), ("beta1", -1)),
-            (("alpha1_beta1", (pp - 2) * pp), ("beta1_sq", -1)),
-        ):
-            kill_pair(src, tgt, "R4")
-
-    sums: dict[int, int] = defaultdict(int)
-    for (theta, k), valuation in tors.items():
-        sums[2 * k + theta.degree] += valuation
-    return ChartPage(
-        target, p, EINF, max_total, tors, dict(ledger), dict(sums)
+def _not_on_page(rule: str, theta: StemClass, k: int) -> InconsistencyError:
+    return InconsistencyError(
+        f"{rule}: expected {theta.name}*b({k}) with valuation 1 on the page"
     )
 
 

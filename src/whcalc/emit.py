@@ -8,10 +8,10 @@ as its decimal string), two-space indentation and a trailing newline,
 so output is byte-stable across runs and suitable for golden-file
 comparison.  `json_chunks` yields the bytes of `json.dumps(doc, indent=2)`
 without importing `json`, whose encoder runs in pure Python at that
-indent; it writes forward only, in chunks of BATCH_LINES parts of about
-a line each, and `batched` joins a renderer's lines into chunks of the
-same size; so every emission is an iterator of text chunks and the CLI
-never holds a whole document.
+indent; it writes forward only, in chunks of about BATCH_LINES lines,
+and `batched` joins a renderer's lines into chunks of the same size; so
+every emission is an iterator of text chunks and the CLI never holds a
+whole document.
 `envelope_text` joins an envelope's chunks into one string.  Each builder
 imports the library modules it runs when it is called, so a cold CLI call
 loads only those.
@@ -79,8 +79,11 @@ def _json_parts(value, quote, pad: str, head: str, parts: list[str]):
     `head` (a separator and quoted key, or nothing).  Each item's part
     starts with its own separator ("\\n" and the indent, after a comma
     for all but the first), so no held part is ever revised, and an empty
-    container closes on its opening part.  Whenever BATCH_LINES parts are
-    held, they are yielded joined as one chunk."""
+    container closes on its opening part.  An item that is a dict of
+    scalars and lists of str is one part, written whole by
+    `_flat_dict_text` (a chart cell, say), and empty parts pad it so that
+    the parts held count its lines.  Whenever BATCH_LINES parts are held,
+    they are yielded joined as one chunk."""
     if isinstance(value, dict):
         brackets = "{}"
         pairs = zip(map("{}: ".format, map(quote, map(_json_key, value))),
@@ -105,6 +108,15 @@ def _json_parts(value, quote, pad: str, head: str, parts: list[str]):
             parts.append(f"{sep}{key}{'true' if item else 'false'}")
         elif item is None:
             parts.append(f"{sep}{key}null")
+        elif kind is dict and (
+            text := _flat_dict_text(item, quote, inner, sep + key)
+        ) is not None:
+            lines = text.count("\n")
+            if len(parts) + lines > BATCH_LINES:
+                yield "".join(parts)
+                parts.clear()
+            parts.append(text)
+            parts += [""] * (lines - 1)
         else:
             yield from _json_parts(item, quote, inner, sep + key, parts)
         sep = rest
@@ -112,6 +124,45 @@ def _json_parts(value, quote, pad: str, head: str, parts: list[str]):
             yield "".join(parts)
             parts.clear()
     parts.append(brackets[1] if sep is first else f"\n{pad}{brackets[1]}")
+
+
+def _flat_dict_text(value: dict, quote, pad: str, head: str) -> str | None:
+    """The text of a dict at indent `pad` whose values are all scalars or
+    lists of str, opened by `head`, as one part of at most BATCH_LINES
+    lines, written with no recursion; None for any other dict."""
+    if len(value) >= BATCH_LINES:
+        return None
+    inner = pad + "  "
+    sep = ",\n" + inner
+    opened, rest, closed = f"[\n{inner}  ", f"{sep}  ", f"\n{inner}]"
+    items = []
+    for key, item in value.items():
+        kind = type(item)
+        if kind is str:
+            text = quote(item)
+        elif kind is int:
+            text = int.__repr__(item)
+        elif kind is bool:
+            text = "true" if item else "false"
+        elif item is None:
+            text = "null"
+        elif kind is list:
+            try:  # quote refuses anything but a str
+                text = (
+                    opened + rest.join(map(quote, item)) + closed
+                    if item else "[]"
+                )
+            except TypeError:
+                return None
+        else:
+            return None
+        if type(key) is not str:
+            key = _json_key(key)
+        items.append(f"{quote(key)}: {text}")
+    if not items:
+        return head + "{}"
+    text = f"{head}{{\n{inner}" + sep.join(items) + f"\n{pad}}}"
+    return text if text.count("\n") <= BATCH_LINES else None
 
 
 def batched(lines):

@@ -20,6 +20,7 @@ valuation at n and odd d = 2n+1 uses the odd-degree valuation at n.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import accumulate
 
 from .arith import OddPrime, ensure_regular
 from .errors import InconsistencyError, PreconditionError, WindowError
@@ -40,6 +41,65 @@ def torsion_window(p: OddPrime) -> int:
     return beta2_degree(p) - 1
 
 
+def _cpbar_terms(p: OddPrime) -> tuple[tuple, tuple, tuple]:
+    """The stunted-projective torsion formulas at p, as ranges of n over
+    the window, the one place they are written.
+
+    In even degree 2n the valuation counts, with sign, the elements <= n of
+    each `steps` range (the four floors of the base term: x <= n exactly
+    floor((n - 1)/(p - 1)) times for x in p, 2p - 1, ...) and adds the sign
+    of each `points` range that holds n (the two corrections).  In odd
+    degree 2n+1 it is 1 on the two runs of `odd`.
+    """
+    pp = p.p
+    end = torsion_window(p) // 2 + 1  # above every n of the window
+    steps = (
+        (range(pp, end, pp - 1), 1),
+        (range(pp * (pp - 1) + 1, end, pp * (pp - 1)), 1),
+        (range(pp, end, pp), -1),
+        (range(pp * pp, end, pp * pp), -1),
+    )
+    points = (
+        (range(pp * pp - 2 + pp, pp * pp - 2 + (pp - 3) * pp + 1, pp), 1),
+        (range(pp - 1 + (pp - 2) * pp, end, pp), -1),
+    )
+    odd = (
+        range(pp * pp - pp, pp * pp - 3),
+        range(2 * pp * pp - 2 * pp - 1, 2 * pp * pp - pp - 4),
+    )
+    return steps, points, odd
+
+
+def _negative(p: OddPrime, n: int) -> InconsistencyError:
+    return InconsistencyError(
+        f"negative torsion valuation at p={p.p}, 2n={2 * n}"
+    )
+
+
+def _cpbar_valuations(p: OddPrime, top: int) -> list[int]:
+    """The stunted-projective valuation of every degree 0..top (degree 0
+    has none), for top < torsion_window(p), in one pass over the ranges
+    of `_cpbar_terms`: each step is a +-1 at its first n, summed once."""
+    steps, points, odd = _cpbar_terms(p)
+    stop = top // 2 + 1  # the even degrees 2n <= top
+    even = [0] * stop
+    for r, sign in steps:
+        for n in range(r.start, stop, r.step):
+            even[n] += sign
+    even = list(accumulate(even))
+    for r, sign in points:
+        for n in range(r.start, min(r.stop, stop), r.step):
+            even[n] += sign
+    if min(even) < 0:
+        raise _negative(p, next(n for n, v in enumerate(even) if v < 0))
+    vals = [0] * (top + 1)
+    vals[::2] = even
+    for r in odd:
+        for n in range(r.start, min(r.stop, (top + 1) // 2)):
+            vals[2 * n + 1] = 1
+    return vals
+
+
 def cpbar_even_valuation(p: OddPrime, n: int) -> int:
     """p-valuation of the torsion of the suspended stunted spectrum in even
     degree 2n, valid for 2n < torsion_window(p).
@@ -47,7 +107,8 @@ def cpbar_even_valuation(p: OddPrime, n: int) -> int:
     Base term: floor((n-1)/(p-1)) + floor((n-1)/(p(p-1)))
              - floor(n/p) - floor(n/p^2),
     corrected by +1 when n = p^2 - 2 + mp with 1 <= m <= p-3 and by -1 when
-    n = p - 1 + mp with m >= p-2.
+    n = p - 1 + mp with m >= p-2.  Evaluated term by term from
+    `_cpbar_terms`.
     """
     if n < 1:
         raise PreconditionError(f"cpbar_even_valuation needs n >= 1, got {n}")
@@ -56,28 +117,19 @@ def cpbar_even_valuation(p: OddPrime, n: int) -> int:
             f"even-degree torsion formula is valid for 2n < {torsion_window(p)}"
             f" at p={p.p}; got 2n={2 * n}"
         )
-    pp = p.p
-    val = (
-        (n - 1) // (pp - 1)
-        + (n - 1) // (pp * (pp - 1))
-        - n // pp
-        - n // (pp * pp)
-    )
-    if (n - (pp * pp - 2)) % pp == 0 and 1 <= (n - (pp * pp - 2)) // pp <= pp - 3:
-        val += 1
-    if (n - (pp - 1)) % pp == 0 and (n - (pp - 1)) // pp >= pp - 2:
-        val -= 1
+    steps, points, _ = _cpbar_terms(p)
+    val = sum(sign * len(range(r.start, n + 1, r.step)) for r, sign in steps)
+    val += sum(sign for r, sign in points if n in r)
     if val < 0:
-        raise InconsistencyError(
-            f"negative torsion valuation at p={pp}, 2n={2 * n}"
-        )
+        raise _negative(p, n)
     return val
 
 
 def cpbar_odd_valuation(p: OddPrime, n: int) -> int:
     """p-valuation of the torsion of the suspended stunted spectrum in odd
     degree 2n+1, valid for 2n+1 < torsion_window(p): valuation 1 exactly
-    when n = p^2 - p - 1 + m or n = 2p^2 - 2p - 2 + m with 1 <= m <= p-3."""
+    when n = p^2 - p - 1 + m or n = 2p^2 - 2p - 2 + m with 1 <= m <= p-3,
+    the runs of `_cpbar_terms`."""
     if n < 0:
         raise PreconditionError(f"cpbar_odd_valuation needs n >= 0, got {n}")
     if 2 * n + 1 >= torsion_window(p):
@@ -85,11 +137,7 @@ def cpbar_odd_valuation(p: OddPrime, n: int) -> int:
             f"odd-degree torsion formula is valid for 2n+1 < "
             f"{torsion_window(p)} at p={p.p}; got 2n+1={2 * n + 1}"
         )
-    pp = p.p
-    for base in (pp * pp - pp - 1, 2 * pp * pp - 2 * pp - 2):
-        if 1 <= n - base <= pp - 3:
-            return 1
-    return 0
+    return int(any(n in r for r in _cpbar_terms(p)[2]))
 
 
 def sigma_c_summands(p: OddPrime) -> dict:
@@ -100,21 +148,15 @@ def sigma_c_summands(p: OddPrime) -> dict:
     return {theta.degree + 1: theta for theta in _cokernel_classes(p)}
 
 
-def _degree_valuation(p: OddPrime, sigma: dict, d: int) -> tuple[int, list]:
-    """Torsion valuation and named generators in degree d, for
-    1 <= d < torsion_window(p); sigma is `sigma_c_summands(p)`."""
-    val = 0
-    gens = []
-    theta = sigma.get(d)
-    if theta is not None:
-        val += theta.order_valuation
-        gens.append(f"sigma({theta.name})")
-    if d % 2 == 0:
-        if d >= 2:
-            val += cpbar_even_valuation(p, d // 2)
-    else:
-        val += cpbar_odd_valuation(p, (d - 1) // 2)
-    return val, gens
+def _wh_valuations(p: OddPrime, top: int) -> tuple[list[int], dict]:
+    """The torsion valuation of every Whitehead degree 0..top, for
+    top < torsion_window(p), with `sigma_c_summands(p)`."""
+    vals = _cpbar_valuations(p, top)
+    sigma = sigma_c_summands(p)
+    for d, theta in sigma.items():
+        if d <= top:
+            vals[d] += theta.order_valuation
+    return vals, sigma
 
 
 def wh_torsion_profile(
@@ -135,12 +177,16 @@ def wh_torsion_profile(
             f"torsion profile is determined for degrees < {torsion_window(p)} "
             f"at p={p.p}; got max_degree={max_degree}"
         )
-    sigma = sigma_c_summands(p)
-    entries = []
-    for d in range(1, max_degree + 1):
-        val, gens = _degree_valuation(p, sigma, d)
-        if val:
-            entries.append({"degree": d, "valuation": val, "generators": gens})
+    vals, sigma = _wh_valuations(p, max_degree)
+    entries = [
+        {
+            "degree": d,
+            "valuation": val,
+            "generators": [f"sigma({sigma[d].name})"] if d in sigma else [],
+        }
+        for d, val in enumerate(vals)
+        if val
+    ]
     annotations = [GENERIC_ANNOTATION]
     if p.p == 3 and max_degree >= 14:
         annotations.append(P3_DEGREE14_ANNOTATION)
@@ -161,11 +207,13 @@ FirstTorsion = namedtuple("FirstTorsion", "degree valuation generator")
 def first_p_torsion(p: OddPrime, *, assume_regular: bool = False) -> FirstTorsion:
     """First degree with nonzero p-torsion, scanned from degree 1 upward."""
     ensure_regular(p, assume_regular)
-    sigma = sigma_c_summands(p)
-    for d in range(1, torsion_window(p)):
-        val, gens = _degree_valuation(p, sigma, d)
+    vals, sigma = _wh_valuations(p, torsion_window(p) - 1)
+    for d, val in enumerate(vals):
         if val:
-            return FirstTorsion(d, val, gens[0] if gens else None)
+            theta = sigma.get(d)
+            return FirstTorsion(
+                d, val, None if theta is None else f"sigma({theta.name})"
+            )
     raise InconsistencyError(
         f"no torsion found below the validity window at p={p.p}"
     )

@@ -23,10 +23,9 @@ from .ahss import (
     ChartTarget,
     build_e2,
     chart_window,
-    j_order_valuation,
     run_differentials,
 )
-from .arith import OddPrime, ensure_regular
+from .arith import OddPrime, ensure_regular, vp
 from .errors import WhcalcError, WindowError
 from .steenrod import (
     BETA,
@@ -60,13 +59,14 @@ FAIL = "fail"
 SKIP = "skip"
 
 # The chart rows cost about the square of the prime, in time and memory:
-# the EINF summands they keep.  On a 2 vCPU Xeon, a cold `verify --p 61`
-# takes 25 MB of peak RSS and about 0.23 s of CPU, start-up included
-# (with the bound lifted, p=71: 26 MB and 0.22 s, p=97: 39 MB and 0.37 s,
-# p=113: 50 MB and 0.55 s).  The bound, the chart window (2p+1)(2p-2)
-# at p=61, was set when the rows kept a record per cell (36 MB at p=61,
-# 41 MB at 71); it stays, as the primes it admits are part of the
-# exit-code contract.
+# the EINF summands they keep.  On a 2 vCPU Xeon (Python 3.11.7; cold
+# children, CPU and peak RSS from os.wait4, medians of 15 runs, of 7
+# with the bound lifted), `verify --p 61` takes 0.135 s of CPU and 24 MB,
+# start-up (0.058 s and 13 MB) included; with the bound lifted, p=71
+# takes 0.144 s and 25 MB, p=97 0.207 s and 36 MB, and p=113 0.304 s and
+# 41 MB.  The bound, the chart window (2p+1)(2p-2) at p=61, was set when
+# the rows kept a record per cell (36 MB at p=61, 41 MB at 71); it stays,
+# as the primes it admits are part of the exit-code contract.
 MAX_CHART_WINDOW = 14760
 
 
@@ -79,13 +79,16 @@ class _Failure(Exception):
 
 # The four chart checks read three pages per prime, the whole-window chart
 # of each target.  An E2 page holds its per-degree sums but no summands;
-# the EINF pages hold the summands kept.
+# the EINF pages hold the summands kept.  The image-of-J EINF page, whose
+# window is the largest, gives the other two their axis rule.
 @lru_cache(maxsize=3)
 def _chart(p: OddPrime, target: ChartTarget) -> tuple[ChartPage, ChartPage]:
     """The E2 and EINF pages of one whole-window chart, shared by every
     caller, so read and never changed."""
     e2 = build_e2(p, target, chart_window(p, target) - 1)
-    return e2, run_differentials(e2)
+    if target is ChartTarget.J_OF_CP:
+        return e2, run_differentials(e2)
+    return e2, run_differentials(e2, _chart(p, ChartTarget.J_OF_CP)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -104,23 +107,35 @@ def _check_torsion_vs_charts(p: OddPrime, deep: bool) -> str:
     # ends one degree below the profile's
     _, chart = _chart(p, ChartTarget.S_OF_CPBAR)
     table = {e["degree"]: e["valuation"] for e in profile["entries"]}
-    sigma = {d: t.order_valuation for d, t in sigma_c_summands(p).items()}
-    for d in range(1, top + 1):
-        engine = sigma.get(d, 0) + chart.torsion_by_degree.get(d - 1, 0)
-        if table.get(d, 0) != engine:
+    engine = {d + 1: v for d, v in chart.torsion_by_degree.items() if v}
+    for d, theta in sigma_c_summands(p).items():
+        engine[d] = engine.get(d, 0) + theta.order_valuation
+    if table != engine:  # an absent degree reads 0 on either side
+        d = min(
+            (d for d in table.keys() | engine.keys()
+             if table.get(d, 0) != engine.get(d, 0)),
+            default=None,
+        )
+        if d is not None:
             raise _Failure(
-                f"degree {d}: closed form {table.get(d, 0)}, engine {engine}"
+                f"degree {d}: closed form {table.get(d, 0)}, engine "
+                f"{engine.get(d, 0)}"
             )
     return f"closed form matches the chart engine in degrees 1..{top}"
 
 
-def _einf_torsion_cells(page, top: int) -> dict[tuple[str, int], int]:
-    """Summands theta*b(k) in total degrees <= top, keyed by (name, k)."""
+def _einf_torsion_cells(page, top: int) -> dict[tuple, int]:
+    """Summands theta*b(k) in total degrees <= top, keyed by (theta, k)."""
     return {
-        (theta.name, k): valuation
-        for (theta, k), valuation in page.summands.items()
-        if 2 * k + theta.degree <= top
+        key: valuation
+        for key, valuation in page.summands.items()
+        if 2 * key[1] + key[0].degree <= top
     }
+
+
+def _named(keys) -> list[tuple[str, int]]:
+    """The first three summands (theta, k) of `keys` as (name, k)."""
+    return sorted((theta.name, k) for theta, k in keys)[:3]
 
 
 def _check_adjustment_sets(p: OddPrime, deep: bool) -> str:
@@ -133,49 +148,53 @@ def _check_adjustment_sets(p: OddPrime, deep: bool) -> str:
     # chart to that window.
     _, jpage = _chart(p, ChartTarget.J_OF_CP)
     _, spage = _chart(p, ChartTarget.S_OF_CPBAR)
-    degrees = {c.name: c.degree for c in all_torsion_classes(p)}
+    classes = {c.name: c for c in all_torsion_classes(p)}
     expected = _einf_torsion_cells(jpage, top)
     for name in ("beta1", "alpha1_beta1", "beta1_sq"):
-        t = degrees[name]
+        theta = classes[name]
         for m in range(1, p.p - 2):
             k = m * p.p if name == "alpha1_beta1" else m
-            if 2 * k + t <= top:
-                expected[(name, k)] = 1
-    t = degrees["alpha_bar(1)"]
+            if 2 * k + theta.degree <= top:
+                expected[(theta, k)] = 1
+    alpha1 = classes["alpha_bar(1)"]
     m = p.p - 2
-    while 2 * m * p.p + t <= top:
-        key = ("alpha_bar(1)", m * p.p)
-        if key not in expected:
+    while 2 * m * p.p + alpha1.degree <= top:
+        if expected.pop((alpha1, m * p.p), None) is None:
+            key = (alpha1.name, m * p.p)
             raise _Failure(f"removable cell {key} absent from the base chart")
-        del expected[key]
         m += 1
     got = _einf_torsion_cells(spage, top)
     if got != expected:
-        extra = sorted(set(got) - set(expected))[:3]
-        missing = sorted(set(expected) - set(got))[:3]
-        changed = sorted(
-            k for k in set(got) & set(expected) if got[k] != expected[k]
-        )[:3]
+        both = got.keys() & expected.keys()
+        changed = [key for key in both if got[key] != expected[key]]
         raise _Failure(
-            f"cell sets differ: extra={extra} missing={missing} "
-            f"revalued={changed}"
+            f"cell sets differ: extra={_named(got.keys() - expected.keys())} "
+            f"missing={_named(expected.keys() - got.keys())} "
+            f"revalued={_named(changed)}"
         )
     return f"{len(got)} adjusted cells match through total degree {top}"
 
 
 def _check_axis_orders(p: OddPrime, deep: bool) -> str:
     """Surviving image-of-J order per odd stem == the closed-form count of
-    axis differentials entering minus leaving."""
+    axis differentials entering minus leaving, `j_order_valuation(p, n)`,
+    read as a running sum: from n-1 to n it gains 1 + v_p(m) when
+    n - 1 = m(p-1) and loses v_p(n)."""
     top = chart_window(p, ChartTarget.J_OF_CP) - 1
     _, page = _chart(p, ChartTarget.J_OF_CP)
-    stems = 0
+    sums = page.torsion_by_degree
+    pp = p.p
+    want = 0
     for n in range(1, (top + 1) // 2 + 1):
-        got = page.torsion_by_degree.get(2 * n - 1, 0)
-        want = j_order_valuation(p, n)
+        m, rest = divmod(n - 1, pp - 1)
+        if m and not rest:
+            want += 1 + vp(p, m)
+        if n % pp == 0:
+            want -= vp(p, n)
+        got = sums.get(2 * n - 1, 0)
         if got != want:
             raise _Failure(f"stem {2 * n - 1}: chart {got}, closed form {want}")
-        stems += 1
-    return f"{stems} odd stems agree with the closed form"
+    return f"{(top + 1) // 2} odd stems agree with the closed form"
 
 
 def _check_conservation(p: OddPrime, deep: bool) -> str:
@@ -185,7 +204,14 @@ def _check_conservation(p: OddPrime, deep: bool) -> str:
         e2, einf = _chart(p, target)
         e2_sums, ledger = e2.torsion_by_degree, einf.kill_ledger
         einf_sums = einf.torsion_by_degree
-        for d in sorted(e2_sums.keys() | ledger.keys() | einf_sums.keys()):
+        # EINF + kills, compared with E2 as one dict; only an unbalanced
+        # chart walks its degrees, to name the first that differs
+        restored = dict(ledger)
+        for d, after in einf_sums.items():
+            restored[d] = restored.get(d, 0) + after
+        if restored == e2_sums:
+            continue
+        for d in sorted(e2_sums.keys() | restored.keys()):
             before, killed = e2_sums.get(d, 0), ledger.get(d, 0)
             after = einf_sums.get(d, 0)
             if before - killed != after:

@@ -313,6 +313,29 @@ def test_axis_rule_names_a_missing_summand(monkeypatch):
         run_differentials(e2)
 
 
+@pytest.mark.parametrize("valuation", [None, 2])
+def test_pair_rules_name_a_summand_off_the_page(monkeypatch, valuation):
+    # R4 kills alpha_bar(1)*b(3) at p=3, a summand the axis rule passes
+    # over (3 is divisible by p); without it, or with another valuation,
+    # the rule has nothing of order p to kill.
+    real = ahss._axis_kept
+
+    def changed(p, alpha, budgets):
+        kept = real(p, alpha, budgets)
+        assert (3, 1) in kept[1]
+        kept[1] = [
+            (k, val if k != 3 else valuation) for k, val in kept[1]
+            if k != 3 or valuation is not None
+        ]
+        return kept
+
+    monkeypatch.setattr(ahss, "_axis_kept", changed)
+    with pytest.raises(InconsistencyError, match=(
+        r"^R4: expected alpha_bar\(1\)\*b\(3\) with valuation 1 on the page$"
+    )):
+        run_differentials(build_e2(P3, ChartTarget.S_OF_CPBAR, 23))
+
+
 def _tops(p, target):
     window = chart_window(p, target)
     return sorted({window - 1, window - 5, window // 2, 1, 0})
@@ -384,6 +407,34 @@ def test_whole_window_j_chart_restricts_to_the_stunted_window(pp):
     ] == list(short.summands.items())
 
 
+@pytest.mark.parametrize("pp", [3, 5, 7, 11, 13, 17])
+def test_an_image_of_j_page_gives_the_axis_rule_to_lower_windows(pp):
+    # verify builds the whole-window image-of-J page once and hands it to
+    # the other two charts, the stunted one to a lower top.
+    p = OddPrime(pp)
+    J = ChartTarget.J_OF_CP
+    axis = run_differentials(build_e2(p, J, chart_window(p, J) - 1))
+    for target in ChartTarget:
+        for top in _tops(p, target):
+            e2 = build_e2(p, target, top)
+            alone, shared = run_differentials(e2), run_differentials(e2, axis)
+            assert list(shared.summands.items()) == list(alone.summands.items())
+            assert shared.kill_ledger == alone.kill_ledger
+            assert shared.torsion_by_degree == alone.torsion_by_degree
+
+
+def test_an_axis_page_must_reach_the_window():
+    s_cp = ChartTarget.S_OF_CP
+    e2 = build_e2(P5, s_cp, 60)
+    for axis in (
+        run_differentials(build_e2(P5, ChartTarget.J_OF_CP, 59)),
+        run_differentials(build_e2(P3, ChartTarget.J_OF_CP, 20)),
+        run_differentials(build_e2(P5, s_cp, 60)),
+    ):
+        with pytest.raises(PreconditionError, match="cannot give the axis rule"):
+            run_differentials(e2, axis)
+
+
 def test_small_windows_run_clean():
     for p in (P3, P5):
         for target in ChartTarget:
@@ -430,3 +481,54 @@ def test_chart_bytes_pinned(pp, target, page):
     text = emit.envelope_text(*emit.ahss(p, target, page, top))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == CHART_DIGESTS[(pp, target, page)]
+
+
+def _einf_digest(page):
+    """SHA-256 of an EINF page's summands, kill ledger and torsion sums,
+    each sorted, so it pins what the engine computes and not the order it
+    computes it in."""
+    text = repr((
+        sorted((theta.name, k, v) for (theta, k), v in page.summands.items()),
+        sorted(page.kill_ledger.items()),
+        sorted(page.torsion_by_degree.items()),
+    ))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# `_einf_digest` of the whole-window EINF page of each target at every
+# prime whose `verify` rows are timed or run in CI, up to p=61, the largest
+# prime `verify` accepts.
+EINF_DIGESTS = {
+    (3, "j-cp"): "0bdf8bfce60010d0415f891905888af26f4c09c17ce9ff850665c42dcb178a89",
+    (3, "s-cp"): "49c1c4e6820ee167876f0c3b90252da3885e32cb5cbc016a0067baa57aa37108",
+    (3, "s-cpbar"): "ebc2daf4eeccc531a186b967deccc381dfab50c87ec4f0dcdd2565de8ae0e200",
+    (5, "j-cp"): "31b2e9280cec02bae64dd9fcc421bbcce92c996ec3e6c37bdcd9275289dbb8b0",
+    (5, "s-cp"): "6ca3464ff10b5cffa0005b370c7caab5954e8101893770faa53cb9b5ce8dc55c",
+    (5, "s-cpbar"): "5e7942c84b0856792daa44cc192236a07f36f5cf163fdb1d29b655f5a8759cd9",
+    (7, "j-cp"): "61f4b61dc10ee228d98951b8a7191446ee9c561bad9ace0e3c72eb808b3eb29e",
+    (7, "s-cp"): "27543f94e7c57c0a26cdb763e9c4e571ed2dc79faba10437d28217d7e580f4df",
+    (7, "s-cpbar"): "98bd3c1a860944edb78e7ec8c06cd5bc9c49a4e2b52b5f727deda13540b4538e",
+    (11, "j-cp"): "7fe1b1b754da1d8c8f339ea803e68bd569989c75ab0903ba9fdc80c8fb1f38ee",
+    (11, "s-cp"): "df4f88a0534d51600ec9a28780a0756523edd197857fe9657ea9e310dcdc03bd",
+    (11, "s-cpbar"): "288dcff2e117a0bd3bd7bea3e201ee9728ad06e1c4ea902f255a671ec057da55",
+    (13, "j-cp"): "b9124ae6c42b47a05c282425301d77937d155c89e7e80819dadbb06911862887",
+    (13, "s-cp"): "9a0ad9a2ee03016bdf4eb8b8b170c3075af4c7b1c2bb7ab7b298476e20ed6b67",
+    (13, "s-cpbar"): "b727877f264d51b4dc981ed6506be3543dcfdcf43906cc960969f5345e187d25",
+    (17, "j-cp"): "c0169315fd77ff45b542b80fa99a282230f4dea0084704c7002ae40ee5e76283",
+    (17, "s-cp"): "793a91965ab97cf0ef3e748e42ec2ab5f79b18ea300bb9763e9a9bea98d0ba69",
+    (17, "s-cpbar"): "e76c139a0b8859cf20648a393facf238979f4c2e9a141bc9a774448f561ba461",
+    (29, "j-cp"): "6e83c689fe92ec933429ee79685cc60f70780ca8bb363edf986f611c09cefe25",
+    (29, "s-cp"): "445cf2cdfa6008d7c369cb1e52e5c52dd94a2cfd171dcebc4c08f4091e9baca6",
+    (29, "s-cpbar"): "48ab1bd0821db2e15e72b949ad4ede3c2c4c977c733d73d8c6c3483adb2fd21b",
+    (61, "j-cp"): "d9fd3c54140977ae722866d5fa5c122dd3088d6e88a26e9baa3f5b53cf4665aa",
+    (61, "s-cp"): "b7296abc85016fc9d9a72341e1915d4839ad7115105e565b2240c5aea5f52a02",
+    (61, "s-cpbar"): "887512c0f302333d325d63371976ce9bd9e84135436ab6ad4fc9e4bcee72a74f",
+}
+
+
+@pytest.mark.parametrize("pp,target", sorted(EINF_DIGESTS))
+def test_whole_window_einf_pages_pinned(pp, target):
+    p = OddPrime(pp)
+    chart = ChartTarget(target)
+    page = run_differentials(build_e2(p, chart, chart_window(p, chart) - 1))
+    assert _einf_digest(page) == EINF_DIGESTS[(pp, target)]

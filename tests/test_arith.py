@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from whcalc.arith import (
     REGULARITY_BOUND,
     OddPrime,
+    _irregular_indices,
     binom_mod_p,
     ensure_regular,
     is_regular,
@@ -124,6 +125,28 @@ def test_regularity_examples():
         assert is_regular(OddPrime(p)) is False
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         assert is_regular(OddPrime(p)) is True
+
+
+# The primes below 1000 with more than one irregular pair (p, k), p | B_k,
+# each with its indices k, from the published tables (Buhler, Crandall,
+# Ernvall and Metsankyla, "Irregular primes and cyclotomic invariants to
+# four million", Math. Comp. 61, 1993): index 2 for eleven of them and
+# index 3 for 491, 617 and 647.
+MULTIPLY_IRREGULAR = {
+    157: (62, 110), 353: (186, 300), 379: (100, 174), 467: (94, 194),
+    491: (292, 336, 338), 547: (270, 486), 587: (90, 92),
+    617: (20, 174, 338), 631: (80, 226), 647: (236, 242, 554),
+    673: (408, 502), 691: (12, 200), 809: (330, 628), 929: (520, 820),
+}
+
+
+def test_irregular_indices_near_the_bound():
+    # The oracle at the primes up to REGULARITY_BOUND that carry most
+    # indices, where an error in its recurrence has the most room to show.
+    assert max(MULTIPLY_IRREGULAR) < REGULARITY_BOUND
+    for p, indices in MULTIPLY_IRREGULAR.items():
+        assert _irregular_indices(p) == indices
+        assert is_regular(OddPrime(p)) is False
 
 
 def test_regularity_beyond_bound_is_refused():

@@ -37,6 +37,10 @@ def test_json_text_writes_the_bytes_of_json_dumps(doc):
     {"a": {}, "b": [], "c": [{}, [[]]], "": ""},
     {1: 2}, {-(10**30): [0], 0: {5: 1}, "0": None},
     ["\x00\x1f\"\\/é \U0001f600", "\t\n\r", "\ud800"],
+    # a dict of scalars and lists of str is one part; any other list in
+    # a dict sends it down the general path
+    [{"s": -2, "l": ["a", "\u00e9"], "e": [], "n": None, "t": True, 7: "x"},
+     {"l": ["a", 1]}, {"l": [["a"]]}, {"l": ("a",)}, {"d": {}}],
 ])
 def test_json_text_edge_cases(doc):
     assert json_text(doc) == json.dumps(doc, indent=2) + "\n"

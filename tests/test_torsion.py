@@ -2,11 +2,14 @@
 
 import pytest
 
+from whcalc import torsion
 from whcalc.ahss import ChartTarget, chart_window
 from whcalc.arith import OddPrime
-from whcalc.errors import PreconditionError, WindowError
+from whcalc.errors import InconsistencyError, PreconditionError, WindowError
 from whcalc.stems import COK_J
 from whcalc.torsion import (
+    _cpbar_valuations,
+    _wh_valuations,
     concordance_first_torsion,
     cpbar_even_valuation,
     cpbar_odd_valuation,
@@ -75,6 +78,64 @@ def test_odd_valuation_guards():
         cpbar_odd_valuation(P3, -1)
     with pytest.raises(WindowError):
         cpbar_odd_valuation(P3, 12)  # degree 25 >= 25
+
+
+def _even_by_hand(pp, n):
+    """The even-degree formula as `cpbar_even_valuation` states it."""
+    val = (n - 1) // (pp - 1) + (n - 1) // (pp * (pp - 1)) - n // pp - n // (pp * pp)
+    if (n - (pp * pp - 2)) % pp == 0 and 1 <= (n - (pp * pp - 2)) // pp <= pp - 3:
+        val += 1
+    if (n - (pp - 1)) % pp == 0 and (n - (pp - 1)) // pp >= pp - 2:
+        val -= 1
+    return val
+
+
+def _odd_by_hand(pp, n):
+    """The odd-degree formula as `cpbar_odd_valuation` states it."""
+    bases = (pp * pp - pp - 1, 2 * pp * pp - 2 * pp - 2)
+    return int(any(1 <= n - base <= pp - 3 for base in bases))
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_61, ids=str)
+def test_degree_arrays_match_the_formulas_degree_by_degree(p):
+    # One pass over the whole window against the per-degree functions,
+    # each against its formula written out by hand, and the Whitehead
+    # degrees against them plus the sigma classes.
+    top = torsion_window(p) - 1
+    vals = _cpbar_valuations(p, top)
+    whole, _ = _wh_valuations(p, top)
+    sigma = sigma_c_summands(p)
+    assert len(vals) == len(whole) == top + 1
+    assert vals[0] == whole[0] == 0
+    for d in range(1, top + 1):
+        n = d // 2
+        if d % 2:
+            want = cpbar_odd_valuation(p, n)
+            assert want == _odd_by_hand(p.p, n)
+        else:
+            want = cpbar_even_valuation(p, n)
+            assert want == _even_by_hand(p.p, n)
+        assert vals[d] == want
+        assert whole[d] == want + (sigma[d].order_valuation if d in sigma else 0)
+
+
+def test_negative_valuation_is_an_inconsistency(monkeypatch):
+    # floor(n/p) subtracted twice first goes negative at n = p
+    real = torsion._cpbar_terms
+
+    def negative(p):
+        steps, points, odd = real(p)
+        return (*steps, (range(p.p, torsion_window(p), p.p), -1)), points, odd
+
+    monkeypatch.setattr(torsion, "_cpbar_terms", negative)
+    message = "^negative torsion valuation at p=5, 2n=10$"
+    with pytest.raises(InconsistencyError, match=message):
+        _cpbar_valuations(P5, 84)
+    with pytest.raises(InconsistencyError, match=message):
+        cpbar_even_valuation(P5, 5)
+    with pytest.raises(InconsistencyError, match=message):
+        wh_torsion_profile(P5, 84)
+    assert cpbar_even_valuation(P5, 4) == 0
 
 
 def _sigma_generators(p):
