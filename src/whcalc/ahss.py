@@ -60,8 +60,6 @@ b_{-1} column reaches t = top + 2), so a chart's cost follows its window,
 not p.
 """
 
-from __future__ import annotations
-
 import enum
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, namedtuple

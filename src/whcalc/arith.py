@@ -4,8 +4,6 @@ Everything in this module (and in the rest of the package) is integer
 arithmetic; no floating point is used anywhere.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .errors import PreconditionError, UnverifiedError

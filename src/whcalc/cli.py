@@ -14,8 +14,6 @@ prefixes, the last of a repeated flag wins, `-h`, exit 2 with a usage
 line) without its imports.
 """
 
-from __future__ import annotations
-
 import atexit
 import os
 import sys

@@ -17,8 +17,6 @@ imports the library modules it runs when it is called, so a cold CLI call
 loads only those.
 """
 
-from __future__ import annotations
-
 from itertools import islice, repeat
 
 from ._version import __version__

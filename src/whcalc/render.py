@@ -9,8 +9,6 @@ so the CLI writes them in batches as they are formed.  SVG output is
 static SVG 1.1 with integer coordinates only.
 """
 
-from __future__ import annotations
-
 from .errors import PreconditionError
 
 

@@ -19,8 +19,6 @@ exact F_p elimination on dictionaries keyed by words (`_ideal_rows`,
 `_fp_rank`) is kept as the route `verify` checks those series against.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .arith import OddPrime, binom_mod_p
@@ -215,11 +213,13 @@ def live_words(p: OddPrime, a: int, max_degree: int):
     """Yield the admissible words of degree <= max_degree acting nonzero
     on y^a.  The Bockstein kills every y^k, so these are power chains
     P^(s1) ... P^(sn) with s_i >= p*s_(i+1); they are grown right to left,
-    and a branch is cut as soon as its Lucas binomial C(k, s) vanishes."""
+    and a branch is cut as soon as its Lucas binomial C(k, s) vanishes,
+    as it does for every s > k >= 0."""
 
     def grow(word: Word, k: int, low: int, budget: int):
         yield word
-        for s in range(low, budget // p.q + 1):
+        top = budget // p.q if k < 0 else min(budget // p.q, k)
+        for s in range(low, top + 1):
             if binom_mod_p(p, k, s):
                 yield from grow(
                     (s,) + word, k + (p.p - 1) * s, p.p * s, budget - p.q * s

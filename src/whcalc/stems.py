@@ -7,8 +7,6 @@ beta1, alpha1*beta1, beta1^2, alpha1*beta1^2 (and beta2 itself at the
 boundary, which is excluded).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .arith import OddPrime, vp

@@ -17,8 +17,6 @@ stunted spectrum in the same degree, so even d = 2n uses the even-degree
 valuation at n and odd d = 2n+1 uses the odd-degree valuation at n.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import accumulate
 
@@ -45,11 +43,17 @@ def _cpbar_terms(p: OddPrime) -> tuple[tuple, tuple, tuple]:
     """The stunted-projective torsion formulas at p, as ranges of n over
     the window, the one place they are written.
 
-    In even degree 2n the valuation counts, with sign, the elements <= n of
-    each `steps` range (the four floors of the base term: x <= n exactly
-    floor((n - 1)/(p - 1)) times for x in p, 2p - 1, ...) and adds the sign
-    of each `points` range that holds n (the two corrections).  In odd
-    degree 2n+1 it is 1 on the two runs of `odd`.
+    In even degree 2n the p-valuation is the base term
+
+        floor((n-1)/(p-1)) + floor((n-1)/(p(p-1))) - floor(n/p) - floor(n/p^2),
+
+    corrected by +1 when n = p^2 - 2 + mp with 1 <= m <= p-3 and by -1 when
+    n = p - 1 + mp with m >= p-2.  Each floor is the signed count of the
+    elements <= n of one `steps` range (x <= n exactly floor((n-1)/(p-1))
+    times for x in p, 2p - 1, ...), and each correction is the sign of the
+    `points` range that holds n.  In odd degree 2n+1 the valuation is 1
+    exactly when n = p^2 - p - 1 + m or n = 2p^2 - 2p - 2 + m with
+    1 <= m <= p-3, the two runs of `odd`, and 0 elsewhere.
     """
     pp = p.p
     end = torsion_window(p) // 2 + 1  # above every n of the window
@@ -70,12 +74,6 @@ def _cpbar_terms(p: OddPrime) -> tuple[tuple, tuple, tuple]:
     return steps, points, odd
 
 
-def _negative(p: OddPrime, n: int) -> InconsistencyError:
-    return InconsistencyError(
-        f"negative torsion valuation at p={p.p}, 2n={2 * n}"
-    )
-
-
 def _cpbar_valuations(p: OddPrime, top: int) -> list[int]:
     """The stunted-projective valuation of every degree 0..top (degree 0
     has none), for top < torsion_window(p), in one pass over the ranges
@@ -91,53 +89,16 @@ def _cpbar_valuations(p: OddPrime, top: int) -> list[int]:
         for n in range(r.start, min(r.stop, stop), r.step):
             even[n] += sign
     if min(even) < 0:
-        raise _negative(p, next(n for n, v in enumerate(even) if v < 0))
+        n = next(n for n, v in enumerate(even) if v < 0)
+        raise InconsistencyError(
+            f"negative torsion valuation at p={p.p}, 2n={2 * n}"
+        )
     vals = [0] * (top + 1)
     vals[::2] = even
     for r in odd:
         for n in range(r.start, min(r.stop, (top + 1) // 2)):
             vals[2 * n + 1] = 1
     return vals
-
-
-def cpbar_even_valuation(p: OddPrime, n: int) -> int:
-    """p-valuation of the torsion of the suspended stunted spectrum in even
-    degree 2n, valid for 2n < torsion_window(p).
-
-    Base term: floor((n-1)/(p-1)) + floor((n-1)/(p(p-1)))
-             - floor(n/p) - floor(n/p^2),
-    corrected by +1 when n = p^2 - 2 + mp with 1 <= m <= p-3 and by -1 when
-    n = p - 1 + mp with m >= p-2.  Evaluated term by term from
-    `_cpbar_terms`.
-    """
-    if n < 1:
-        raise PreconditionError(f"cpbar_even_valuation needs n >= 1, got {n}")
-    if 2 * n >= torsion_window(p):
-        raise WindowError(
-            f"even-degree torsion formula is valid for 2n < {torsion_window(p)}"
-            f" at p={p.p}; got 2n={2 * n}"
-        )
-    steps, points, _ = _cpbar_terms(p)
-    val = sum(sign * len(range(r.start, n + 1, r.step)) for r, sign in steps)
-    val += sum(sign for r, sign in points if n in r)
-    if val < 0:
-        raise _negative(p, n)
-    return val
-
-
-def cpbar_odd_valuation(p: OddPrime, n: int) -> int:
-    """p-valuation of the torsion of the suspended stunted spectrum in odd
-    degree 2n+1, valid for 2n+1 < torsion_window(p): valuation 1 exactly
-    when n = p^2 - p - 1 + m or n = 2p^2 - 2p - 2 + m with 1 <= m <= p-3,
-    the runs of `_cpbar_terms`."""
-    if n < 0:
-        raise PreconditionError(f"cpbar_odd_valuation needs n >= 0, got {n}")
-    if 2 * n + 1 >= torsion_window(p):
-        raise WindowError(
-            f"odd-degree torsion formula is valid for 2n+1 < "
-            f"{torsion_window(p)} at p={p.p}; got 2n+1={2 * n + 1}"
-        )
-    return int(any(n in r for r in _cpbar_terms(p)[2]))
 
 
 def sigma_c_summands(p: OddPrime) -> dict:

@@ -11,8 +11,6 @@ MAX_CHART_WINDOW, then irregular primes, are rejected before any check
 runs.
 """
 
-from __future__ import annotations
-
 import os
 from collections import Counter, namedtuple
 from functools import lru_cache
@@ -41,7 +39,7 @@ from .steenrod import (
     quotient_module_dims,
     word_degree,
 )
-from .stems import all_torsion_classes
+from .stems import _cokernel_classes, alpha_bar
 from .torsion import sigma_c_summands, torsion_window, wh_torsion_profile
 from .whcohomology import (
     COKER_MAIN_PIECE,
@@ -148,15 +146,14 @@ def _check_adjustment_sets(p: OddPrime, deep: bool) -> str:
     # chart to that window.
     _, jpage = _chart(p, ChartTarget.J_OF_CP)
     _, spage = _chart(p, ChartTarget.S_OF_CPBAR)
-    classes = {c.name: c for c in all_torsion_classes(p)}
+    beta1, alpha1_beta1, beta1_sq, _ = _cokernel_classes(p)
     expected = _einf_torsion_cells(jpage, top)
-    for name in ("beta1", "alpha1_beta1", "beta1_sq"):
-        theta = classes[name]
+    for theta in (beta1, alpha1_beta1, beta1_sq):
         for m in range(1, p.p - 2):
-            k = m * p.p if name == "alpha1_beta1" else m
+            k = m * p.p if theta is alpha1_beta1 else m
             if 2 * k + theta.degree <= top:
                 expected[(theta, k)] = 1
-    alpha1 = classes["alpha_bar(1)"]
+    alpha1 = alpha_bar(p, 1)
     m = p.p - 2
     while 2 * m * p.p + alpha1.degree <= top:
         if expected.pop((alpha1, m * p.p), None) is None:

@@ -16,8 +16,6 @@ module structure of the total is determined only up to extension and is
 deliberately not assembled.
 """
 
-from __future__ import annotations
-
 from .arith import OddPrime, ensure_regular
 from .errors import InconsistencyError, PreconditionError
 from .steenrod import quotient_module_dims

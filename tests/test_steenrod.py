@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whcalc.arith import OddPrime
+from whcalc.arith import OddPrime, binom_mod_p
 from whcalc.errors import InconsistencyError, PreconditionError
 from whcalc.steenrod import (
     BETA,
@@ -183,6 +183,31 @@ def test_live_words_are_the_annihilator_complement():
         for a in (-1, *range(1, pp - 3, 2)):
             ann = annihilator_basis(p, a, bound)
             assert set(live_words(p, a, bound)) == words - set(ann)
+
+
+def _live_words_unpruned(p, a, max_degree):
+    """`live_words` as a plain search: every s up to the degree budget is
+    tried, with no bound from the exponent k."""
+
+    def grow(word, k, low, budget):
+        yield word
+        for s in range(low, budget // p.q + 1):
+            if binom_mod_p(p, k, s):
+                yield from grow(
+                    (s,) + word, k + (p.p - 1) * s, p.p * s, budget - p.q * s
+                )
+
+    return grow((), a, 1, max_degree)
+
+
+def test_live_words_match_the_unpruned_search_in_order():
+    # every a that quotient_module_dims reads, to a degree where the
+    # bound s <= k cuts branches at every prime
+    for pp in (3, 5, 7, 11):
+        p = OddPrime(pp)
+        for a in (-1, *range(1, pp - 3, 2)):
+            want = list(_live_words_unpruned(p, a, 400))
+            assert list(live_words(p, a, 400)) == want
 
 
 def test_milnor_primitives():

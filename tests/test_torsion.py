@@ -11,8 +11,6 @@ from whcalc.torsion import (
     _cpbar_valuations,
     _wh_valuations,
     concordance_first_torsion,
-    cpbar_even_valuation,
-    cpbar_odd_valuation,
     first_p_torsion,
     sigma_c_summands,
     torsion_window,
@@ -51,37 +49,22 @@ def test_torsion_window():
 
 
 def test_even_valuation_examples():
-    assert cpbar_even_valuation(P3, 9) == 1
-    assert cpbar_even_valuation(P5, 33) == 3
-    assert cpbar_even_valuation(P3, 1) == 0
-    assert cpbar_even_valuation(P5, 19) == 0
-
-
-def test_even_valuation_guards():
-    with pytest.raises(PreconditionError):
-        cpbar_even_valuation(P3, 0)
-    with pytest.raises(WindowError):
-        cpbar_even_valuation(P3, 13)  # degree 26 >= 25
+    assert _cpbar_valuations(P3, 24)[18] == 1
+    assert _cpbar_valuations(P5, 84)[66] == 3
+    assert _cpbar_valuations(P3, 24)[2] == 0
+    assert _cpbar_valuations(P5, 84)[38] == 0
 
 
 def test_odd_valuation_examples():
-    assert cpbar_odd_valuation(P5, 20) == 1
-    assert cpbar_odd_valuation(P3, 5) == 0
-    assert cpbar_odd_valuation(P5, 40) == 1
+    vals = _cpbar_valuations(P5, 84)
+    assert vals[41] == 1
+    assert vals[81] == 1
     # p=3 has no odd-degree contributions at all: both windows are empty
-    for n in range(0, 12):
-        assert cpbar_odd_valuation(P3, n) == 0
-
-
-def test_odd_valuation_guards():
-    with pytest.raises(PreconditionError):
-        cpbar_odd_valuation(P3, -1)
-    with pytest.raises(WindowError):
-        cpbar_odd_valuation(P3, 12)  # degree 25 >= 25
+    assert not any(_cpbar_valuations(P3, 24)[1::2])
 
 
 def _even_by_hand(pp, n):
-    """The even-degree formula as `cpbar_even_valuation` states it."""
+    """The even-degree formula as `_cpbar_terms` states it."""
     val = (n - 1) // (pp - 1) + (n - 1) // (pp * (pp - 1)) - n // pp - n // (pp * pp)
     if (n - (pp * pp - 2)) % pp == 0 and 1 <= (n - (pp * pp - 2)) // pp <= pp - 3:
         val += 1
@@ -91,16 +74,15 @@ def _even_by_hand(pp, n):
 
 
 def _odd_by_hand(pp, n):
-    """The odd-degree formula as `cpbar_odd_valuation` states it."""
+    """The odd-degree formula as `_cpbar_terms` states it."""
     bases = (pp * pp - pp - 1, 2 * pp * pp - 2 * pp - 2)
     return int(any(1 <= n - base <= pp - 3 for base in bases))
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_61, ids=str)
 def test_degree_arrays_match_the_formulas_degree_by_degree(p):
-    # One pass over the whole window against the per-degree functions,
-    # each against its formula written out by hand, and the Whitehead
-    # degrees against them plus the sigma classes.
+    # One pass over the whole window against the formulas written out by
+    # hand, and the Whitehead degrees against them plus the sigma classes.
     top = torsion_window(p) - 1
     vals = _cpbar_valuations(p, top)
     whole, _ = _wh_valuations(p, top)
@@ -109,12 +91,7 @@ def test_degree_arrays_match_the_formulas_degree_by_degree(p):
     assert vals[0] == whole[0] == 0
     for d in range(1, top + 1):
         n = d // 2
-        if d % 2:
-            want = cpbar_odd_valuation(p, n)
-            assert want == _odd_by_hand(p.p, n)
-        else:
-            want = cpbar_even_valuation(p, n)
-            assert want == _even_by_hand(p.p, n)
+        want = _odd_by_hand(p.p, n) if d % 2 else _even_by_hand(p.p, n)
         assert vals[d] == want
         assert whole[d] == want + (sigma[d].order_valuation if d in sigma else 0)
 
@@ -132,10 +109,7 @@ def test_negative_valuation_is_an_inconsistency(monkeypatch):
     with pytest.raises(InconsistencyError, match=message):
         _cpbar_valuations(P5, 84)
     with pytest.raises(InconsistencyError, match=message):
-        cpbar_even_valuation(P5, 5)
-    with pytest.raises(InconsistencyError, match=message):
         wh_torsion_profile(P5, 84)
-    assert cpbar_even_valuation(P5, 4) == 0
 
 
 def _sigma_generators(p):
