@@ -55,6 +55,34 @@ def test_even_valuation_examples():
     assert _cpbar_valuations(P5, 84)[38] == 0
 
 
+def test_even_valuation_guards():
+    # The window is odd at every prime, so its last degree w - 1 is even:
+    # the profile reads the even formula there and refuses the first even
+    # degree past it.  Degree 0 carries no valuation.
+    for p in PRIMES_TO_61:
+        w = torsion_window(p)
+        assert w % 2 == 1
+        profile = wh_torsion_profile(p, w - 1, assume_regular=True)
+        assert profile["max_degree"] == w - 1
+        with pytest.raises(WindowError, match=f"got max_degree={w + 1}$"):
+            wh_torsion_profile(p, w + 1, assume_regular=True)
+    assert _cpbar_valuations(P3, 0) == [0]
+    assert wh_torsion_profile(P3, 0)["entries"] == []
+
+
+def test_odd_valuation_guards():
+    # The last odd degree of the window is w - 2 and the first past it is
+    # w itself; a negative degree is refused before the window is read.
+    for p in PRIMES_TO_61:
+        w = torsion_window(p)
+        inside = wh_torsion_profile(p, w - 2, assume_regular=True)
+        assert inside["entries"][-1]["degree"] <= w - 2
+        with pytest.raises(WindowError, match=f"got max_degree={w}$"):
+            wh_torsion_profile(p, w, assume_regular=True)
+        with pytest.raises(PreconditionError, match="got -1$"):
+            wh_torsion_profile(p, -1, assume_regular=True)
+
+
 def test_odd_valuation_examples():
     vals = _cpbar_valuations(P5, 84)
     assert vals[41] == 1
