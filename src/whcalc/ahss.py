@@ -44,7 +44,9 @@ supports the conservation check  E2 aggregate - kills = EINF aggregate.
 
 The E2 page from `build_e2` holds its per-degree torsion sums, one
 range-add per class, but no summands: its content is the stem table placed
-on every column.  R1 visits only what the axis rule leaves:
+on every column.  Every page keeps its sums, and an EINF page its kill
+ledger, as a list of top + 1 ints indexed by total degree, 0 where nothing
+sits.  R1 visits only what the axis rule leaves:
 alpha_bar(i)*b(k) has valuation 1+v_p(i) on every column k >= 1, so in
 each odd total degree the index at which the budget runs out is found by
 bisection in the running sums of those valuations, and `page_payload`
@@ -87,10 +89,11 @@ class ChartTarget(enum.Enum):
 # by (theta, k), to its valuation, in page order (by theta, then k); the
 # axis classes follow from the window, so they are not stored and
 # `page_payload` adds them.  `torsion_by_degree` sums the valuations per
-# total degree (degrees without torsion are absent), and `kill_ledger`
-# holds the kills per total degree.  `build_e2` returns an E2 page with its
-# sums but with `summands` and `kill_ledger` None, as its content is the
-# stem table; `run_differentials` returns the EINF page with all three.
+# total degree and `kill_ledger` holds the kills per total degree, each a
+# list of max_total_degree + 1 ints indexed by total degree, 0 where there
+# is none.  `build_e2` returns an E2 page with its sums but with `summands`
+# and `kill_ledger` None, as its content is the stem table;
+# `run_differentials` returns the EINF page with all three.
 ChartPage = namedtuple(
     "ChartPage",
     "target p page_label max_total_degree summands kill_ledger "
@@ -129,10 +132,10 @@ def _page_classes(
 
 def _e2_torsion_by_degree(
     p: OddPrime, target: ChartTarget, top: int
-) -> dict[int, int]:
-    """The E2 sums per total degree.  A class theta sits in total degrees
-    t+2, t+4, ... up to the top (and t-2 on the b_{-1} column), so each
-    class is one range-add on every other degree."""
+) -> list[int]:
+    """The E2 sums per total degree 0..top.  A class theta sits in total
+    degrees t+2, t+4, ... up to the top (and t-2 on the b_{-1} column), so
+    each class is one range-add on every other degree."""
     diff = [0] * (top + 3)
     for theta in _page_classes(p, target, top):
         t, v = theta.degree, theta.order_valuation
@@ -145,7 +148,7 @@ def _e2_torsion_by_degree(
     sums = [0] * (top + 1)  # running sums over each parity
     sums[0::2] = accumulate(diff[0:top + 1:2])
     sums[1::2] = accumulate(diff[1:top + 1:2])
-    return {d: v for d, v in enumerate(sums) if v}
+    return sums
 
 
 def _axis_kept(
@@ -224,22 +227,21 @@ def _axis_page(p: OddPrime, top: int) -> ChartPage:
     for theta in alpha[1:]:
         for k, val in kept.get(theta.index, ()):
             summands[theta, k] = val
-    ledger = {2 * n - 1: killed for n, killed in enumerate(budgets) if killed}
+    ledger = [0] * (top + 1)
+    ledger[1::2] = budgets[1:]  # degree 2n-1 reads budgets[n]
     return _einf_page(ChartTarget.J_OF_CP, p, top, summands, ledger)
 
 
 def _einf_page(
-    target: ChartTarget, p: OddPrime, top: int, summands: dict, ledger: dict
+    target: ChartTarget, p: OddPrime, top: int, summands: dict,
+    ledger: list[int],
 ) -> ChartPage:
     """The EINF page with these summands and kills, its sums added up from
     the summands, in ascending total degree."""
     sums = [0] * (top + 1)
     for (theta, k), valuation in summands.items():
         sums[2 * k + theta.degree] += valuation
-    return ChartPage(
-        target, p, EINF, top, summands, ledger,
-        {d: total for d, total in enumerate(sums) if total},
-    )
+    return ChartPage(target, p, EINF, top, summands, ledger, sums)
 
 
 def run_differentials(
@@ -270,9 +272,7 @@ def run_differentials(
             f"total degree {axis.max_total_degree} cannot give the axis rule "
             f"of a page at p={pp} to total degree {top}"
         )
-    ledger = Counter(axis.kill_ledger)
-    for d in range(top + 1, axis.max_total_degree + 1):
-        ledger.pop(d, None)  # beyond the window
+    ledger = axis.kill_ledger[:top + 1]
     cpbar = target is ChartTarget.S_OF_CPBAR
 
     # doomed[theta]: the columns k of the summands theta*b(k) that R2-R4
@@ -292,7 +292,8 @@ def run_differentials(
             if twice:
                 raise _not_on_page(rule, cls, min(twice))
             doomed[cls].update(dict.fromkeys(cols, rule))
-            ledger.update([2 * k + cls.degree for k in cols])
+            for k in cols:
+                ledger[2 * k + cls.degree] += 1
 
     if target is not ChartTarget.J_OF_CP:
         beta1, alpha1_beta1, beta1_sq, alpha1_beta1_sq = _cokernel_classes(p)
@@ -353,7 +354,7 @@ def run_differentials(
     for theta, gone in doomed.items():  # a class off the page
         for k, rule in gone.items():
             raise _not_on_page(rule, theta, k)
-    return _einf_page(target, p, top, tors, dict(ledger))
+    return _einf_page(target, p, top, tors, ledger)
 
 
 def _not_on_page(rule: str, theta: StemClass, k: int) -> InconsistencyError:

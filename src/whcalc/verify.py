@@ -14,6 +14,7 @@ runs.
 import os
 from collections import Counter, namedtuple
 from functools import lru_cache
+from operator import add
 
 from . import emit
 from .ahss import (
@@ -40,7 +41,7 @@ from .steenrod import (
     word_degree,
 )
 from .stems import _cokernel_classes, alpha_bar
-from .torsion import sigma_c_summands, torsion_window, wh_torsion_profile
+from .torsion import _wh_valuations, torsion_window
 from .whcohomology import (
     COKER_MAIN_PIECE,
     HP_PIECE,
@@ -57,14 +58,15 @@ FAIL = "fail"
 SKIP = "skip"
 
 # The chart rows cost about the square of the prime, in time and memory:
-# the EINF summands they keep.  On a 2 vCPU Xeon (Python 3.11.7; cold
-# children, CPU and peak RSS from os.wait4, medians of 15 runs, of 7
-# with the bound lifted), `verify --p 61` takes 0.135 s of CPU and 24 MB,
-# start-up (0.058 s and 13 MB) included; with the bound lifted, p=71
-# takes 0.144 s and 25 MB, p=97 0.207 s and 36 MB, and p=113 0.304 s and
-# 41 MB.  The bound, the chart window (2p+1)(2p-2) at p=61, was set when
-# the rows kept a record per cell (36 MB at p=61, 41 MB at 71); it stays,
-# as the primes it admits are part of the exit-code contract.
+# the EINF summands they keep, beside per-degree sums and kill ledgers
+# held as flat lists.  On a 2 vCPU Xeon (Python 3.11.7; cold children,
+# CPU and peak RSS from os.wait4, medians of 15 runs, of 7 with the bound
+# lifted), `verify --p 61` takes 0.094 s of CPU and 17 MB, start-up (0.05
+# s and 13 MB) included; with the bound lifted, p=71 takes 0.115 s and
+# 18 MB, p=97 0.158 s and 22 MB, and p=113 0.210 s and 27 MB.  The bound,
+# the chart window (2p+1)(2p-2) at p=61, was set when the rows kept a
+# record per cell (36 MB at p=61, 41 MB at 71); it stays, as the primes
+# it admits are part of the exit-code contract.
 MAX_CHART_WINDOW = 14760
 
 
@@ -98,27 +100,25 @@ def _check_torsion_vs_charts(p: OddPrime, deep: bool) -> str:
     """Closed-form profile == cokernel-of-J summand + chart engine.  Both
     sides add the same `sigma_c_summands(p)`, so only the stunted-projective
     part is checked; the sigma classes await their second route, an Ext
-    computation over the Steenrod algebra (ROADMAP.md, stem-table item)."""
+    computation over the Steenrod algebra (ROADMAP.md, stem-table item).
+    The closed form is the per-degree list that `wh_torsion_profile`
+    reads its entries from."""
     top = torsion_window(p) - 1
-    profile = wh_torsion_profile(p, top)
+    table, sigma = _wh_valuations(p, top)
     # degree d reads total degree d-1 of the stunted chart, whose window
     # ends one degree below the profile's
     _, chart = _chart(p, ChartTarget.S_OF_CPBAR)
-    table = {e["degree"]: e["valuation"] for e in profile["entries"]}
-    engine = {d + 1: v for d, v in chart.torsion_by_degree.items() if v}
-    for d, theta in sigma_c_summands(p).items():
-        engine[d] = engine.get(d, 0) + theta.order_valuation
-    if table != engine:  # an absent degree reads 0 on either side
-        d = min(
-            (d for d in table.keys() | engine.keys()
-             if table.get(d, 0) != engine.get(d, 0)),
-            default=None,
+    engine = [0, *chart.torsion_by_degree]
+    for d, theta in sigma.items():
+        engine[d] += theta.order_valuation
+    if table != engine:
+        for d, (want, got) in enumerate(zip(table, engine)):
+            if want != got:
+                raise _Failure(f"degree {d}: closed form {want}, engine {got}")
+        raise _Failure(
+            f"closed form holds degrees 0..{len(table) - 1}, engine "
+            f"0..{len(engine) - 1}"
         )
-        if d is not None:
-            raise _Failure(
-                f"degree {d}: closed form {table.get(d, 0)}, engine "
-                f"{engine.get(d, 0)}"
-            )
     return f"closed form matches the chart engine in degrees 1..{top}"
 
 
@@ -188,7 +188,7 @@ def _check_axis_orders(p: OddPrime, deep: bool) -> str:
             want += 1 + vp(p, m)
         if n % pp == 0:
             want -= vp(p, n)
-        got = sums.get(2 * n - 1, 0)
+        got = sums[2 * n - 1]
         if got != want:
             raise _Failure(f"stem {2 * n - 1}: chart {got}, closed form {want}")
     return f"{(top + 1) // 2} odd stems agree with the closed form"
@@ -196,21 +196,30 @@ def _check_axis_orders(p: OddPrime, deep: bool) -> str:
 
 def _check_conservation(p: OddPrime, deep: bool) -> str:
     """E2 aggregate - kill ledger == EINF aggregate, on all three charts,
-    in every degree that any of the three names."""
+    in every total degree of the chart; each of the three lists must hold
+    exactly those degrees."""
     for target in ChartTarget:
         e2, einf = _chart(p, target)
-        e2_sums, ledger = e2.torsion_by_degree, einf.kill_ledger
-        einf_sums = einf.torsion_by_degree
-        # EINF + kills, compared with E2 as one dict; only an unbalanced
+        lists = {
+            "E2 sums": e2.torsion_by_degree,
+            "kill ledger": einf.kill_ledger,
+            "EINF sums": einf.torsion_by_degree,
+        }
+        top = e2.max_total_degree
+        for name, values in lists.items():
+            if len(values) != top + 1:
+                raise _Failure(
+                    f"{target.value} {name}: {len(values)} entries for "
+                    f"total degrees 0..{top}"
+                )
+        e2_sums, ledger, einf_sums = lists.values()
+        # EINF + kills, compared with E2 as one list; only an unbalanced
         # chart walks its degrees, to name the first that differs
-        restored = dict(ledger)
-        for d, after in einf_sums.items():
-            restored[d] = restored.get(d, 0) + after
-        if restored == e2_sums:
+        if list(map(add, ledger, einf_sums)) == e2_sums:
             continue
-        for d in sorted(e2_sums.keys() | restored.keys()):
-            before, killed = e2_sums.get(d, 0), ledger.get(d, 0)
-            after = einf_sums.get(d, 0)
+        for d, (before, killed, after) in enumerate(
+            zip(e2_sums, ledger, einf_sums)
+        ):
             if before - killed != after:
                 raise _Failure(
                     f"{target.value} total degree {d}: E2 {before} - "

@@ -181,13 +181,13 @@ def test_run_differentials_requires_e2():
 
 def test_einf_examples():
     page = run_differentials(build_e2(P3, ChartTarget.S_OF_CPBAR, 23))
-    assert page.torsion_by_degree.get(15, 0) == 1
-    assert page.torsion_by_degree.get(13, 0) == 2
-    assert page.torsion_by_degree.get(0, 0) == 0
+    assert page.torsion_by_degree[15] == 1
+    assert page.torsion_by_degree[13] == 2
+    assert page.torsion_by_degree[0] == 0
     # beta1*b(-1) was killed by the rule crossing into the bottom column
     assert (-2, 10) not in _cells(page)
     page5 = run_differentials(build_e2(P5, ChartTarget.S_OF_CPBAR, 40))
-    assert page5.torsion_by_degree.get(1, 0) == 0
+    assert page5.torsion_by_degree[1] == 0
 
 
 def test_j_order_examples():
@@ -202,7 +202,7 @@ def test_j_chart_matches_j_order_closed_form():
     top = chart_window(P3, ChartTarget.J_OF_CP) - 1
     page = run_differentials(build_e2(P3, ChartTarget.J_OF_CP, top))
     for n in range(1, (top + 1) // 2 + 1):
-        assert page.torsion_by_degree.get(2 * n - 1, 0) == j_order_valuation(P3, n)
+        assert page.torsion_by_degree[2 * n - 1] == j_order_valuation(P3, n)
 
 
 def test_axis_budget_is_vp_factorial():
@@ -212,7 +212,7 @@ def test_axis_budget_is_vp_factorial():
     after = run_differentials(e2).torsion_by_degree
     for n in range(1, (top + 1) // 2 + 1):
         t = 2 * n - 1
-        killed = before.get(t, 0) - after.get(t, 0)
+        killed = before[t] - after[t]
         assert killed == vp_factorial(P3, n)
 
 
@@ -225,8 +225,8 @@ def test_kill_ledger_conservation():
             assert einf.kill_ledger is not None
             before, after = e2.torsion_by_degree, einf.torsion_by_degree
             for d in range(0, top + 1):
-                killed = einf.kill_ledger.get(d, 0)
-                assert before.get(d, 0) - killed == after.get(d, 0)
+                killed = einf.kill_ledger[d]
+                assert before[d] - killed == after[d]
 
 
 def test_torsion_by_degree_sums_cell_valuations():
@@ -237,11 +237,11 @@ def test_torsion_by_degree_sums_cell_valuations():
         for target in ChartTarget:
             e2 = build_e2(p, target, chart_window(p, target) - 1)
             for page in (e2, run_differentials(e2)):
-                sums = Counter()
+                sums = [0] * (page.max_total_degree + 1)
                 for (s, t), cell in _cells(page).items():
                     if t > 0:
                         sums[s + t] += cell["valuation"]
-                assert page.torsion_by_degree == dict(sums)
+                assert page.torsion_by_degree == sums
 
 
 def test_einf_imj_cells_are_aggregate_only():
@@ -486,11 +486,12 @@ def test_chart_bytes_pinned(pp, target, page):
 def _einf_digest(page):
     """SHA-256 of an EINF page's summands, kill ledger and torsion sums,
     each sorted, so it pins what the engine computes and not the order it
-    computes it in."""
+    computes it in.  The ledger and the sums enter as their nonzero
+    (degree, value) pairs."""
     text = repr((
         sorted((theta.name, k, v) for (theta, k), v in page.summands.items()),
-        sorted(page.kill_ledger.items()),
-        sorted(page.torsion_by_degree.items()),
+        sorted((d, v) for d, v in enumerate(page.kill_ledger) if v),
+        sorted((d, v) for d, v in enumerate(page.torsion_by_degree) if v),
     ))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

@@ -214,10 +214,14 @@ def test_chart_pages_are_records():
             f"ChartPage(target={ChartTarget.J_OF_CP!r}, p={P3!r}, "
             f"page_label={page.page_label!r}, max_total_degree=12, "
         )
-    # an E2 page holds its sums, but no summands and no kill ledger
+    # an E2 page holds its sums, but no summands and no kill ledger; the
+    # sums and the ledger are lists of one int per total degree 0..12
     assert e2.summands is None and e2.kill_ledger is None
-    assert e2.torsion_by_degree
-    assert einf.summands and einf.kill_ledger and einf.torsion_by_degree
+    assert einf.summands
+    for values in (e2.torsion_by_degree, einf.torsion_by_degree,
+                   einf.kill_ledger):
+        assert type(values) is list and len(values) == 13
+        assert all(type(v) is int for v in values) and any(values)
 
 
 # Per call: the arguments, modules it must load (so the check is not

@@ -1,9 +1,11 @@
 """The verify suite: its elimination oracle against the quotient series,
 a plausible slip per row that the row must report as a failure, its
 chart checks at primes beyond the default list, how often those checks
-build a chart, and the bound on chart size."""
+build a chart, the bound on chart size and the memory the chart rows
+take at that bound."""
 
 import shutil
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -41,16 +43,15 @@ def _rows():
 
 
 def test_torsion_vs_charts_catches_a_shifted_profile_entry(monkeypatch):
-    real = vf.wh_torsion_profile
+    real = vf._wh_valuations
 
-    def mutated(p, max_degree):
-        profile = real(p, max_degree)
-        for entry in profile["entries"]:
-            if entry["degree"] == 16:  # the first entry the chart supplies
-                entry["degree"] += 1
-        return profile
+    def mutated(p, top):
+        vals, sigma = real(p, top)
+        # the first degree the chart supplies, moved one degree up
+        vals[16], vals[17] = 0, vals[16]
+        return vals, sigma
 
-    monkeypatch.setattr(vf, "wh_torsion_profile", mutated)
+    monkeypatch.setattr(vf, "_wh_valuations", mutated)
     row = _rows()["torsion-vs-charts"]
     assert row.status == vf.FAIL
     assert row.detail == "degree 16: closed form 0, engine 1"
@@ -182,22 +183,66 @@ def test_chart_checks_at_larger_primes(pp):
     )
 
 
-def test_conservation_reads_degrees_outside_the_window(monkeypatch):
-    # A ledger entry beyond the chart's top, where both page sums are 0,
-    # must unbalance the row like any other.
+def _conservation_row(monkeypatch, change):
+    """The chart-conservation row of `verify --p 5` with `change` applied
+    to the E2 and EINF pages of the s-cp chart, whose top is 87."""
     def chart(p, target):
         e2 = build_e2(p, target, chart_window(p, target) - 1)
         einf = run_differentials(e2)
         if target is ChartTarget.S_OF_CP:
-            einf.kill_ledger[e2.max_total_degree + 1] = 1
+            change(e2, einf)
         return e2, einf
 
     monkeypatch.setattr(vf, "_chart", chart)
-    rows = {r.name: r for r in vf.run_checks([OddPrime(5)])}
-    assert rows["chart-conservation"].status == vf.FAIL
-    assert rows["chart-conservation"].detail == (
-        "s-cp total degree 88: E2 0 - kills 1 != EINF 0"
-    )
+    return {r.name: r for r in vf.run_checks([OddPrime(5)])}[
+        "chart-conservation"
+    ]
+
+
+@pytest.mark.parametrize("change,detail", [
+    (lambda e2, einf: einf.kill_ledger.append(0),
+     "s-cp kill ledger: 89 entries for total degrees 0..87"),
+    (lambda e2, einf: e2.torsion_by_degree.append(0),
+     "s-cp E2 sums: 89 entries for total degrees 0..87"),
+    (lambda e2, einf: einf.torsion_by_degree.pop(),
+     "s-cp EINF sums: 87 entries for total degrees 0..87"),
+], ids=["long-ledger", "long-e2-sums", "short-einf-sums"])
+def test_conservation_needs_one_entry_per_degree(monkeypatch, change, detail):
+    # Each list must hold exactly the degrees 0..top: comparing lists of
+    # different lengths entry by entry would pass on the shorter one.
+    row = _conservation_row(monkeypatch, change)
+    assert row.status == vf.FAIL
+    assert row.detail == detail
+
+
+def test_conservation_catches_an_extra_kill_at_the_top(monkeypatch):
+    def change(e2, einf):
+        einf.kill_ledger[e2.max_total_degree] += 1
+
+    row = _conservation_row(monkeypatch, change)
+    assert row.status == vf.FAIL
+    assert row.detail == "s-cp total degree 87: E2 14 - kills 13 != EINF 2"
+
+
+def test_chart_rows_stay_small_at_p61():
+    # The four chart rows at p=61, the largest prime verify accepts, keep
+    # their three whole-window charts and their per-degree lists well
+    # below 4 MB of Python allocations.
+    p = OddPrime(61)
+    rows = ("torsion-vs-charts", "chart-adjustment-sets", "axis-orders",
+            "chart-conservation")
+    checks = [fn for name, fn in vf._CHECKS if name in rows]
+    assert len(checks) == len(rows)
+    vf._chart.cache_clear()
+    tracemalloc.start()
+    try:
+        for check in checks:
+            check(p, deep=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        vf._chart.cache_clear()
+    assert peak < 4 * 2**20
 
 
 def test_each_chart_is_built_once_per_prime(monkeypatch):
