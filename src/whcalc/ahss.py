@@ -69,6 +69,7 @@ from itertools import accumulate, islice, repeat
 from operator import itemgetter
 
 from .arith import OddPrime, vp_factorial
+from .emit import _Reiterable
 from .errors import InconsistencyError, PreconditionError, WindowError
 from .stems import (
     IM_J, StemClass, _cokernel_classes, all_torsion_classes, alpha_bar,
@@ -384,29 +385,34 @@ def page_payload(page: ChartPage) -> dict:
     classes the window implies (b(k) on E2, k!*b(k) on EINF, and b(-1) over
     the stunted spectrum).  A cell is aggregate-only when it holds an
     image-of-J summand of an EINF page, whose valuation R1 fixes only in
-    aggregate.  "cells" is a generator that forms them one at a time in
-    (s, t) order, so a writer can stream a large page; an E2 page's come
-    straight from the stem table."""
+    aggregate.  "cells" is a view that can be read any number of times:
+    each pass forms the cells afresh, one at a time in (s, t) order, so a
+    writer can stream a large page and a renderer can read it twice; an
+    E2 page's come straight from the stem table."""
     top = page.max_total_degree
     ks = [-1] if page.target is ChartTarget.S_OF_CPBAR else []
     ks += range(1, top // 2 + 1)
-    if page.page_label == EINF:
+    einf = page.page_label == EINF
+    if einf:
         columns: dict[int, list[tuple[StemClass, int]]] = defaultdict(list)
         for (theta, k), valuation in page.summands.items():
             columns[k].append((theta, valuation))
-        column = columns.get
+        column = {
+            k: _degree_groups(col, einf) for k, col in columns.items()
+        }.get
     else:
-        classes = [
-            (theta, theta.order_valuation)
-            for theta in _page_classes(page.p, page.target, top)
-        ]
-        degrees = [theta.degree for theta, _ in classes]
+        groups = _degree_groups(
+            ((theta, theta.order_valuation)
+             for theta in _page_classes(page.p, page.target, top)),
+            einf,
+        )
+        degrees = [t for t, *_ in groups]
 
-        def column(k: int) -> list[tuple[StemClass, int]]:
+        def column(k: int) -> list[list]:
             # b(-1) carries every page class, b(k) those of degree <= top - 2k
             if k == -1:
-                return classes
-            return classes[:bisect_right(degrees, top - 2 * k)]
+                return groups
+            return groups[:bisect_right(degrees, top - 2 * k)]
 
     return {
         "kind": "ahss-chart",
@@ -414,14 +420,30 @@ def page_payload(page: ChartPage) -> dict:
         "target": page.target.value,
         "page_label": page.page_label,
         "max_total_degree": top,
-        "cells": _cells(ks, column, page.page_label == EINF),
+        "cells": _Reiterable(_cells, ks, column, einf),
     }
+
+
+def _degree_groups(summands, einf: bool) -> list[list]:
+    """One [t, names, valuation, aggregate_only] per degree t of the
+    (theta, valuation) pairs `summands`, which come in page order, that is
+    by theta's (degree, name): the names of its classes in that order,
+    their summed valuation, and whether one is an image-of-J class of an
+    EINF page."""
+    groups: list[list] = []
+    for theta, valuation in summands:
+        if not groups or groups[-1][0] != theta.degree:
+            groups.append([theta.degree, [], 0, False])
+        group = groups[-1]
+        group[1].append(theta.name)
+        group[2] += valuation
+        group[3] |= einf and theta.kind == IM_J
+    return groups
 
 
 def _cells(ks: list[int], column, einf: bool):
     """The cells of columns b(k), k in `ks`: the axis cell, then one cell
-    per degree of the summands `column(k)`, which come in page order, that
-    is by theta's (degree, name)."""
+    per degree group of `column(k)`, from `_degree_groups`."""
     for k in ks:
         s = 2 * k
         axis = f"{k}!*b({k})" if einf and k != -1 else f"b({k})"
@@ -432,20 +454,12 @@ def _cells(ks: list[int], column, einf: bool):
             "valuation": "infinite",
             "aggregate_only": False,
         }
-        cell = None
-        for theta, valuation in column(k) or ():
-            if cell is None or cell["t"] != theta.degree:
-                if cell is not None:
-                    yield cell
-                cell = {
-                    "s": s,
-                    "t": theta.degree,
-                    "labels": [],
-                    "valuation": 0,
-                    "aggregate_only": False,
-                }
-            cell["labels"].append(f"{theta.name}*b({k})")
-            cell["valuation"] += valuation
-            cell["aggregate_only"] |= einf and theta.kind == IM_J
-        if cell is not None:
-            yield cell
+        times_b = f"*b({k})"
+        for t, names, valuation, aggregate_only in column(k) or ():
+            yield {
+                "s": s,
+                "t": t,
+                "labels": [name + times_b for name in names],
+                "valuation": valuation,
+                "aggregate_only": aggregate_only,
+            }

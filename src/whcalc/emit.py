@@ -9,15 +9,15 @@ so output is byte-stable across runs and suitable for golden-file
 comparison.  `json_chunks` yields the bytes of `json.dumps(doc, indent=2)`
 without importing `json`, whose encoder runs in pure Python at that
 indent; it writes forward only, in chunks of about BATCH_LINES lines,
-and `batched` joins a renderer's lines into chunks of the same size; so
-every emission is an iterator of text chunks and the CLI never holds a
-whole document.
+and `batched` joins a renderer's lines into chunks of at most
+BATCH_LINES lines and about BATCH_CHARS characters; so every emission is
+an iterator of text chunks and the CLI never holds a whole document.
 `envelope_text` joins an envelope's chunks into one string.  Each builder
 imports the library modules it runs when it is called, so a cold CLI call
 loads only those.
 """
 
-from itertools import islice, repeat
+from itertools import repeat
 
 from ._version import __version__
 from .arith import OddPrime
@@ -33,8 +33,25 @@ PAGES = ("e2", "einf")
 
 
 # Lines (parts of about a line, in the JSON writer) the writers hold before
-# yielding them as one chunk, so a large emission never exists whole.
+# yielding them as one chunk, so a large emission never exists whole; and
+# the characters at which `batched` yields sooner, as a wide chart's lines
+# run to kilobytes each.
 BATCH_LINES = 64
+BATCH_CHARS = 8192
+
+
+class _Reiterable:
+    """A JSON array whose items `form(*args)` forms afresh on each pass,
+    so a payload can hold a large one (a chart's cells) without keeping
+    its items, and a renderer can read it more than once."""
+
+    __slots__ = ("_form", "_args")
+
+    def __init__(self, form, *args):
+        self._form, self._args = form, args
+
+    def __iter__(self):
+        return self._form(*self._args)
 
 
 def envelope_chunks(command: str, payload: dict):
@@ -56,10 +73,10 @@ def envelope_text(command: str, payload: dict) -> str:
 def json_chunks(value):
     """Yield the bytes of `json.dumps(value, indent=2) + "\\n"`, in chunks
     of about BATCH_LINES lines, for nested dicts (with str or int keys),
-    lists, tuples, str, int, bool and None, and iterators, which are
-    written as lists (a chart's cells come as a generator).  Any other
-    type, a float included, and any other key, a bool included, raise
-    TypeError.  Strings are quoted by the C function that `json.dumps`
+    lists, tuples, str, int, bool and None, and iterators and
+    `_Reiterable` views (a chart's cells), which are written as lists.
+    Any other type, a float included, and any other key, a bool included,
+    raise TypeError.  Strings are quoted by the C function that `json.dumps`
     uses, ints (an int key as its quoted digits) written by
     `int.__repr__`."""
     try:
@@ -86,7 +103,8 @@ def _json_parts(value, quote, pad: str, head: str, parts: list[str]):
         brackets = "{}"
         pairs = zip(map("{}: ".format, map(quote, map(_json_key, value))),
                     value.values())
-    elif isinstance(value, (list, tuple)) or hasattr(value, "__next__"):
+    elif (isinstance(value, (list, tuple, _Reiterable))
+          or hasattr(value, "__next__")):
         brackets = "[]"
         pairs = zip(repeat(""), value)
     else:
@@ -165,10 +183,19 @@ def _flat_dict_text(value: dict, quote, pad: str, head: str) -> str | None:
 
 def batched(lines):
     """Yield the strings of `lines` (each ending in a newline) joined in
-    chunks of BATCH_LINES."""
-    lines = iter(lines)
-    while chunk := "".join(islice(lines, BATCH_LINES)):
-        yield chunk
+    chunks, each ended by its BATCH_LINES-th line or by the line that
+    brings it to BATCH_CHARS characters, whichever comes first."""
+    chunk: list[str] = []
+    size = 0
+    for line in lines:
+        chunk.append(line)
+        size += len(line)
+        if size >= BATCH_CHARS or len(chunk) >= BATCH_LINES:
+            yield "".join(chunk)
+            chunk.clear()
+            size = 0
+    if chunk:
+        yield "".join(chunk)
 
 
 def _json_key(key) -> str:

@@ -5,9 +5,15 @@ Every renderer is a pure function of the payload dictionary (the
 whether it is an int, as the library returns it, or its decimal string,
 as JSON holds it; so re-parsing emitted JSON and re-rendering reproduces
 the other formats byte for byte.  Each renderer is a generator of lines,
-so the CLI writes them in batches as they are formed.  SVG output is
-static SVG 1.1 with integer coordinates only.
+so the CLI writes them in batches as they are formed.  No renderer keeps
+a chart's cells: CSV writes each as it comes, and the ASCII and SVG
+charts read them twice, once for the grid's bounds and once to draw;
+only a one-shot iterator of cells, which allows no second pass, is
+listed first.  SVG output is static SVG 1.1 with integer coordinates
+only.
 """
+
+from sys import intern
 
 from .errors import PreconditionError
 
@@ -77,6 +83,28 @@ def _profile_ascii(payload: dict):
     yield from _comments(payload, "annotations", "note")
 
 
+def _chart_bounds(cells):
+    """`cells` in a form that can be read twice (a one-shot iterator is
+    listed), and the grid's bounds (smin, smax, tmax) over the cells, or
+    None when there are none."""
+    if iter(cells) is cells:
+        cells = list(cells)
+    first = next(iter(cells), None)
+    if first is None:
+        return cells, None
+    smin = smax = first["s"]
+    tmax = first["t"]
+    for c in cells:
+        s = c["s"]
+        if s < smin:
+            smin = s
+        elif s > smax:
+            smax = s
+        if c["t"] > tmax:
+            tmax = c["t"]
+    return cells, (smin, smax, tmax)
+
+
 def _chart_ascii(payload: dict):
     yield (
         f"# chart {payload['target']} page {payload['page_label']} p={payload['p']}"
@@ -86,27 +114,35 @@ def _chart_ascii(payload: dict):
         "# cell marks: Z = integral class, digit = torsion valuation,"
         " ~ = aggregate-only\n"
     )
-    # The grid's bounds need every cell, so each one's mark is kept, by row
-    # t and column s; only the rows that have cells are built.
-    rows: dict[int, dict[int, str]] = {}
-    for c in payload["cells"]:
-        if c["t"] == 0:
-            mark = " Z "
-        else:
-            mark = f"{c['valuation']:>2}{'~' if c['aggregate_only'] else ' '}"
-        rows.setdefault(c["t"], {})[c["s"]] = mark
-    if not rows:
+    cells, bounds = _chart_bounds(payload["cells"])
+    if bounds is None:
         yield "(empty)\n"
         return
-    smin = min(min(row) for row in rows.values())
-    smax = max(max(row) for row in rows.values())
-    tmax = max(rows)
-    twidth = len(str(tmax))
+    smin, smax, tmax = bounds
     columns = range(smin, smax + 1, 2)  # columns step by 2 in s
+    # The rows come out by t and the cells by column, so the marks are
+    # kept, one list per row that has cells, one interned mark per column;
+    # a cell off the columns' parity is not drawn.
+    rows: dict[int, list[str]] = {}
+    for c in cells:
+        offset, t = c["s"] - smin, c["t"]
+        if offset % 2:
+            continue
+        if t == 0:
+            mark = " Z "
+        else:
+            mark = intern(
+                f"{c['valuation']:>2}{'~' if c['aggregate_only'] else ' '}"
+            )
+        row = rows.get(t)
+        if row is None:
+            row = rows[t] = [" . "] * len(columns)
+        row[offset // 2] = mark
+    twidth = len(str(tmax))
     blank = " . " * len(columns)
     for t in range(tmax, -1, -1):
         row = rows.get(t)
-        body = "".join([row.get(s, " . ") for s in columns]) if row else blank
+        body = "".join(row) if row else blank
         yield f"t={t:>{twidth}} |{body}\n"
     pad = " " * (twidth + 4)
     yield pad + "".join(f"{s:>3}" for s in columns) + "\n"
@@ -166,22 +202,10 @@ def _profile_svg(payload: dict):
     yield "</svg>\n"
 
 
-def _svg_cell(c: dict) -> tuple:
-    """A cell's position and what it shows: (s, t, fill, title, mark)."""
-    if c["t"] == 0:
-        fill, mark = "#ddd", "Z"
-    else:
-        fill = "url(#hatch)" if c["aggregate_only"] else "#fff"
-        mark = str(c["valuation"])
-    return c["s"], c["t"], fill, _esc(", ".join(c["labels"])), mark
-
-
 def _chart_svg(payload: dict):
-    # the canvas size needs every cell, so each is kept in this short form
-    cells = list(map(_svg_cell, payload["cells"]))
-    smin = min((c[0] for c in cells), default=0)
-    smax = max((c[0] for c in cells), default=0)
-    tmax = max((c[1] for c in cells), default=0)
+    # one pass over the cells sizes the canvas, a second draws them
+    cells, bounds = _chart_bounds(payload["cells"])
+    smin, smax, tmax = bounds or (0, 0, 0)
     cell, left, top = 26, 50, 30
     cols = (smax - smin) // 2 + 1
     w = left + cell * cols + 20
@@ -192,13 +216,19 @@ def _chart_svg(payload: dict):
         f"{_esc(payload['target'])} {payload['page_label']} p={payload['p']}"
     )
     yield _text(10, 18, heading, 12) + "\n"
-    for s, t, fill, title, mark in cells:
-        x = left + cell * ((s - smin) // 2)
+    for c in cells:
+        t = c["t"]
+        if t == 0:
+            fill, mark = "#ddd", "Z"
+        else:
+            fill = "url(#hatch)" if c["aggregate_only"] else "#fff"
+            mark = c["valuation"]
+        x = left + cell * ((c["s"] - smin) // 2)
         y = top + cell * (tmax - t)
         yield (
             f'<g><rect x="{x}" y="{y}" width="{cell - 2}" height="{cell - 2}" '
             f'fill="{fill}" stroke="#000" stroke-width="1">'
-            f"<title>{title}</title></rect>"
+            f'<title>{_esc(", ".join(c["labels"]))}</title></rect>'
             f"{_text(x + 6, y + 17, mark, 12)}</g>\n"
         )
     for col in range(cols):
@@ -248,11 +278,12 @@ _RENDERERS = {
 
 def lines(fmt: str, payload: dict):
     """The text of `payload` in format `fmt` ("csv", "ascii-chart" or
-    "svg-chart"), as a generator of pieces that each end a line.  CSV is
-    formed one row at a time, so a chart's cells stream through it; the
-    ASCII and SVG charts need the whole grid for their bounds, so they
-    read every cell first.  An unknown format, or a payload kind with no
-    renderer, is refused here, before any line is formed."""
+    "svg-chart"), as a generator of pieces that each end a line.  A
+    chart's cells stream through every format: CSV writes each as it
+    comes, and the ASCII and SVG charts read the cells once for the grid's
+    bounds and again to draw, keeping only the ASCII chart's marks.  An
+    unknown format, or a payload kind with no renderer, is refused here,
+    before any line is formed."""
     by_kind = _RENDERERS.get(fmt)
     if by_kind is None:
         raise PreconditionError(f"unknown format {fmt!r}")

@@ -111,6 +111,21 @@ def _csv_case(batch, monkeypatch):
     return [*full, last], render.to_csv(payload)
 
 
+def _wide_case(batch, monkeypatch):
+    # Lines of up to 9,000 characters: a chunk ends at its `batch`-th line
+    # or at the line that brings it to BATCH_CHARS, whichever comes first.
+    monkeypatch.setattr(emit, "BATCH_LINES", batch)
+    lines = ["x" * width + "\n" for width in [10, 5000, 9000, 3000, 99] * 80]
+    chunks = list(emit.batched(lines))
+    for chunk in chunks:
+        *head, last = chunk.splitlines(keepends=True)
+        assert len(head) < batch
+        assert len(chunk) - len(last) < emit.BATCH_CHARS
+    for chunk in chunks[:-1]:
+        assert chunk.count("\n") == batch or len(chunk) >= emit.BATCH_CHARS
+    return chunks, "".join(lines)
+
+
 @pytest.mark.parametrize("batch", BATCHES)
 @pytest.mark.parametrize("case", [
     _json_case(lambda: list(range(5000))),
@@ -119,7 +134,8 @@ def _csv_case(batch, monkeypatch):
     ),
     _json_case(_p13_chart_payload),
     _csv_case,
-], ids=["5000-list", "nested", "p13-e2-chart", "p13-e2-csv"])
+    _wide_case,
+], ids=["5000-list", "nested", "p13-e2-chart", "p13-e2-csv", "wide-lines"])
 def test_batch_boundaries(batch, case, monkeypatch):
     chunks, expected = case(batch, monkeypatch)
     assert len(chunks) > 100
@@ -146,3 +162,18 @@ def test_iterators_are_written_as_lists():
     doc = {"a": iter([1, {"b": iter(())}]), "c": (n for n in range(3))}
     listed = {"a": [1, {"b": []}], "c": [0, 1, 2]}
     assert json_text(doc) == json.dumps(listed, indent=2) + "\n"
+
+
+def test_cell_views_are_written_as_lists():
+    # a chart's cells are a view that forms them afresh on each pass, so
+    # writing it twice writes the same array
+    from whcalc.arith import OddPrime
+
+    _, payload = emit.ahss(OddPrime(5), "s-cpbar", "einf", 40)
+    listed = {**payload, "cells": list(payload["cells"])}
+    assert listed["cells"]
+    expected = json.dumps(listed, indent=2) + "\n"
+    assert json_text(payload) == expected
+    assert json_text(payload) == expected
+    doc = {"a": emit._Reiterable(iter, [1, {"b": emit._Reiterable(iter, ())}])}
+    assert json_text(doc) == json.dumps({"a": [1, {"b": []}]}, indent=2) + "\n"
