@@ -8,16 +8,16 @@ as its decimal string), two-space indentation and a trailing newline,
 so output is byte-stable across runs and suitable for golden-file
 comparison.  `json_chunks` yields the bytes of `json.dumps(doc, indent=2)`
 without importing `json`, whose encoder runs in pure Python at that
-indent; it writes forward only, in chunks of about BATCH_LINES lines,
-and `batched` joins a renderer's lines into chunks of at most
-BATCH_LINES lines and about BATCH_CHARS characters; so every emission is
-an iterator of text chunks and the CLI never holds a whole document.
-`envelope_text` joins an envelope's chunks into one string.  Each builder
-imports the library modules it runs when it is called, so a cold CLI call
-loads only those.
+indent; it writes forward only, as parts of about a line.  `batched` is
+the one chunker: it joins the JSON writer's parts and a renderer's lines
+alike, ending each chunk at the string that brings it to BATCH_LINES
+lines or BATCH_CHARS characters, so every emission is an iterator of text
+chunks and the CLI never holds a whole document.  `envelope_text` joins
+an envelope's chunks into one string.  Each builder imports the library
+modules it runs when it is called, so a cold CLI call loads only those.
 """
 
-from itertools import repeat
+from itertools import chain, repeat
 
 from ._version import __version__
 from .arith import OddPrime
@@ -32,10 +32,9 @@ TARGETS = ("j-cp", "s-cp", "s-cpbar")
 PAGES = ("e2", "einf")
 
 
-# Lines (parts of about a line, in the JSON writer) the writers hold before
-# yielding them as one chunk, so a large emission never exists whole; and
-# the characters at which `batched` yields sooner, as a wide chart's lines
-# run to kilobytes each.
+# The newlines, and the characters, at which `batched` ends a chunk, so a
+# large emission never exists whole; the size bound matters when a wide
+# chart's lines, or a JSON string, run to kilobytes each.
 BATCH_LINES = 64
 BATCH_CHARS = 8192
 
@@ -71,98 +70,84 @@ def envelope_text(command: str, payload: dict) -> str:
 
 
 def json_chunks(value):
-    """Yield the bytes of `json.dumps(value, indent=2) + "\\n"`, in chunks
-    of about BATCH_LINES lines, for nested dicts (with str or int keys),
-    lists, tuples, str, int, bool and None, and iterators and
-    `_Reiterable` views (a chart's cells), which are written as lists.
-    Any other type, a float included, and any other key, a bool included,
-    raise TypeError.  Strings are quoted by the C function that `json.dumps`
-    uses, ints (an int key as its quoted digits) written by
-    `int.__repr__`."""
+    """Yield the bytes of `json.dumps(value, indent=2) + "\\n"`, in the
+    chunks of `batched`, for nested dicts (with str or int keys), lists,
+    tuples, str, int, bool and None, and iterators and `_Reiterable` views
+    (a chart's cells), which are written as lists.  Any other type, a float
+    included, and any other key, a bool included, raise TypeError.  Each
+    scalar is written by its type's entry in one table: a str quoted by the
+    C function that `json.dumps` uses, an int (an int key as its quoted
+    digits) by `int.__repr__`; a value of a subclass of those types by the
+    entry of its first base in the table, as `json.dumps` writes it."""
     try:
         from _json import encode_basestring_ascii as quote
     except ImportError:  # an interpreter without json's C accelerator
         from json.encoder import py_encode_basestring_ascii as quote
 
-    parts: list[str] = []
-    yield from _json_parts(value, quote, "", "", parts)
-    yield "".join(parts) + "\n"
+    scalars = {
+        str: quote,
+        int: int.__repr__,
+        bool: ("false", "true").__getitem__,
+        type(None): lambda _: "null",
+    }
+    yield from batched(chain(_json_parts(value, scalars, "", ""), ("\n",)))
 
 
-def _json_parts(value, quote, pad: str, head: str, parts: list[str]):
-    """Append the parts of `value` at indent `pad`, the first opened by
+def _json_parts(value, scalars: dict, pad: str, head: str):
+    """Yield the parts of `value` at indent `pad`, the first opened by
     `head` (a separator and quoted key, or nothing).  Each item's part
     starts with its own separator ("\\n" and the indent, after a comma
-    for all but the first), so no held part is ever revised, and an empty
+    for all but the first), so no part is ever revised, and an empty
     container closes on its opening part.  An item that is a dict of
     scalars and lists of str is one part, written whole by
-    `_flat_dict_text` (a chart cell, say), and empty parts pad it so that
-    the parts held count its lines.  Whenever BATCH_LINES parts are held,
-    they are yielded joined as one chunk."""
+    `_flat_dict_text` (a chart cell, say)."""
     if isinstance(value, dict):
         brackets = "{}"
-        pairs = zip(map("{}: ".format, map(quote, map(_json_key, value))),
-                    value.values())
+        keys = map(scalars[str], map(_json_key, value))
+        pairs = zip(map("{}: ".format, keys), value.values())
     elif (isinstance(value, (list, tuple, _Reiterable))
           or hasattr(value, "__next__")):
         brackets = "[]"
         pairs = zip(repeat(""), value)
     else:
-        parts.append(head + _json_scalar(value, quote))
+        yield head + _json_scalar(value, scalars)
         return
-    parts.append(head + brackets[0])
+    yield head + brackets[0]
     inner = pad + "  "
     sep = first = "\n" + inner
     rest = "," + first
     for key, item in pairs:
-        kind = type(item)
-        if kind is str:
-            parts.append(f"{sep}{key}{quote(item)}")
-        elif kind is int:
-            parts.append(f"{sep}{key}{int.__repr__(item)}")
-        elif kind is bool:
-            parts.append(f"{sep}{key}{'true' if item else 'false'}")
-        elif item is None:
-            parts.append(f"{sep}{key}null")
-        elif kind is dict and (
-            text := _flat_dict_text(item, quote, inner, sep + key)
+        write = scalars.get(type(item))
+        if write is not None:
+            yield f"{sep}{key}{write(item)}"
+        elif type(item) is dict and (
+            text := _flat_dict_text(item, scalars, inner, sep + key)
         ) is not None:
-            lines = text.count("\n")
-            if len(parts) + lines > BATCH_LINES:
-                yield "".join(parts)
-                parts.clear()
-            parts.append(text)
-            parts += [""] * (lines - 1)
+            yield text
         else:
-            yield from _json_parts(item, quote, inner, sep + key, parts)
+            yield from _json_parts(item, scalars, inner, sep + key)
         sep = rest
-        if len(parts) >= BATCH_LINES:
-            yield "".join(parts)
-            parts.clear()
-    parts.append(brackets[1] if sep is first else f"\n{pad}{brackets[1]}")
+    yield brackets[1] if sep is first else f"\n{pad}{brackets[1]}"
 
 
-def _flat_dict_text(value: dict, quote, pad: str, head: str) -> str | None:
-    """The text of a dict at indent `pad` whose values are all scalars or
-    lists of str, opened by `head`, as one part of at most BATCH_LINES
-    lines, written with no recursion; None for any other dict."""
+def _flat_dict_text(value: dict, scalars: dict, pad: str,
+                    head: str) -> str | None:
+    """The text of a dict at indent `pad` whose values are all scalars of
+    an exact type in `scalars` or lists of str, opened by `head`, as one
+    part of at most BATCH_LINES lines, written with no recursion; None for
+    any other dict."""
     if len(value) >= BATCH_LINES:
         return None
+    quote = scalars[str]
     inner = pad + "  "
     sep = ",\n" + inner
     opened, rest, closed = f"[\n{inner}  ", f"{sep}  ", f"\n{inner}]"
     items = []
     for key, item in value.items():
-        kind = type(item)
-        if kind is str:
-            text = quote(item)
-        elif kind is int:
-            text = int.__repr__(item)
-        elif kind is bool:
-            text = "true" if item else "false"
-        elif item is None:
-            text = "null"
-        elif kind is list:
+        write = scalars.get(type(item))
+        if write is not None:
+            text = write(item)
+        elif type(item) is list:
             try:  # quote refuses anything but a str
                 text = (
                     opened + rest.join(map(quote, item)) + closed
@@ -181,19 +166,21 @@ def _flat_dict_text(value: dict, quote, pad: str, head: str) -> str | None:
     return text if text.count("\n") <= BATCH_LINES else None
 
 
-def batched(lines):
-    """Yield the strings of `lines` (each ending in a newline) joined in
-    chunks, each ended by its BATCH_LINES-th line or by the line that
-    brings it to BATCH_CHARS characters, whichever comes first."""
+def batched(parts):
+    """Yield the strings of `parts` (a renderer's lines, or the JSON
+    writer's parts) joined in chunks, each ended by the string that brings
+    it to BATCH_LINES newlines or to BATCH_CHARS characters, whichever
+    comes first."""
     chunk: list[str] = []
-    size = 0
-    for line in lines:
-        chunk.append(line)
-        size += len(line)
-        if size >= BATCH_CHARS or len(chunk) >= BATCH_LINES:
+    size = lines = 0
+    for part in parts:
+        chunk.append(part)
+        size += len(part)
+        lines += part.count("\n")
+        if lines >= BATCH_LINES or size >= BATCH_CHARS:
             yield "".join(chunk)
             chunk.clear()
-            size = 0
+            size = lines = 0
     if chunk:
         yield "".join(chunk)
 
@@ -206,17 +193,12 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str or int, not {type(key).__name__}")
 
 
-def _json_scalar(value, quote) -> str:
-    if isinstance(value, str):
-        return quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+def _json_scalar(value, scalars: dict) -> str:
+    """The text of `value` by the first entry of `scalars` along its
+    type's MRO, so an int or str subclass is written as its base."""
+    for kind in type(value).__mro__:
+        if kind in scalars:
+            return scalars[kind](value)
     raise TypeError(
         f"Object of type {type(value).__name__} is not JSON serializable"
     )

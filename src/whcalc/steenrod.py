@@ -104,11 +104,8 @@ def _nf(pp: int, word: Word) -> tuple[tuple[Word, int], ...]:
     if b < 0:
         return ()
     prefix, suffix = word[:i], word[i + 2 + eps:]
-    acc: dict[Word, int] = {}
-    for mid, c in _adem(pp, a, eps, b):
-        for w2, c2 in _nf(pp, prefix + mid + suffix):
-            acc[w2] = (acc.get(w2, 0) + c * c2) % pp
-    return tuple(sorted((w, c) for w, c in acc.items() if c))
+    terms = [(prefix + mid + suffix, c) for mid, c in _adem(pp, a, eps, b)]
+    return tuple(sorted(_normalize(pp, terms).items()))
 
 
 def adem_normalize(p: OddPrime, word) -> dict[Word, int]:
@@ -122,13 +119,13 @@ def adem_normalize(p: OddPrime, word) -> dict[Word, int]:
     return dict(_nf(p.p, word))
 
 
-def _normalize(p: OddPrime, terms) -> dict[Word, int]:
-    """Normal form of a combination of raw words given as (word, coeff)
-    pairs; products are formed by concatenating the words first."""
+def _normalize(pp: int, terms) -> dict[Word, int]:
+    """Normal form mod `pp` of raw words given as (word, coeff) pairs;
+    products are formed by concatenating the words first."""
     acc: dict[Word, int] = {}
     for w, c in terms:
-        for w2, c2 in _nf(p.p, w):
-            acc[w2] = (acc.get(w2, 0) + c * c2) % p.p
+        for w2, c2 in _nf(pp, w):
+            acc[w2] = (acc.get(w2, 0) + c * c2) % pp
     return {w: c for w, c in acc.items() if c}
 
 
@@ -270,7 +267,7 @@ def milnor_primitive(p: OddPrime, n: int) -> dict[Word, int]:
         s = (p.p**m,)
         left = [(s + w, c) for w, c in combo.items()]
         right = [(w + s, -c) for w, c in combo.items()]
-        combo = _normalize(p, left + right)
+        combo = _normalize(p.p, left + right)
     return combo
 
 
@@ -314,7 +311,7 @@ def _ideal_rows(
             d = word_degree(p, x) + gdeg
             if d > max_degree:
                 continue
-            row = _normalize(p, [(x + w, c) for w, c in g.items()])
+            row = _normalize(p.p, [(x + w, c) for w, c in g.items()])
             if row:
                 rows.setdefault(d, []).append(row)
     return rows

@@ -336,6 +336,35 @@ def test_pair_rules_name_a_summand_off_the_page(monkeypatch, valuation):
         run_differentials(build_e2(P3, ChartTarget.S_OF_CPBAR, 23))
 
 
+def test_pair_rules_refuse_a_summand_killed_twice(monkeypatch):
+    # With beta1^2 read as beta1, R2 kills beta1*b(k + p - 1) as a source
+    # for both products, and the second kill of beta1*b(5) is refused.
+    real = ahss._cokernel_classes
+
+    def beta1_twice(p):
+        beta1, alpha1_beta1, _, alpha1_beta1_sq = real(p)
+        return beta1, alpha1_beta1, beta1, alpha1_beta1_sq
+
+    monkeypatch.setattr(ahss, "_cokernel_classes", beta1_twice)
+    with pytest.raises(InconsistencyError, match=(
+        r"^R2: expected beta1\*b\(5\) with valuation 1 on the page$"
+    )):
+        run_differentials(build_e2(P5, ChartTarget.S_OF_CP, 87))
+
+
+def test_pair_rules_refuse_a_class_off_the_page(monkeypatch):
+    # A cokernel-of-J copy of alpha_bar(1) is no class of the page, so the
+    # first summand R3 kills with it as the source is not there.
+    alpha1 = stems.alpha_bar(P5, 1)
+    monkeypatch.setattr(
+        ahss, "alpha_bar", lambda p, i: alpha1._replace(kind=stems.COK_J)
+    )
+    with pytest.raises(InconsistencyError, match=(
+        r"^R3: expected alpha_bar\(1\)\*b\(20\) with valuation 1 on the page$"
+    )):
+        run_differentials(build_e2(P5, ChartTarget.S_OF_CP, 87))
+
+
 def _tops(p, target):
     window = chart_window(p, target)
     return sorted({window - 1, window - 5, window // 2, 1, 0})

@@ -3,6 +3,7 @@ and the chunk shape of `emit.batched`."""
 
 import json
 import sys
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -177,3 +178,35 @@ def test_cell_views_are_written_as_lists():
     assert json_text(payload) == expected
     doc = {"a": emit._Reiterable(iter, [1, {"b": emit._Reiterable(iter, ())}])}
     assert json_text(doc) == json.dumps({"a": [1, {"b": []}]}, indent=2) + "\n"
+
+
+class _Degree(IntEnum):
+    ZERO = 0
+    SEVEN = 7
+
+
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize("doc", [
+    _Degree.SEVEN, _Name("é"),
+    [_Degree.ZERO, _Name("a"), _Degree.SEVEN],
+    {_Degree.SEVEN: _Name("b"), _Name("k"): _Degree.ZERO},
+    [{_Degree.SEVEN: "v", "n": None}],
+    # a subclass value sends a dict of scalars down the general path
+    [{"s": _Name("x"), "n": _Degree.SEVEN, "l": [_Name("y")]}],
+])
+def test_int_and_str_subclasses_are_written_as_their_base(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_chunks_end_at_batch_chars():
+    # each string alone is longer than BATCH_CHARS, so a chunk ends at
+    # the one that brings it past the bound and never holds two
+    word = "x" * 20_000
+    doc = [word] * 64
+    chunks = list(emit.json_chunks(doc))
+    assert "".join(chunks) == json.dumps(doc, indent=2) + "\n"
+    assert all(chunk.count(word) <= 1 for chunk in chunks)
+    assert max(map(len, chunks)) < emit.BATCH_CHARS + len(word)
