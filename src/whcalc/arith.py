@@ -12,14 +12,38 @@ from .errors import PreconditionError, UnverifiedError
 REGULARITY_BOUND = 1000
 
 
+# The strong-pseudoprime test to the 13 prime bases 2..41 is exact below
+# psi_13 (Sorenson and Webster, Math. Comp. 86, 2017); larger n is refused.
+PRIMALITY_BOUND = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin on `_BASES`."""
+    if n >= PRIMALITY_BOUND:
+        raise PreconditionError(
+            f"p must be below {PRIMALITY_BOUND} (psi_13), the bound of the "
+            f"exact primality test, got {n}"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1 if d == 2 else 2
     return True
 
 

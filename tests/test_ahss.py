@@ -471,47 +471,6 @@ def test_small_windows_run_clean():
                 run_differentials(build_e2(p, target, d))
 
 
-# SHA-256 of the JSON envelope of both pages of every whole-window chart at
-# p=3, 5, 11 and 17.  Chart JSON is byte-stable output, so no change to the
-# engine may move any of them.  p=3 is the only prime with two summands in
-# a cell (alpha1_beta1_sq and alpha_bar(6) at t=23), so it pins their order.
-CHART_DIGESTS = {
-    (3, "j-cp", "e2"): "c34132f32084b87acd7017aee17e9d89a983c136a8cb33eb8dfdc0008f498620",
-    (3, "j-cp", "einf"): "6f01fead5cfff360fdab2afa318e8a286a84fb232fa7226eb2a2c02225528eef",
-    (3, "s-cp", "e2"): "3fd745d410eef832711895f3091241a6ca9a5820fb80167b2cb99fde18c1de73",
-    (3, "s-cp", "einf"): "3a743848d9bb4c2d1d24d57be68dd7c7d83b879ffcc487f31eb3a947e37553b5",
-    (3, "s-cpbar", "e2"): "239fbc9a9fad0c041c73e4aa6ebd367ba64ac6395df1a2b65511f7b8f9fc2a85",
-    (3, "s-cpbar", "einf"): "7dce5f958ccd3b34a8e151d4029b68e6481b040bd7a15c76723862a35d1db87a",
-    (5, "j-cp", "e2"): "0b25c7e7b28c12d4865dcdf0d9c9dbefa896527f8225a37c63afdfc138a36cb2",
-    (5, "j-cp", "einf"): "5b40e31aacb8edb4d0343c43728b4a3aff7000e6f62d38e0fdea820a95a6ea64",
-    (5, "s-cp", "e2"): "3b468c7a3f87f8563a3ef158fb9e85f77723b2c21543f468ef269f8b12708ef5",
-    (5, "s-cp", "einf"): "504659db419623fc7d1ece3696940cd11f7065051cb83d3019f529304ca7179e",
-    (5, "s-cpbar", "e2"): "2529727d0b0ff7eb9d1dbf96927c422a3168f26d9075f23878d32cf8e3c98c95",
-    (5, "s-cpbar", "einf"): "16aa6c04944e7fa8aaf5bfbc4ef1e5b7206b81369831dfcccb89f3e2e43787b8",
-    (11, "j-cp", "e2"): "8e6514af95fc077921a99613272a3ca0f4a1008764b6ef8b2f744875efde8c8d",
-    (11, "j-cp", "einf"): "6eb33897d2cc2122500043a7cbd4d6d6cdfbad03298d819ad6b11706a9d8dd93",
-    (11, "s-cp", "e2"): "ca05e90a7f1d74076c34e8318b644c3c5534a0577ff2ea26d9ed38492c2bfb02",
-    (11, "s-cp", "einf"): "1a081af69e34220506c12db568c98dab3ac492a956839b07e76f4805c53f5140",
-    (11, "s-cpbar", "e2"): "a71693cd45c0f0818f0c7b21a70216f04ea73b6bc23222c6ef285b9f3db67248",
-    (11, "s-cpbar", "einf"): "7f09931af0d609227c60bf8fd111a0d51391d1530eb1a378055de718b1b7252a",
-    (17, "j-cp", "e2"): "f9f0b5c8d0f7b1e0dc20b12faf5007ccc769b15ab4f1b4d695dd3c65a2332678",
-    (17, "j-cp", "einf"): "45adfad3ec4f2e2f5c4fb7b35550fcb7915bc85397133c0fec53bc7e9ab4ff7d",
-    (17, "s-cp", "e2"): "952bbe1902ff10b8f016764e7bf1dfad5eb9139a653e3c85644a926387caca56",
-    (17, "s-cp", "einf"): "be03379f6f02bbc427e3e5473ea9de9893f642ac3726af2c7c7610f2a3d67a32",
-    (17, "s-cpbar", "e2"): "4f16e6fd9343c20d0692b211ebd16c878ec247c947e5f4193a94707f5ef9efcf",
-    (17, "s-cpbar", "einf"): "a9ea31cf4b16bbea49f7d7104eab48999f8c35159a76677d0bf5c07e5bf7c861",
-}
-
-
-@pytest.mark.parametrize("pp,target,page", sorted(CHART_DIGESTS))
-def test_chart_bytes_pinned(pp, target, page):
-    p = OddPrime(pp)
-    top = chart_window(p, ChartTarget(target)) - 1
-    text = emit.envelope_text(*emit.ahss(p, target, page, top))
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == CHART_DIGESTS[(pp, target, page)]
-
-
 def _einf_digest(page):
     """SHA-256 of an EINF page's summands, kill ledger and torsion sums,
     each sorted, so it pins what the engine computes and not the order it

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from whcalc import arith
 from whcalc.arith import (
+    PRIMALITY_BOUND,
     REGULARITY_BOUND,
     OddPrime,
     _irregular_indices,
+    _is_prime,
     binom_mod_p,
     ensure_regular,
     is_regular,
@@ -31,6 +34,39 @@ def test_odd_prime_validation():
     for bad in (2, 1, 0, -3, 9, 15, 21):
         with pytest.raises(PreconditionError):
             OddPrime(bad)
+
+
+def _is_prime_by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_matches_trial_division():
+    assert all(
+        _is_prime(n) == _is_prime_by_trial_division(n) for n in range(10**5)
+    )
+
+
+def test_only_base_41_rejects_psi_12(monkeypatch):
+    # psi_12, the least strong pseudoprime to every prime base up to 37
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert not _is_prime(psi_12)
+    monkeypatch.setattr(arith, "_BASES", arith._BASES[:-1])
+    assert _is_prime(psi_12)
+
+
+def test_a_strong_pseudoprime_to_the_bases_up_to_31_is_rejected():
+    n = 3825123056546413051
+    assert n == 149491 * 747451 * 34233211
+    assert not _is_prime(n)
+
+
+def test_primes_from_psi_13_up_are_refused():
+    assert PRIMALITY_BOUND == 3317044064679887385961981
+    for n in (PRIMALITY_BOUND, PRIMALITY_BOUND + 2, 10**30 + 57):
+        with pytest.raises(PreconditionError, match=str(PRIMALITY_BOUND)):
+            OddPrime(n)
+    assert OddPrime(10000000000000061).p == 10000000000000061
 
 
 def test_vp_examples():

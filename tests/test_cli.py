@@ -335,6 +335,11 @@ def test_exit_code_precondition(capsys):
     assert run_cli(capsys, "pi-wh", "--p", "37", "--max-degree", "24")[0] == 2
     assert run_cli(capsys, "pi-wh", "--p", "4", "--max-degree", "5")[0] == 2
     assert run_cli(capsys, "pi-wh", "--p", "3", "--max-degree", "-2")[0] == 2
+    # from psi_13 up, the primality test is not exact
+    psi_13 = "3317044064679887385961981"
+    code, _, err = run_cli(capsys, "ahss", "--p", psi_13, "--max-degree", "4")
+    assert code == 2
+    assert f"must be below {psi_13}" in err
 
 
 def test_exit_code_window(capsys):

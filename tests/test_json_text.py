@@ -66,23 +66,25 @@ def _p13_chart_payload():
 BATCHES = [1, 2, 3]
 
 
-def _depth(value) -> int:
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, (list, tuple)):
-        return 1 + max(map(_depth, value), default=0)
-    return 0
-
-
 def _chunks(doc, batch, monkeypatch):
     monkeypatch.setattr(emit, "BATCH_LINES", batch)
     chunks = list(emit.json_chunks(doc))
-    # A flush yields at most `batch` parts, each with at most one newline,
-    # and each level of nesting may close with one more line before the
-    # next flush.
-    bound = batch + _depth(doc)
-    assert all(chunk.count("\n") <= bound for chunk in chunks)
+    # `batched` ends a chunk at the part that brings it to `batch` newlines
+    # or BATCH_CHARS characters.  A part holds at most one newline, or up to
+    # `batch` when it is a flat dict written whole, so a chunk holds at
+    # most `batch - 1` newlines before its last part.
+    assert all(chunk.count("\n") <= 2 * batch - 1 for chunk in chunks)
+    assert all(
+        chunk.count("\n") >= batch or len(chunk) >= emit.BATCH_CHARS
+        for chunk in chunks[:-1]
+    )
     return chunks
+
+
+def test_a_json_chunk_reaches_twice_the_batch_less_one(monkeypatch):
+    # two one-line items, then a dict of `batch` lines written as one part
+    chunks = _chunks([1, 2, {"a": 1}], 3, monkeypatch)
+    assert [chunk.count("\n") for chunk in chunks] == [5, 2]
 
 
 @pytest.mark.parametrize("batch", BATCHES)
