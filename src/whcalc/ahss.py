@@ -44,9 +44,10 @@ supports the conservation check  E2 aggregate - kills = EINF aggregate.
 
 The E2 page from `build_e2` holds its per-degree torsion sums, one
 range-add per class, but no summands: its content is the stem table placed
-on every column.  Every page keeps its sums, and an EINF page its kill
-ledger, as a list of top + 1 ints indexed by total degree, 0 where nothing
-sits.  R1 visits only what the axis rule leaves:
+on every column.  An EINF page holds its survivors class by class, as
+{theta: {k: valuation}} in page order.  Every page keeps its sums, and an
+EINF page its kill ledger, as a list of top + 1 ints indexed by total
+degree, 0 where nothing sits.  R1 visits only what the axis rule leaves:
 alpha_bar(i)*b(k) has valuation 1+v_p(i) on every column k >= 1, so in
 each odd total degree the index at which the budget runs out is found by
 bisection in the running sums of those valuations, and `page_payload`
@@ -54,7 +55,8 @@ forms the E2 cells column by column from the table.  So the E2 summands,
 about twenty times those of the EINF page, are never built.  R1 is the
 only rule of the image-of-J chart, and a differential does not depend on
 the window, so that chart's EINF page to one top holds R1 for the other
-two charts to that top or below: `run_differentials` takes it as `axis`.
+two charts to that top or below: `run_differentials` takes it as `axis`
+and looks up each image-of-J class's survivors there.
 
 Every window is stated through `stems.beta2_degree`, and a page to total
 degree top reads only the stem classes of degree at most top + 2 (the
@@ -64,9 +66,8 @@ not p.
 
 import enum
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict, namedtuple
-from itertools import accumulate, islice, repeat
-from operator import itemgetter
+from collections import defaultdict, namedtuple
+from itertools import accumulate
 
 from .arith import OddPrime, vp_factorial
 from .emit import _Reiterable
@@ -86,9 +87,10 @@ class ChartTarget(enum.Enum):
     S_OF_CPBAR = "s-cpbar"
 
 
-# One chart page.  `summands` maps each torsion summand theta*b(k), keyed
-# by (theta, k), to its valuation, in page order (by theta, then k); the
-# axis classes follow from the window, so they are not stored and
+# One chart page.  `summands` maps each stem class theta, in page order
+# (by degree, then name), to its surviving torsion summands theta*b(k) as
+# {k: valuation} in column order; a class with no survivor is left out.
+# The axis classes follow from the window, so they are not stored and
 # `page_payload` adds them.  `torsion_by_degree` sums the valuations per
 # total degree and `kill_ledger` holds the kills per total degree, each a
 # list of max_total_degree + 1 ints indexed by total degree, 0 where there
@@ -224,10 +226,10 @@ def _axis_page(p: OddPrime, top: int) -> ChartPage:
     budgets = list(accumulate(counts))
     alpha = [None, *_page_classes(p, ChartTarget.J_OF_CP, top)]
     kept = _axis_kept(p, alpha, budgets)
-    summands: dict[tuple[StemClass, int], int] = {}
-    for theta in alpha[1:]:
-        for k, val in kept.get(theta.index, ()):
-            summands[theta, k] = val
+    summands = {
+        theta: dict(kept[theta.index])
+        for theta in alpha[1:] if kept.get(theta.index)
+    }
     ledger = [0] * (top + 1)
     ledger[1::2] = budgets[1:]  # degree 2n-1 reads budgets[n]
     return _einf_page(ChartTarget.J_OF_CP, p, top, summands, ledger)
@@ -240,8 +242,9 @@ def _einf_page(
     """The EINF page with these summands and kills, its sums added up from
     the summands, in ascending total degree."""
     sums = [0] * (top + 1)
-    for (theta, k), valuation in summands.items():
-        sums[2 * k + theta.degree] += valuation
+    for theta, column in summands.items():
+        for k, valuation in column.items():
+            sums[2 * k + theta.degree] += valuation
     return ChartPage(target, p, EINF, top, summands, ledger, sums)
 
 
@@ -325,33 +328,26 @@ def run_differentials(
     # the survivors, class by class in page order; over the stunted
     # spectrum every page class reaches b(-1), and R5 kills an image-of-J
     # one there as it comes.  A killed summand must be on the page with
-    # valuation 1.  The axis page holds the image-of-J summands class by
-    # class, in the same order, each class in column order; `runs` counts
-    # them per class.
-    tors: dict[tuple[StemClass, int], int] = {}
-    runs = Counter(map(itemgetter(0), axis.summands))
-    kept = iter(axis.summands.items())
+    # valuation 1.
+    tors: dict[StemClass, dict[int, int]] = {}
     for theta in _page_classes(p, target, top):
         if theta.kind == IM_J:  # R1 has read the columns k >= 1
             if cpbar:
                 ledger[theta.degree - 2] += theta.order_valuation  # R5
-            column = dict(islice(kept, runs[theta]))
             last = (top - theta.degree) // 2  # its last column in the window
-            while column and next(reversed(column))[1] > last:
-                column.popitem()
+            column = {
+                k: val for k, val in axis.summands.get(theta, {}).items()
+                if k <= last
+            }
         else:
             column = dict.fromkeys(
-                zip(repeat(theta), _columns(target, top, theta.degree)),
-                theta.order_valuation,
+                _columns(target, top, theta.degree), theta.order_valuation
             )
-        gone = doomed.pop(theta, None)
-        if gone:
-            keys = zip(repeat(theta), gone)
-            popped = list(map(column.pop, keys, repeat(None)))
-            if popped.count(1) != len(popped):
-                k = next(k for k, val in zip(gone, popped) if val != 1)
-                raise _not_on_page(gone[k], theta, k)
-        tors.update(column)
+        for k, rule in doomed.pop(theta, {}).items():
+            if column.pop(k, None) != 1:
+                raise _not_on_page(rule, theta, k)
+        if column:
+            tors[theta] = column
     for theta, gone in doomed.items():  # a class off the page
         for k, rule in gone.items():
             raise _not_on_page(rule, theta, k)
@@ -395,8 +391,9 @@ def page_payload(page: ChartPage) -> dict:
     einf = page.page_label == EINF
     if einf:
         columns: dict[int, list[tuple[StemClass, int]]] = defaultdict(list)
-        for (theta, k), valuation in page.summands.items():
-            columns[k].append((theta, valuation))
+        for theta, survivors in page.summands.items():
+            for k, valuation in survivors.items():
+                columns[k].append((theta, valuation))
         column = {
             k: _degree_groups(col, einf) for k, col in columns.items()
         }.get

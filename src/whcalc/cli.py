@@ -159,7 +159,7 @@ def _match(command: str | None, token: str) -> tuple[str, str | None] | None:
     if name not in flags and name.startswith("--"):
         hits = [flag for flag in flags if flag.startswith(name)]
         if len(hits) > 1:
-            _usage_error(command, f"ambiguous option: {name} could match "
+            _usage_error(command, f"ambiguous option: {token} could match "
                                   + ", ".join(hits))
         name = hits[0] if hits else name
     if name not in flags:

@@ -125,9 +125,10 @@ def _check_torsion_vs_charts(p: OddPrime, deep: bool) -> str:
 def _einf_torsion_cells(page, top: int) -> dict[tuple, int]:
     """Summands theta*b(k) in total degrees <= top, keyed by (theta, k)."""
     return {
-        key: valuation
-        for key, valuation in page.summands.items()
-        if 2 * key[1] + key[0].degree <= top
+        (theta, k): valuation
+        for theta, column in page.summands.items()
+        for k, valuation in column.items()
+        if 2 * k + theta.degree <= top
     }
 
 

@@ -18,7 +18,7 @@ from whcalc.ahss import (
     page_payload,
     run_differentials,
 )
-from whcalc.arith import OddPrime, vp_factorial
+from whcalc.arith import OddPrime, vp, vp_factorial
 from whcalc.errors import InconsistencyError, PreconditionError, WindowError
 
 P3 = OddPrime(3)
@@ -39,7 +39,7 @@ def _axis_kept_by_hand(summands):
         for n, budget in enumerate(budgets):
             i, k = 1, n - (pp - 1)
             while k >= 1:
-                val = summands.get((alpha[i], k))
+                val = summands.get(alpha[i], {}).get(k)
                 # d_q on alpha_bar(1)*b(k) is k times a unit
                 if budget and (i > 1 or k % pp):
                     if val is None:
@@ -61,15 +61,27 @@ def _axis_kept_by_hand(summands):
 
 
 def _e2_summands(page):
-    """An E2 page's summands theta*b(k) -> valuation in page order: the
-    stem table placed on every column.  The package never builds this dict,
-    as its E2 pages read their valuations from the table."""
+    """An E2 page's summands as an EINF page holds them, {theta: {k:
+    valuation}} in page order: the stem table placed on every column.  The
+    package never builds this dict, as its E2 pages read their valuations
+    from the table."""
     top = page.max_total_degree
     return {
-        (theta, k): theta.order_valuation
+        theta: dict.fromkeys(
+            _columns(page.target, top, theta.degree), theta.order_valuation
+        )
         for theta in _page_classes(page.p, page.target, top)
-        for k in _columns(page.target, top, theta.degree)
     }
+
+
+def _survivors(summands):
+    """The (theta, k, valuation) triples of a page's summands, in page
+    order, so that two pages compare in order and not only as dicts."""
+    return [
+        (theta, k, valuation)
+        for theta, column in summands.items()
+        for k, valuation in column.items()
+    ]
 
 
 def _grouped_page_payload(page):
@@ -95,7 +107,7 @@ def _grouped_page_payload(page):
     if page.target is ChartTarget.S_OF_CPBAR:
         cell(-2, 0)["labels"].append("b(-1)")
     summands = page.summands if einf else _e2_summands(page)
-    for (theta, k), valuation in summands.items():
+    for theta, k, valuation in _survivors(summands):
         record = cell(2 * k, theta.degree)
         record["labels"].append(f"{theta.name}*b({k})")
         record["valuation"] += valuation
@@ -149,7 +161,7 @@ def test_e2_cells_examples():
     cell = jcells[(2, 3)]
     assert cell["labels"] == ["alpha_bar(1)*b(1)"]
     assert cell["valuation"] == 1
-    assert _e2_summands(jpage)[(stems.alpha_bar(P3, 1), 1)] == 1
+    assert _e2_summands(jpage)[stems.alpha_bar(P3, 1)][1] == 1
 
     spage = build_e2(P3, ChartTarget.S_OF_CPBAR, 20)
     scells = _cells(spage)
@@ -248,7 +260,7 @@ def test_einf_imj_cells_are_aggregate_only():
     e2 = build_e2(P3, ChartTarget.S_OF_CPBAR, 23)
     page = run_differentials(e2)
     imj = defaultdict(bool)
-    for (theta, k) in page.summands:
+    for theta, k, _ in _survivors(page.summands):
         imj[(2 * k, theta.degree)] |= theta.kind == "im_j"
     for (s, t), cell in _cells(page).items():
         if t == 0:
@@ -307,10 +319,24 @@ def test_axis_rule_names_a_missing_summand(monkeypatch):
     e2 = build_e2(P3, ChartTarget.J_OF_CP, 20)
     assert _cells(e2)[(2, 7)]["labels"] == ["alpha_bar(2)*b(1)"]
     summands = _e2_summands(e2)
-    assert summands.pop((stems.alpha_bar(P3, 2), 1)) == 1
+    assert summands[stems.alpha_bar(P3, 2)].pop(1) == 1
     monkeypatch.setattr(ahss, "_axis_kept", _axis_kept_by_hand(summands))
     with pytest.raises(InconsistencyError, match=r"alpha_bar\(2\)\*b\(1\)"):
         run_differentials(e2)
+
+
+def test_axis_rule_names_an_under_supplied_budget(monkeypatch):
+    # With alpha_bar(i) of order p^(v_p(i)), one p short, alpha_bar(1) has
+    # nothing to give the budget v_p(3!) = 1 in total degree 5 at p=3.
+    real = stems.alpha_bar
+    monkeypatch.setattr(stems, "alpha_bar", lambda p, i: real(p, i)._replace(
+        order_valuation=vp(p, i)
+    ))
+    with pytest.raises(InconsistencyError, match=(
+        r"^axis rule under-supplied in total degree 5: residual budget 1 "
+        r"at p=3$"
+    )):
+        run_differentials(build_e2(P3, ChartTarget.J_OF_CP, 27))
 
 
 @pytest.mark.parametrize("valuation", [None, 2])
@@ -385,7 +411,7 @@ def test_lazy_e2_page_matches_its_materialized_cells(pp, monkeypatch):
                 m.setattr(ahss, "_axis_kept", _axis_kept_by_hand(_e2_summands(e2)))
                 by_hand = run_differentials(e2)
             # lists, so the page order is checked too
-            assert list(lazy.summands.items()) == list(by_hand.summands.items())
+            assert _survivors(lazy.summands) == _survivors(by_hand.summands)
             assert lazy.kill_ledger == by_hand.kill_ledger
 
 
@@ -431,9 +457,9 @@ def test_whole_window_j_chart_restricts_to_the_stunted_window(pp):
     whole = run_differentials(build_e2(p, target, chart_window(p, target) - 1))
     short = run_differentials(build_e2(p, target, top))
     assert [
-        ((theta, k), val) for (theta, k), val in whole.summands.items()
+        (theta, k, val) for theta, k, val in _survivors(whole.summands)
         if 2 * k + theta.degree <= top
-    ] == list(short.summands.items())
+    ] == _survivors(short.summands)
 
 
 @pytest.mark.parametrize("pp", [3, 5, 7, 11, 13, 17])
@@ -447,9 +473,31 @@ def test_an_image_of_j_page_gives_the_axis_rule_to_lower_windows(pp):
         for top in _tops(p, target):
             e2 = build_e2(p, target, top)
             alone, shared = run_differentials(e2), run_differentials(e2, axis)
-            assert list(shared.summands.items()) == list(alone.summands.items())
+            assert _survivors(shared.summands) == _survivors(alone.summands)
             assert shared.kill_ledger == alone.kill_ledger
             assert shared.torsion_by_degree == alone.torsion_by_degree
+
+
+@pytest.mark.parametrize("pp", [5, 17])
+def test_an_axis_page_is_read_by_class_not_by_order(pp):
+    # The other charts look up each image-of-J class's survivors on the
+    # axis page, so the same survivors in another class order give the
+    # same pages.
+    p = OddPrime(pp)
+    J = ChartTarget.J_OF_CP
+    axis = run_differentials(build_e2(p, J, chart_window(p, J) - 1))
+    reordered = axis._replace(summands=dict(reversed(axis.summands.items())))
+    assert list(reordered.summands) != list(axis.summands)
+    for target in ChartTarget:
+        e2 = build_e2(p, target, chart_window(p, target) - 1)
+        got, want = run_differentials(e2, reordered), run_differentials(e2, axis)
+        assert got == want
+        assert _survivors(got.summands) == _survivors(want.summands)
+        # each page owns its columns, so changing one leaves the axis page
+        assert all(
+            column is not axis.summands.get(theta)
+            for theta, column in got.summands.items()
+        )
 
 
 def test_an_axis_page_must_reach_the_window():
@@ -477,7 +525,7 @@ def _einf_digest(page):
     computes it in.  The ledger and the sums enter as their nonzero
     (degree, value) pairs."""
     text = repr((
-        sorted((theta.name, k, v) for (theta, k), v in page.summands.items()),
+        sorted((theta.name, k, v) for theta, k, v in _survivors(page.summands)),
         sorted((d, v) for d, v in enumerate(page.kill_ledger) if v),
         sorted((d, v) for d, v in enumerate(page.torsion_by_degree) if v),
     ))

@@ -198,6 +198,20 @@ def test_error_messages_read_as_argparse_wrote_them():
         assert new(argv)[3].splitlines()[-1] == ref, argv
 
 
+def test_an_ambiguous_option_is_named_as_typed():
+    # argparse lists the umbrella's flags here, not the command's, so the
+    # case is not in INVALID, where the whole message is compared
+    argv = ["pi-wh", "--p", "3", "--max-degree", "24", "--=1"]
+    kind, code, out, err = new(argv)
+    assert (kind, code, out) == ("exit", 2, "")
+    assert err.splitlines()[-1] == (
+        "whcalc pi-wh: error: ambiguous option: --=1 could match --help, "
+        "--p, --max-degree, --format, --out, --assume-regular"
+    )
+    assert old(argv)[:2] == ("exit", 2)
+    assert "ambiguous option: --=1 could match " in old(argv)[3]
+
+
 @pytest.mark.parametrize("argv", [
     ["--version"], ["--vers"], ["--version", "pi-wh"], ["--foo", "--version"],
 ])

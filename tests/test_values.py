@@ -166,8 +166,8 @@ def test_milnor_primitive_is_a_plain_dict():
 
 
 # A chart summand theta*b(k) has no class of its own either: a page maps
-# the plain key (theta, k), a stem class and a column index, to its
-# valuation.
+# each stem class theta, a plain key, to a dict of its column indices k
+# and their valuations, classes in page order and columns in column order.
 
 
 def test_chart_summand_is_a_plain_key():
@@ -178,13 +178,19 @@ def test_chart_summand_is_a_plain_key():
             assert einf.summands
             for summands in (_e2_summands(e2), einf.summands):
                 assert type(summands) is dict
-                for key, valuation in summands.items():
-                    assert type(key) is tuple and len(key) == 2
-                    theta, k = key
-                    assert type(theta) is StemClass and type(k) is int
-                    assert type(valuation) is int and valuation > 0
-            for (theta, _), valuation in _e2_summands(e2).items():
-                assert valuation == theta.order_valuation
+                classes = list(summands)
+                assert classes == sorted(
+                    classes, key=lambda c: (c.degree, c.name)
+                )
+                for theta, column in summands.items():
+                    assert type(theta) is StemClass
+                    assert type(column) is dict and column
+                    assert list(column) == sorted(column)
+                    for k, valuation in column.items():
+                        assert type(k) is int
+                        assert type(valuation) is int and valuation > 0
+            for theta, column in _e2_summands(e2).items():
+                assert set(column.values()) == {theta.order_valuation}
 
 
 def test_odd_prime_validates_and_stays_fixed():

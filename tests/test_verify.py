@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from whcalc import cli
+from whcalc import cli, whcohomology
 from whcalc import verify as vf
 from whcalc.ahss import ChartTarget, build_e2, chart_window, run_differentials
 from whcalc.arith import OddPrime
@@ -35,6 +35,34 @@ def test_basis_counts_catches_an_off_by_one_series(monkeypatch):
     rows = {r.name: r for r in vf.run_checks([OddPrime(3)])}
     assert rows["basis-counts"].status == vf.FAIL
     assert rows["basis-counts"].detail.startswith("A(b,Q1) has rank 3 in degree 17")
+
+
+def test_basis_counts_catches_a_miscounted_degree(monkeypatch):
+    real = vf.milnor_dual_dims
+
+    def mutated(p, max_degree, *, first_exterior=0):
+        dims = real(p, max_degree, first_exterior=first_exterior)
+        if not first_exterior:
+            dims[4] += 1  # a second class beside P1 at p=3
+        return dims
+
+    monkeypatch.setattr(vf, "milnor_dual_dims", mutated)
+    row = _rows()["basis-counts"]
+    assert row.status == vf.FAIL
+    assert row.detail == "counts differ in degrees [4]"
+
+
+def test_basis_counts_catches_a_bockstein_that_acts(monkeypatch):
+    real = vf.act_word_on_projective
+
+    def mutated(p, word, k):
+        # the Bockstein read as the identity instead of killing y^k
+        return real(p, tuple(g for g in word if g), k)
+
+    monkeypatch.setattr(vf, "act_word_on_projective", mutated)
+    row = _rows()["basis-counts"]
+    assert row.status == vf.FAIL
+    assert row.detail == "A(b,Q1) acts nonzero on y^-1 in degree 1"
 
 
 def _rows():
@@ -62,10 +90,9 @@ def test_axis_orders_catches_a_dropped_summand(monkeypatch):
         e2 = build_e2(p, target, chart_window(p, target) - 1)
         einf = run_differentials(e2)
         if target is ChartTarget.J_OF_CP:
-            theta, k = next(iter(einf.summands))
-            einf.torsion_by_degree[2 * k + theta.degree] -= (
-                einf.summands.pop((theta, k))
-            )
+            theta, column = next(iter(einf.summands.items()))
+            k = next(iter(column))
+            einf.torsion_by_degree[2 * k + theta.degree] -= column.pop(k)
         return e2, einf
 
     monkeypatch.setattr(vf, "_chart", chart)
@@ -79,8 +106,11 @@ def test_adjustment_sets_catch_a_dropped_summand(monkeypatch):
         e2 = build_e2(p, target, chart_window(p, target) - 1)
         einf = run_differentials(e2)
         if target is ChartTarget.S_OF_CPBAR:
-            theta, k = next(key for key in einf.summands if key[1] > 0)
-            del einf.summands[(theta, k)]
+            theta, k = next(
+                (theta, k) for theta, column in einf.summands.items()
+                for k in column if k > 0
+            )
+            del einf.summands[theta][k]
         return e2, einf
 
     monkeypatch.setattr(vf, "_chart", chart)
@@ -102,6 +132,44 @@ def test_annihilators_catch_a_dropped_annihilator_word(monkeypatch):
     row = _rows()["annihilators"]
     assert row.status == vf.FAIL
     assert row.detail == "y^-1 live words and annihilator differ on [(9, 1)]"
+
+
+def _move_a_live_word(monkeypatch, a, word):
+    """Report `word` as annihilating y^a rather than acting on it, in both
+    `live_words` and `annihilator_basis`, so the two still agree."""
+    live, ann = vf.live_words, vf.annihilator_basis
+
+    def live_words(p, b, max_degree):
+        words = list(live(p, b, max_degree))
+        return [w for w in words if w != word] if b == a else words
+
+    def annihilator_basis(p, b, max_degree):
+        words = ann(p, b, max_degree)
+        return [*words, word] if b == a else words
+
+    monkeypatch.setattr(vf, "live_words", live_words)
+    monkeypatch.setattr(vf, "annihilator_basis", annihilator_basis)
+
+
+def test_annihilators_catch_a_lost_single_power(monkeypatch):
+    # P^10, the top single power at degree 40, read as killing y^-1
+    _move_a_live_word(monkeypatch, -1, (10,))
+    row = _rows()["annihilators"]
+    assert row.status == vf.FAIL
+    assert row.detail == (
+        "y^-1 complement mismatch: [] unexpected, [(10,)] missing"
+    )
+
+
+def test_annihilators_catch_a_lost_power_chain_at_p5_deep(monkeypatch):
+    # P^5 P^1, the longest power chain on y^1 to degree 200, read as zero
+    _move_a_live_word(monkeypatch, 1, (5, 1))
+    rows = {r.name: r for r in vf.run_checks([OddPrime(5)], deep=True)}
+    row = rows["annihilators"]
+    assert row.status == vf.FAIL
+    assert row.detail == (
+        "y^1 complement mismatch: [] unexpected, [(5, 1)] missing"
+    )
 
 
 def test_adem_action_catches_a_wrong_coefficient(monkeypatch):
@@ -135,6 +203,54 @@ def test_delta_rank_catches_a_source_shifted_by_one(monkeypatch):
     assert row.detail == "degree 3: cok - ker = 0, target - source = 1"
 
 
+def test_delta_rank_catches_a_class_in_both_cokernel_and_kernel(monkeypatch):
+    # a spurious class of cok(delta*) in degree 3 with a kernel class one
+    # degree below keeps rank-nullity, but delta* is injective there
+    real = vf.delta_star_report
+
+    def mutated(p, max_degree):
+        report = real(p, max_degree)
+        next(iter(report["coker"].values()))[3] = 1
+        report["ker"]["sigma^2 C_1/A(b,Q1)"] = {2: 1}
+        return report
+
+    monkeypatch.setattr(vf, "delta_star_report", mutated)
+    row = _rows()["delta-rank"]
+    assert row.status == vf.FAIL
+    assert row.detail == (
+        "degree 3 lies in the injectivity range but cok 1 != target - source 0"
+    )
+
+
+def test_cohomology_additivity_catches_a_miscounted_total(monkeypatch):
+    real = vf.h_wh_report
+
+    def mutated(p, max_degree):
+        report = real(p, max_degree)
+        report["total"][17] += 1
+        return report
+
+    monkeypatch.setattr(vf, "h_wh_report", mutated)
+    row = _rows()["cohomology-additivity"]
+    assert row.status == vf.FAIL
+    assert row.detail == "total differs from the sum of the pieces"
+
+
+def test_cohomology_additivity_catches_a_kernel_block_at_p3(monkeypatch):
+    # the odd indices a <= p-4 taken as a <= p-2, which gives p=3 a CP[1]
+    # piece and a kernel block; the pieces still sum to their total
+    monkeypatch.setattr(
+        whcohomology, "_odd_summand_indices", lambda p: range(1, p.p - 1, 2)
+    )
+    row = _rows()["cohomology-additivity"]
+    assert row.status == vf.FAIL
+    assert row.detail == (
+        "p=3 pieces ['H(sigma CP[1])/A(sigma y^1)', 'H(sigma HP)', "
+        "'H(sigma c)', 'sigma^-2 C/A(b,Q1)', 'sigma^2 C_1/A(b,Q1)'] != "
+        "['H(sigma HP)', 'H(sigma c)', 'sigma^-2 C/A(b,Q1)']"
+    )
+
+
 def test_golden_files_catches_one_changed_byte(monkeypatch, tmp_path):
     golden = tmp_path / "golden"
     shutil.copytree(Path(vf.__file__).parent / "golden", golden)
@@ -148,6 +264,34 @@ def test_golden_files_catches_one_changed_byte(monkeypatch, tmp_path):
     assert row.detail == (
         "pi_wh_p3_d24.json differs from the regenerated emission"
     )
+
+
+def test_golden_files_catches_a_missing_file(monkeypatch, tmp_path):
+    golden = tmp_path / "golden"
+    shutil.copytree(Path(vf.__file__).parent / "golden", golden)
+    (golden / "pi_wh_p3_d24.json").unlink()
+    monkeypatch.setattr(vf, "__file__", str(tmp_path / "verify.py"))
+    row = _rows()["golden-files"]
+    assert row.status == vf.FAIL
+    assert row.detail == "pinned emission pi_wh_p3_d24.json is missing"
+
+
+def test_a_library_error_in_a_check_becomes_a_fail_row(monkeypatch):
+    # charts asked for one degree beyond their window, which the engine
+    # refuses; each chart row reports the error and the other rows still run
+    def chart(p, target):
+        return build_e2(p, target, chart_window(p, target))
+
+    monkeypatch.setattr(vf, "_chart", chart)
+    rows = _rows()
+    assert len(rows) == len(vf._CHECKS)
+    row = rows["torsion-vs-charts"]
+    assert row.status == vf.FAIL
+    assert row.detail == (
+        "WindowError: chart s-cpbar at p=3 is only valid in total degrees "
+        "< 24; got max_total_degree=24"
+    )
+    assert rows["basis-counts"].status == vf.PASS
 
 
 # Detail lines of the four chart checks at the larger primes, as printed
