@@ -166,18 +166,22 @@ FirstTorsion = namedtuple("FirstTorsion", "degree valuation generator")
 
 
 def first_p_torsion(p: OddPrime, *, assume_regular: bool = False) -> FirstTorsion:
-    """First degree with nonzero p-torsion, scanned from degree 1 upward."""
+    """First degree with nonzero p-torsion, scanned to tops that double."""
     ensure_regular(p, assume_regular)
-    vals, sigma = _wh_valuations(p, torsion_window(p) - 1)
-    for d, val in enumerate(vals):
-        if val:
-            theta = sigma.get(d)
-            return FirstTorsion(
-                d, val, None if theta is None else f"sigma({theta.name})"
+    top, last = 64, torsion_window(p) - 1
+    while True:
+        vals, sigma = _wh_valuations(p, min(top, last))
+        for d, val in enumerate(vals):
+            if val:
+                theta = sigma.get(d)
+                return FirstTorsion(
+                    d, val, None if theta is None else f"sigma({theta.name})"
+                )
+        if top >= last:
+            raise InconsistencyError(
+                f"no torsion found below the validity window at p={p.p}"
             )
-    raise InconsistencyError(
-        f"no torsion found below the validity window at p={p.p}"
-    )
+        top *= 2
 
 
 ConcordanceFirstTorsion = namedtuple(

@@ -41,7 +41,7 @@ from .steenrod import (
     word_degree,
 )
 from .stems import _cokernel_classes, alpha_bar
-from .torsion import _wh_valuations, torsion_window
+from .torsion import _cpbar_valuations
 from .whcohomology import (
     COKER_MAIN_PIECE,
     HP_PIECE,
@@ -78,7 +78,8 @@ class _Failure(Exception):
 
 
 # The four chart checks read three pages per prime, the whole-window chart
-# of each target.  An E2 page holds its per-degree sums but no summands;
+# of each target, and take their degrees from the pages: this is the only
+# place a chart's top is set.  An E2 page holds its sums but no summands;
 # the EINF pages hold the summands kept.  The image-of-J EINF page, whose
 # window is the largest, gives the other two their axis rule.
 @lru_cache(maxsize=3)
@@ -97,20 +98,15 @@ def _chart(p: OddPrime, target: ChartTarget) -> tuple[ChartPage, ChartPage]:
 
 
 def _check_torsion_vs_charts(p: OddPrime, deep: bool) -> str:
-    """Closed-form profile == cokernel-of-J summand + chart engine.  Both
-    sides add the same `sigma_c_summands(p)`, so only the stunted-projective
-    part is checked; the sigma classes await their second route, an Ext
-    computation over the Steenrod algebra (ROADMAP.md, stem-table item).
-    The closed form is the per-degree list that `wh_torsion_profile`
-    reads its entries from."""
-    top = torsion_window(p) - 1
-    table, sigma = _wh_valuations(p, top)
-    # degree d reads total degree d-1 of the stunted chart, whose window
-    # ends one degree below the profile's
+    """Closed-form stunted-projective profile, the per-degree list that
+    `wh_torsion_profile` reads its entries from, == the s-cpbar chart
+    engine.  The sigma classes are left out on purpose: both sides would
+    read them from the same stem table, so they still await their second
+    route, Ext over the Steenrod algebra (ROADMAP.md, stem-table item)."""
     _, chart = _chart(p, ChartTarget.S_OF_CPBAR)
+    top = chart.max_total_degree + 1  # degree d reads total degree d-1
+    table = _cpbar_valuations(p, top)
     engine = [0, *chart.torsion_by_degree]
-    for d, theta in sigma.items():
-        engine[d] += theta.order_valuation
     if table != engine:
         for d, (want, got) in enumerate(zip(table, engine)):
             if want != got:
@@ -141,19 +137,18 @@ def _check_adjustment_sets(p: OddPrime, deep: bool) -> str:
     """Stunted-spectrum EINF cells == image-of-J EINF cells, plus the three
     cokernel-of-J families on low columns, minus alpha_bar(1)*b(mp) for
     m >= p-2."""
-    top = chart_window(p, ChartTarget.S_OF_CPBAR) - 1
     # The differentials in a total degree do not depend on the top, so the
-    # whole-window image-of-J chart restricted to the stunted window is the
-    # chart to that window.
+    # image-of-J chart restricted to the stunted chart's top is the chart
+    # to that top.
     _, jpage = _chart(p, ChartTarget.J_OF_CP)
     _, spage = _chart(p, ChartTarget.S_OF_CPBAR)
+    top = spage.max_total_degree
     beta1, alpha1_beta1, beta1_sq, _ = _cokernel_classes(p)
     expected = _einf_torsion_cells(jpage, top)
     for theta in (beta1, alpha1_beta1, beta1_sq):
-        for m in range(1, p.p - 2):
-            k = m * p.p if theta is alpha1_beta1 else m
-            if 2 * k + theta.degree <= top:
-                expected[(theta, k)] = 1
+        step = p.p if theta is alpha1_beta1 else 1
+        last = min(p.p - 3, (top - theta.degree) // (2 * step))
+        expected.update(((theta, m * step), 1) for m in range(1, last + 1))
     alpha1 = alpha_bar(p, 1)
     m = p.p - 2
     while 2 * m * p.p + alpha1.degree <= top:
@@ -178,8 +173,8 @@ def _check_axis_orders(p: OddPrime, deep: bool) -> str:
     axis differentials entering minus leaving, `j_order_valuation(p, n)`,
     read as a running sum: from n-1 to n it gains 1 + v_p(m) when
     n - 1 = m(p-1) and loses v_p(n)."""
-    top = chart_window(p, ChartTarget.J_OF_CP) - 1
     _, page = _chart(p, ChartTarget.J_OF_CP)
+    top = page.max_total_degree
     sums = page.torsion_by_degree
     pp = p.p
     want = 0

@@ -263,6 +263,23 @@ def test_out_whose_owner_cannot_be_kept_is_copied_in_place(
     assert target.read_text(encoding="utf-8") == expected
 
 
+def test_out_whose_directory_takes_no_new_file_is_written_through(
+    capsys, tmp_path, monkeypatch
+):
+    _, expected, _ = run_cli(capsys, *LARGE)
+    target = tmp_path / "chart.json"
+
+    def no_temporary_file(path, *args, **kwargs):
+        if str(path).endswith(".tmp"):
+            raise PermissionError(13, "Permission denied")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", no_temporary_file, raising=False)
+    assert run_cli(capsys, *LARGE, "--out", str(target))[0] == 0
+    assert target.read_bytes() == expected.encode("utf-8")
+    assert list(tmp_path.iterdir()) == [target]
+
+
 # A lean parent, since Linux carries a parent's peak RSS into a child it
 # spawns: it runs `python ARGS...` with stdout on the null device and prints
 # the child's exit code and peak RSS in kB.

@@ -230,6 +230,33 @@ def test_first_torsion():
         assert first.generator is None  # a stunted-spectrum class, unnamed
 
 
+def test_first_torsion_at_a_large_prime():
+    # the scan stops at degree 4p-2, far below the whole window (about
+    # 4p^2 degrees), which holds more degrees than memory allows
+    p = OddPrime(100003)
+    assert first_p_torsion(p, assume_regular=True) == torsion.FirstTorsion(
+        400010, 1, None
+    )
+    assert concordance_first_torsion(p, assume_regular=True) == (
+        torsion.ConcordanceFirstTorsion(
+            100003, 400008, 400009, 1, 400010, 1200031
+        )
+    )
+
+
+def test_first_torsion_scans_tops_that_double(monkeypatch):
+    tops = []
+
+    def no_torsion(p, top):
+        tops.append(top)
+        return [0] * (top + 1), {}
+
+    monkeypatch.setattr(torsion, "_wh_valuations", no_torsion)
+    with pytest.raises(InconsistencyError, match="below the validity window"):
+        first_p_torsion(OddPrime(11))
+    assert tops == [64, 128, 256, torsion_window(OddPrime(11)) - 1]
+
+
 def test_concordance_first_torsion():
     c3 = concordance_first_torsion(P3)
     assert (c3.pi_degree_C, c3.pi_degree_H) == (9, 10)

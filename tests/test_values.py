@@ -2,7 +2,8 @@
 `Name(field=value, ...)` repr; Steenrod elements that are plain words and
 dicts; chart summands that are plain keys; results that are the payload
 dicts the CLI emits; a package namespace that imports lazily;
-and CLI calls that load only the modules they run."""
+CLI calls that load only the modules they run; and public functions that
+refuse a degree or an index out of range."""
 
 import os
 import subprocess
@@ -331,3 +332,20 @@ def test_bare_package_import_loads_no_submodule_and_lists_every_name():
 
 def test_emit_targets_are_the_chart_targets():
     assert emit.TARGETS == tuple(t.value for t in ChartTarget)
+
+
+@pytest.mark.parametrize("name,args", [
+    ("vp", (0,)),
+    ("vp_factorial", (-1,)),
+    ("binom_mod_p", (3, -1)),
+    ("admissible_basis", (-1,)),
+    ("milnor_dual_dims", (-1,)),
+    ("milnor_primitive", (-1,)),
+    ("h_sigma_c_dims", (-1,)),
+    ("h_sigma_hp_dims", (-1,)),
+    ("delta_star_report", (-1,)),
+    ("h_wh_report", (-1,)),
+])
+def test_public_functions_refuse_out_of_range_arguments(name, args):
+    with pytest.raises(PreconditionError):
+        getattr(whcalc, name)(OddPrime(5), *args)

@@ -70,51 +70,81 @@ def _rows():
     return {r.name: r for r in vf.run_checks([OddPrime(3)])}
 
 
+def _charts(top=None, target=None, change=None):
+    """A stand-in for `verify._chart` that builds every page to total
+    degree `top`, s-cpbar to top - 1, or to its whole window when `top`
+    is None, and applies `change(e2, einf)` to the pages of `target`."""
+    def chart(p, t):
+        if top is None:
+            last = chart_window(p, t) - 1
+        else:
+            last = top - (t is ChartTarget.S_OF_CPBAR)
+        e2 = build_e2(p, t, last)
+        einf = run_differentials(e2)
+        if t is target:
+            change(e2, einf)
+        return e2, einf
+
+    return chart
+
+
+def _patched_rows(monkeypatch, pp, target, change):
+    """The rows of `verify --p pp`, by check name, with `change(e2, einf)`
+    applied to the whole-window pages of `target`."""
+    monkeypatch.setattr(vf, "_chart", _charts(None, target, change))
+    return {r.name: r for r in vf.run_checks([OddPrime(pp)])}
+
+
 def test_torsion_vs_charts_catches_a_shifted_profile_entry(monkeypatch):
-    real = vf._wh_valuations
+    real = vf._cpbar_valuations
 
     def mutated(p, top):
-        vals, sigma = real(p, top)
-        # the first degree the chart supplies, moved one degree up
+        vals = real(p, top)
+        # a profile entry moved one degree up
         vals[16], vals[17] = 0, vals[16]
-        return vals, sigma
+        return vals
 
-    monkeypatch.setattr(vf, "_wh_valuations", mutated)
+    monkeypatch.setattr(vf, "_cpbar_valuations", mutated)
     row = _rows()["torsion-vs-charts"]
     assert row.status == vf.FAIL
     assert row.detail == "degree 16: closed form 0, engine 1"
 
 
-def test_axis_orders_catches_a_dropped_summand(monkeypatch):
-    def chart(p, target):
-        e2 = build_e2(p, target, chart_window(p, target) - 1)
-        einf = run_differentials(e2)
-        if target is ChartTarget.J_OF_CP:
-            theta, column = next(iter(einf.summands.items()))
-            k = next(iter(column))
-            einf.torsion_by_degree[2 * k + theta.degree] -= column.pop(k)
-        return e2, einf
+def test_torsion_vs_charts_needs_one_entry_per_degree(monkeypatch):
+    def change(e2, einf):
+        einf.torsion_by_degree.pop()
 
-    monkeypatch.setattr(vf, "_chart", chart)
-    row = _rows()["axis-orders"]
+    row = _patched_rows(monkeypatch, 5, ChartTarget.S_OF_CPBAR, change)[
+        "torsion-vs-charts"
+    ]
+    assert row.status == vf.FAIL
+    assert row.detail == "closed form holds degrees 0..84, engine 0..83"
+
+
+def test_axis_orders_catches_a_dropped_summand(monkeypatch):
+    def change(e2, einf):
+        theta, column = next(iter(einf.summands.items()))
+        k = next(iter(column))
+        einf.torsion_by_degree[2 * k + theta.degree] -= column.pop(k)
+
+    row = _patched_rows(monkeypatch, 3, ChartTarget.J_OF_CP, change)[
+        "axis-orders"
+    ]
     assert row.status == vf.FAIL
     assert row.detail == "stem 9: chart 0, closed form 1"
 
 
 def test_adjustment_sets_catch_a_dropped_summand(monkeypatch):
-    def chart(p, target):
-        e2 = build_e2(p, target, chart_window(p, target) - 1)
-        einf = run_differentials(e2)
-        if target is ChartTarget.S_OF_CPBAR:
-            theta, k = next(
-                (theta, k) for theta, column in einf.summands.items()
-                for k in column if k > 0
-            )
-            del einf.summands[theta][k]
-        return e2, einf
+    def change(e2, einf):
+        theta, k = next(
+            (theta, k) for theta, column in einf.summands.items()
+            for k in column if k > 0
+        )
+        del einf.summands[theta][k]
 
-    monkeypatch.setattr(vf, "_chart", chart)
-    row = _rows()["chart-adjustment-sets"]
+    row = _patched_rows(monkeypatch, 3, ChartTarget.S_OF_CPBAR, change)[
+        "chart-adjustment-sets"
+    ]
     assert row.status == vf.FAIL
     assert row.detail == (
         "cell sets differ: extra=[] missing=[('alpha_bar(3)', 1)] revalued=[]"
@@ -327,18 +357,50 @@ def test_chart_checks_at_larger_primes(pp):
     )
 
 
+CHART_ROWS = (
+    "torsion-vs-charts", "chart-adjustment-sets", "axis-orders",
+    "chart-conservation",
+)
+
+
+def _chart_rows(p):
+    """The detail lines of the four chart rows at p, in row order."""
+    return tuple(fn(p, deep=False) for name, fn in vf._CHECKS
+                 if name in CHART_ROWS)
+
+
+@pytest.mark.parametrize("pp,top,adjusted", [
+    (71, 512, 3), (113, 512, 1), (1000003, 40, 0),
+])
+def test_chart_rows_read_their_degrees_from_the_pages(monkeypatch, pp, top,
+                                                      adjusted):
+    # pages built below the whole window: each row reads its top from
+    # the page it gets
+    monkeypatch.setattr(vf, "_chart", _charts(top))
+    assert _chart_rows(OddPrime(pp)) == (
+        f"closed form matches the chart engine in degrees 1..{top}",
+        f"{adjusted} adjusted cells match through total degree {top - 1}",
+        f"{top // 2} odd stems agree with the closed form",
+        "kill ledgers balance on all three charts",
+    )
+
+
+def test_truncated_torsion_vs_charts_catches_a_lowered_sum(monkeypatch):
+    # the first torsion at p=113 sits in Whitehead degree 4p-2 = 450
+    def change(e2, einf):
+        einf.torsion_by_degree[449] -= 1
+
+    monkeypatch.setattr(vf, "_chart", _charts(512, ChartTarget.S_OF_CPBAR,
+                                              change))
+    with pytest.raises(vf._Failure) as failure:
+        vf._check_torsion_vs_charts(OddPrime(113), deep=False)
+    assert str(failure.value) == "degree 450: closed form 1, engine 0"
+
+
 def _conservation_row(monkeypatch, change):
     """The chart-conservation row of `verify --p 5` with `change` applied
     to the E2 and EINF pages of the s-cp chart, whose top is 87."""
-    def chart(p, target):
-        e2 = build_e2(p, target, chart_window(p, target) - 1)
-        einf = run_differentials(e2)
-        if target is ChartTarget.S_OF_CP:
-            change(e2, einf)
-        return e2, einf
-
-    monkeypatch.setattr(vf, "_chart", chart)
-    return {r.name: r for r in vf.run_checks([OddPrime(5)])}[
+    return _patched_rows(monkeypatch, 5, ChartTarget.S_OF_CP, change)[
         "chart-conservation"
     ]
 
@@ -373,15 +435,10 @@ def test_chart_rows_stay_small_at_p61():
     # their three whole-window charts and their per-degree lists well
     # below 4 MB of Python allocations.
     p = OddPrime(61)
-    rows = ("torsion-vs-charts", "chart-adjustment-sets", "axis-orders",
-            "chart-conservation")
-    checks = [fn for name, fn in vf._CHECKS if name in rows]
-    assert len(checks) == len(rows)
     vf._chart.cache_clear()
     tracemalloc.start()
     try:
-        for check in checks:
-            check(p, deep=False)
+        assert len(_chart_rows(p)) == len(CHART_ROWS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
