@@ -276,8 +276,9 @@ def _emit_for(args: dict) -> tuple[str, dict]:
 
 
 def _chunks(fmt: str, command: str, payload: dict):
-    """The payload rendered in `fmt`, as chunks of about BATCH_LINES lines.
-    A payload kind with no renderer is refused here, before any byte."""
+    """The payload rendered in `fmt`, as chunks of about BATCH_CHARS
+    characters.  A payload kind with no renderer is refused here, before
+    any byte."""
     if fmt == "json":
         return emit.envelope_chunks(command, payload)
     from . import render

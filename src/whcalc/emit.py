@@ -10,11 +10,11 @@ comparison.  `json_chunks` yields the bytes of `json.dumps(doc, indent=2)`
 without importing `json`, whose encoder runs in pure Python at that
 indent; it writes forward only, as parts of about a line.  `batched` is
 the one chunker: it joins the JSON writer's parts and a renderer's lines
-alike, ending each chunk at the string that brings it to BATCH_LINES
-lines or BATCH_CHARS characters, so every emission is an iterator of text
-chunks and the CLI never holds a whole document.  `envelope_text` joins
-an envelope's chunks into one string.  Each builder imports the library
-modules it runs when it is called, so a cold CLI call loads only those.
+alike, ending each chunk at the string that brings it to BATCH_CHARS
+characters, so every emission is an iterator of text chunks and the CLI
+never holds a whole document.  `envelope_text` joins an envelope's chunks
+into one string.  Each builder imports the library modules it runs when
+it is called, so a cold CLI call loads only those.
 """
 
 from itertools import chain, repeat
@@ -32,10 +32,8 @@ TARGETS = ("j-cp", "s-cp", "s-cpbar")
 PAGES = ("e2", "einf")
 
 
-# The newlines, and the characters, at which `batched` ends a chunk, so a
-# large emission never exists whole; the size bound matters when a wide
-# chart's lines, or a JSON string, run to kilobytes each.
-BATCH_LINES = 64
+# The characters at which `batched` ends a chunk, so a large emission
+# never exists whole, however long its lines or strings run.
 BATCH_CHARS = 8192
 
 
@@ -100,7 +98,7 @@ def _json_parts(value, scalars: dict, pad: str, head: str):
     for all but the first), so no part is ever revised, and an empty
     container closes on its opening part.  An item that is a dict of
     scalars and lists of str is one part, written whole by
-    `_flat_dict_text` (a chart cell, say)."""
+    `_flat_dict_text` (a chart cell, or a report's dims)."""
     if isinstance(value, dict):
         brackets = "{}"
         keys = map(scalars[str], map(_json_key, value))
@@ -134,10 +132,8 @@ def _flat_dict_text(value: dict, scalars: dict, pad: str,
                     head: str) -> str | None:
     """The text of a dict at indent `pad` whose values are all scalars of
     an exact type in `scalars` or lists of str, opened by `head`, as one
-    part of at most BATCH_LINES lines, written with no recursion; None for
-    any other dict."""
-    if len(value) >= BATCH_LINES:
-        return None
+    part, whatever its length, written with no recursion; None for any
+    other dict."""
     quote = scalars[str]
     inner = pad + "  "
     sep = ",\n" + inner
@@ -162,25 +158,22 @@ def _flat_dict_text(value: dict, scalars: dict, pad: str,
         items.append(f"{quote(key)}: {text}")
     if not items:
         return head + "{}"
-    text = f"{head}{{\n{inner}" + sep.join(items) + f"\n{pad}}}"
-    return text if text.count("\n") <= BATCH_LINES else None
+    return f"{head}{{\n{inner}" + sep.join(items) + f"\n{pad}}}"
 
 
 def batched(parts):
     """Yield the strings of `parts` (a renderer's lines, or the JSON
     writer's parts) joined in chunks, each ended by the string that brings
-    it to BATCH_LINES newlines or to BATCH_CHARS characters, whichever
-    comes first."""
+    it to BATCH_CHARS characters."""
     chunk: list[str] = []
-    size = lines = 0
+    size = 0
     for part in parts:
         chunk.append(part)
         size += len(part)
-        lines += part.count("\n")
-        if lines >= BATCH_LINES or size >= BATCH_CHARS:
+        if size >= BATCH_CHARS:
             yield "".join(chunk)
             chunk.clear()
-            size = lines = 0
+            size = 0
     if chunk:
         yield "".join(chunk)
 

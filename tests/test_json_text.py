@@ -42,6 +42,10 @@ def test_json_text_writes_the_bytes_of_json_dumps(doc):
     # a dict sends it down the general path
     [{"s": -2, "l": ["a", "\u00e9"], "e": [], "n": None, "t": True, 7: "x"},
      {"l": ["a", 1]}, {"l": [["a"]]}, {"l": ("a",)}, {"d": {}}],
+    # a dict of scalars and lists of str is one part at any length
+    [{n: n * n for n in range(5000)}],
+    [{"l": [str(n) for n in range(100)], "n": 1}],
+    [{f"k{n}": (None, True, n, str(n))[n % 4] for n in range(70)}],
 ])
 def test_json_text_edge_cases(doc):
     assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
@@ -63,73 +67,79 @@ def _p13_chart_payload():
     return {**payload, "cells": list(payload["cells"])}
 
 
-BATCHES = [1, 2, 3]
+SIZES = [1, 100, 8192]
 
 
-def _chunks(doc, batch, monkeypatch):
-    monkeypatch.setattr(emit, "BATCH_LINES", batch)
-    chunks = list(emit.json_chunks(doc))
-    # `batched` ends a chunk at the part that brings it to `batch` newlines
-    # or BATCH_CHARS characters.  A part holds at most one newline, or up to
-    # `batch` when it is a flat dict written whole, so a chunk holds at
-    # most `batch - 1` newlines before its last part.
-    assert all(chunk.count("\n") <= 2 * batch - 1 for chunk in chunks)
-    assert all(
-        chunk.count("\n") >= batch or len(chunk) >= emit.BATCH_CHARS
-        for chunk in chunks[:-1]
-    )
+def _assert_chunk_shape(chunks, parts, size):
+    # `batched` ends a chunk at the part that brings it to `size`
+    # characters: every chunk but the last reaches `size`, and none does
+    # before its last part.
+    rest = iter(parts)
+    for chunk in chunks:
+        before, last = "", next(rest)
+        while len(before) + len(last) < len(chunk):
+            before, last = before + last, next(rest)
+        assert before + last == chunk
+        assert len(before) < size
+    assert all(len(chunk) >= size for chunk in chunks[:-1])
+    assert next(rest, None) is None
+
+
+def _batched(parts, size, monkeypatch):
+    monkeypatch.setattr(emit, "BATCH_CHARS", size)
+    parts = list(parts)
+    chunks = list(emit.batched(parts))
+    _assert_chunk_shape(chunks, parts, size)
     return chunks
 
 
-def test_a_json_chunk_reaches_twice_the_batch_less_one(monkeypatch):
-    # two one-line items, then a dict of `batch` lines written as one part
-    chunks = _chunks([1, 2, {"a": 1}], 3, monkeypatch)
-    assert [chunk.count("\n") for chunk in chunks] == [5, 2]
+def _json_chunks(doc, size, monkeypatch):
+    # `json_chunks` with `batched` listing the parts it is given first
+    parts = []
+    batched = emit.batched
+
+    def listed(it):
+        parts.extend(it)
+        return batched(parts)
+
+    monkeypatch.setattr(emit, "BATCH_CHARS", size)
+    monkeypatch.setattr(emit, "batched", listed)
+    chunks = list(emit.json_chunks(doc))
+    _assert_chunk_shape(chunks, parts, size)
+    return chunks
 
 
-@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("size", SIZES)
 @settings(max_examples=100, deadline=None)
 @given(doc=DOCS)
-def test_batched_json_text_writes_the_bytes_of_json_dumps(doc, batch):
+def test_batched_json_text_writes_the_bytes_of_json_dumps(doc, size):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        chunks = _chunks(doc, batch, monkeypatch)
+        chunks = _json_chunks(doc, size, monkeypatch)
         assert "".join(chunks) == json.dumps(doc, indent=2) + "\n"
 
 
 def _json_case(make):
-    def case(batch, monkeypatch):
+    def case(size, monkeypatch):
         doc = make()
         expected = json.dumps(doc, indent=2) + "\n"
-        return _chunks(doc, batch, monkeypatch), expected
+        return _json_chunks(doc, size, monkeypatch), expected
 
     return case
 
 
-def _csv_case(batch, monkeypatch):
-    monkeypatch.setattr(emit, "BATCH_LINES", batch)
+def _csv_case(size, monkeypatch):
     payload = _p13_chart_payload()
-    *full, last = emit.batched(render.lines("csv", payload))
-    assert all(chunk.count("\n") == batch for chunk in full)
-    assert 0 < last.count("\n") <= batch
-    return [*full, last], render.to_csv(payload)
+    chunks = _batched(render.lines("csv", payload), size, monkeypatch)
+    return chunks, render.to_csv(payload)
 
 
-def _wide_case(batch, monkeypatch):
-    # Lines of up to 9,000 characters: a chunk ends at its `batch`-th line
-    # or at the line that brings it to BATCH_CHARS, whichever comes first.
-    monkeypatch.setattr(emit, "BATCH_LINES", batch)
+def _wide_case(size, monkeypatch):
+    # lines of up to 9,000 characters, some longer than BATCH_CHARS alone
     lines = ["x" * width + "\n" for width in [10, 5000, 9000, 3000, 99] * 80]
-    chunks = list(emit.batched(lines))
-    for chunk in chunks:
-        *head, last = chunk.splitlines(keepends=True)
-        assert len(head) < batch
-        assert len(chunk) - len(last) < emit.BATCH_CHARS
-    for chunk in chunks[:-1]:
-        assert chunk.count("\n") == batch or len(chunk) >= emit.BATCH_CHARS
-    return chunks, "".join(lines)
+    return _batched(lines, size, monkeypatch), "".join(lines)
 
 
-@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("case", [
     _json_case(lambda: list(range(5000))),
     _json_case(
@@ -139,9 +149,9 @@ def _wide_case(batch, monkeypatch):
     _csv_case,
     _wide_case,
 ], ids=["5000-list", "nested", "p13-e2-chart", "p13-e2-csv", "wide-lines"])
-def test_batch_boundaries(batch, case, monkeypatch):
-    chunks, expected = case(batch, monkeypatch)
-    assert len(chunks) > 100
+def test_batch_boundaries(size, case, monkeypatch):
+    chunks, expected = case(size, monkeypatch)
+    assert len(chunks) > 1
     assert "".join(chunks) == expected
 
 

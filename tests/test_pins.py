@@ -2,12 +2,12 @@
 environment it runs under and the SHA-256 of its stdout.
 
 The manifest pins the deep and non-deep `verify` matrices, `cohomology` to
-degree 5000, the 2000-degree SVG and ASCII pages, and the JSON of both
-pages of every whole-window chart at p=3, 5, 11 and 17.  p=3 is the only
-prime with two summands in a cell (alpha1_beta1_sq and alpha_bar(6) at
-t=23), so it pins their order.  CI runs the same manifest through the
-installed `whcalc` console script; `bench/digests.json` pins the
-benchmark's own queries apart from it."""
+degree 5000, the p=61 j-cp E2 page to degree 2000 in all four formats,
+and the JSON of both pages of every whole-window chart at p=3, 5, 11 and
+17.  p=3 is the only prime with two summands in a cell (alpha1_beta1_sq
+and alpha_bar(6) at t=23), so it pins their order.  CI runs the same
+manifest through the installed `whcalc` console script;
+`bench/digests.json` pins the benchmark's own queries apart from it."""
 
 import hashlib
 import json
