@@ -13,7 +13,6 @@ from ._version import __version__
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
     "ahss": (
-        "ChartTarget",
         "build_e2",
         "chart_window",
         "j_order_valuation",

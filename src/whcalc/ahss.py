@@ -1,13 +1,14 @@
 """Atiyah-Hirzebruch chart bookkeeping over three homology targets.
 
 Charts live on an (s, t) lattice: column s = 2k carries the homology class
-b_k of the base, t is the coefficient degree.  Three targets are supported:
+b_k of the base, t is the coefficient degree.  Three targets are supported,
+each a string of `emit.TARGETS`, the one spelling of a target:
 
-  J_OF_CP     image-of-J homology of CP^inf          (columns k >= 1)
-  S_OF_CP     stable homotopy of CP^inf              (columns k >= 1)
-  S_OF_CPBAR  stable homotopy of the stunted complex projective spectrum
-              with cells b_k for k >= -1, k != 0 (the cofiber of the
-              bottom-cell map from the sphere into CP^inf_{-1})
+  J_OF_CP     "j-cp"     image-of-J homology of CP^inf    (columns k >= 1)
+  S_OF_CP     "s-cp"     stable homotopy of CP^inf        (columns k >= 1)
+  S_OF_CPBAR  "s-cpbar"  stable homotopy of the stunted complex projective
+                         spectrum, cells b_k for k >= -1, k != 0 (the cofiber
+                         of the bottom-cell map from the sphere to CP^inf_{-1})
 
 The E2 page is homology with stable-stem coefficients (image-of-J
 coefficients for J_OF_CP).  `run_differentials` pushes E2 to EINF with the
@@ -64,13 +65,12 @@ b_{-1} column reaches t = top + 2), so a chart's cost follows its window,
 not p.
 """
 
-import enum
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, namedtuple
 from itertools import accumulate
 
 from .arith import OddPrime, vp_factorial
-from .emit import _Reiterable
+from .emit import TARGETS, _Reiterable
 from .errors import InconsistencyError, PreconditionError, WindowError
 from .stems import (
     IM_J, StemClass, _cokernel_classes, all_torsion_classes, alpha_bar,
@@ -81,10 +81,11 @@ E2 = "E2"
 EINF = "EINF"
 
 
-class ChartTarget(enum.Enum):
-    J_OF_CP = "j-cp"
-    S_OF_CP = "s-cp"
-    S_OF_CPBAR = "s-cpbar"
+J_OF_CP, S_OF_CP, S_OF_CPBAR = TARGETS
+
+# Not a second spelling: `ChartTarget(s)` is `s`.  The name stays only while
+# bench/tests/test_workloads.py imports it (ROADMAP item 1).
+ChartTarget = str
 
 
 # One chart page.  `summands` maps each stem class theta, in page order
@@ -104,38 +105,38 @@ ChartPage = namedtuple(
 )
 
 
-def chart_window(p: OddPrime, target: ChartTarget) -> int:
+def chart_window(p: OddPrime, target: str) -> int:
     """Exclusive upper bound on total degree for each chart.
 
     The rule set accounts for every differential in total degrees below
     beta2*b_1 over CP^inf and below beta2*b_{-1} over the stunted spectrum.
+    The one gate on a target: a value outside TARGETS is refused.  Targets
+    compare by value, as a string from argv is not the constant.
     """
-    shift = -2 if target is ChartTarget.S_OF_CPBAR else 2
+    if target not in TARGETS:
+        raise PreconditionError(f"unknown target {target!r}")
+    shift = -2 if target == S_OF_CPBAR else 2
     return beta2_degree(p) + shift
 
 
-def _columns(target: ChartTarget, max_total: int, t: int) -> list[int]:
+def _columns(target: str, max_total: int, t: int) -> list[int]:
     ks = [k for k in range(1, (max_total - t) // 2 + 1)]
-    if target is ChartTarget.S_OF_CPBAR and -2 + t <= max_total:
+    if target == S_OF_CPBAR and -2 + t <= max_total:
         ks.insert(0, -1)
     return ks
 
 
-def _page_classes(
-    p: OddPrime, target: ChartTarget, top: int
-) -> list[StemClass]:
+def _page_classes(p: OddPrime, target: str, top: int) -> list[StemClass]:
     """The coefficient classes of a chart to total degree top, sorted by
     (degree, name): those of degree at most top + 2, which the b_{-1}
     column reaches, so their number follows the window and not p."""
     classes = all_torsion_classes(p, top + 3)
-    if target is ChartTarget.J_OF_CP:
+    if target == J_OF_CP:
         classes = [c for c in classes if c.kind == IM_J]
     return classes
 
 
-def _e2_torsion_by_degree(
-    p: OddPrime, target: ChartTarget, top: int
-) -> list[int]:
+def _e2_torsion_by_degree(p: OddPrime, target: str, top: int) -> list[int]:
     """The E2 sums per total degree 0..top.  A class theta sits in total
     degrees t+2, t+4, ... up to the top (and t-2 on the b_{-1} column), so
     each class is one range-add on every other degree."""
@@ -145,7 +146,7 @@ def _e2_torsion_by_degree(
         if t + 2 <= top:
             diff[t + 2] += v
             diff[t + 2 * ((top - t) // 2) + 2] -= v
-        if target is ChartTarget.S_OF_CPBAR and t - 2 <= top:
+        if target == S_OF_CPBAR and t - 2 <= top:
             diff[t - 2] += v
             diff[t] -= v
     sums = [0] * (top + 1)  # running sums over each parity
@@ -193,16 +194,16 @@ def _under_supplied(p: OddPrime, n: int, residual: int) -> InconsistencyError:
     )
 
 
-def build_e2(p: OddPrime, target: ChartTarget, max_total_degree: int) -> ChartPage:
+def build_e2(p: OddPrime, target: str, max_total_degree: int) -> ChartPage:
     """E2 page up to the given total degree (inclusive)."""
+    window = chart_window(p, target)
     if max_total_degree < 0:
         raise PreconditionError(
             f"max_total_degree must be >= 0, got {max_total_degree}"
         )
-    window = chart_window(p, target)
     if max_total_degree >= window:
         raise WindowError(
-            f"chart {target.value} at p={p.p} is only valid in total degrees "
+            f"chart {target} at p={p.p} is only valid in total degrees "
             f"< {window}; got max_total_degree={max_total_degree}"
         )
     return ChartPage(
@@ -224,7 +225,7 @@ def _axis_page(p: OddPrime, top: int) -> ChartPage:
             counts[n] += 1
         pe *= p.p
     budgets = list(accumulate(counts))
-    alpha = [None, *_page_classes(p, ChartTarget.J_OF_CP, top)]
+    alpha = [None, *_page_classes(p, J_OF_CP, top)]
     kept = _axis_kept(p, alpha, budgets)
     summands = {
         theta: dict(kept[theta.index])
@@ -232,12 +233,11 @@ def _axis_page(p: OddPrime, top: int) -> ChartPage:
     }
     ledger = [0] * (top + 1)
     ledger[1::2] = budgets[1:]  # degree 2n-1 reads budgets[n]
-    return _einf_page(ChartTarget.J_OF_CP, p, top, summands, ledger)
+    return _einf_page(J_OF_CP, p, top, summands, ledger)
 
 
 def _einf_page(
-    target: ChartTarget, p: OddPrime, top: int, summands: dict,
-    ledger: list[int],
+    target: str, p: OddPrime, top: int, summands: dict, ledger: list[int]
 ) -> ChartPage:
     """The EINF page with these summands and kills, its sums added up from
     the summands, in ascending total degree."""
@@ -266,18 +266,18 @@ def run_differentials(
     top = page.max_total_degree
     if axis is None:
         axis = _axis_page(p, top)
-        if target is ChartTarget.J_OF_CP:
+        if target == J_OF_CP:
             return axis
     elif (axis.target, axis.page_label, axis.p) != (
-        ChartTarget.J_OF_CP, EINF, p
+        J_OF_CP, EINF, p
     ) or axis.max_total_degree < top:
         raise PreconditionError(
-            f"a {axis.page_label} {axis.target.value} page at p={axis.p.p} to "
+            f"a {axis.page_label} {axis.target} page at p={axis.p.p} to "
             f"total degree {axis.max_total_degree} cannot give the axis rule "
             f"of a page at p={pp} to total degree {top}"
         )
     ledger = axis.kill_ledger[:top + 1]
-    cpbar = target is ChartTarget.S_OF_CPBAR
+    cpbar = target == S_OF_CPBAR
 
     # doomed[theta]: the columns k of the summands theta*b(k) that R2-R4
     # kill, each with its rule, so that only the survivors are placed
@@ -299,7 +299,7 @@ def run_differentials(
             for k in cols:
                 ledger[2 * k + cls.degree] += 1
 
-    if target is not ChartTarget.J_OF_CP:
+    if target != J_OF_CP:
         beta1, alpha1_beta1, beta1_sq, alpha1_beta1_sq = _cokernel_classes(p)
         alpha1 = alpha_bar(p, 1)
         # R2: length-q pairs theta*b_{k+p-1} -> alpha1*theta*b_k, p not | k.
@@ -386,7 +386,7 @@ def page_payload(page: ChartPage) -> dict:
     writer can stream a large page and a renderer can read it twice; an
     E2 page's come straight from the stem table."""
     top = page.max_total_degree
-    ks = [-1] if page.target is ChartTarget.S_OF_CPBAR else []
+    ks = [-1] if page.target == S_OF_CPBAR else []
     ks += range(1, top // 2 + 1)
     einf = page.page_label == EINF
     if einf:
@@ -414,7 +414,7 @@ def page_payload(page: ChartPage) -> dict:
     return {
         "kind": "ahss-chart",
         "p": page.p.p,
-        "target": page.target.value,
+        "target": page.target,
         "page_label": page.page_label,
         "max_total_degree": top,
         "cells": _Reiterable(_cells, ks, column, einf),

@@ -18,11 +18,7 @@ from operator import add
 
 from . import emit
 from .ahss import (
-    ChartPage,
-    ChartTarget,
-    build_e2,
-    chart_window,
-    run_differentials,
+    J_OF_CP, S_OF_CPBAR, ChartPage, build_e2, chart_window, run_differentials,
 )
 from .arith import OddPrime, ensure_regular, vp
 from .errors import WhcalcError, WindowError
@@ -83,13 +79,13 @@ class _Failure(Exception):
 # the EINF pages hold the summands kept.  The image-of-J EINF page, whose
 # window is the largest, gives the other two their axis rule.
 @lru_cache(maxsize=3)
-def _chart(p: OddPrime, target: ChartTarget) -> tuple[ChartPage, ChartPage]:
+def _chart(p: OddPrime, target: str) -> tuple[ChartPage, ChartPage]:
     """The E2 and EINF pages of one whole-window chart, shared by every
     caller, so read and never changed."""
     e2 = build_e2(p, target, chart_window(p, target) - 1)
-    if target is ChartTarget.J_OF_CP:
+    if target == J_OF_CP:
         return e2, run_differentials(e2)
-    return e2, run_differentials(e2, _chart(p, ChartTarget.J_OF_CP)[1])
+    return e2, run_differentials(e2, _chart(p, J_OF_CP)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +99,7 @@ def _check_torsion_vs_charts(p: OddPrime, deep: bool) -> str:
     engine.  The sigma classes are left out on purpose: both sides would
     read them from the same stem table, so they still await their second
     route, Ext over the Steenrod algebra (ROADMAP.md, stem-table item)."""
-    _, chart = _chart(p, ChartTarget.S_OF_CPBAR)
+    _, chart = _chart(p, S_OF_CPBAR)
     top = chart.max_total_degree + 1  # degree d reads total degree d-1
     table = _cpbar_valuations(p, top)
     engine = [0, *chart.torsion_by_degree]
@@ -140,8 +136,8 @@ def _check_adjustment_sets(p: OddPrime, deep: bool) -> str:
     # The differentials in a total degree do not depend on the top, so the
     # image-of-J chart restricted to the stunted chart's top is the chart
     # to that top.
-    _, jpage = _chart(p, ChartTarget.J_OF_CP)
-    _, spage = _chart(p, ChartTarget.S_OF_CPBAR)
+    _, jpage = _chart(p, J_OF_CP)
+    _, spage = _chart(p, S_OF_CPBAR)
     top = spage.max_total_degree
     beta1, alpha1_beta1, beta1_sq, _ = _cokernel_classes(p)
     expected = _einf_torsion_cells(jpage, top)
@@ -173,7 +169,7 @@ def _check_axis_orders(p: OddPrime, deep: bool) -> str:
     axis differentials entering minus leaving, `j_order_valuation(p, n)`,
     read as a running sum: from n-1 to n it gains 1 + v_p(m) when
     n - 1 = m(p-1) and loses v_p(n)."""
-    _, page = _chart(p, ChartTarget.J_OF_CP)
+    _, page = _chart(p, J_OF_CP)
     top = page.max_total_degree
     sums = page.torsion_by_degree
     pp = p.p
@@ -194,7 +190,7 @@ def _check_conservation(p: OddPrime, deep: bool) -> str:
     """E2 aggregate - kill ledger == EINF aggregate, on all three charts,
     in every total degree of the chart; each of the three lists must hold
     exactly those degrees."""
-    for target in ChartTarget:
+    for target in emit.TARGETS:
         e2, einf = _chart(p, target)
         lists = {
             "E2 sums": e2.torsion_by_degree,
@@ -205,7 +201,7 @@ def _check_conservation(p: OddPrime, deep: bool) -> str:
         for name, values in lists.items():
             if len(values) != top + 1:
                 raise _Failure(
-                    f"{target.value} {name}: {len(values)} entries for "
+                    f"{target} {name}: {len(values)} entries for "
                     f"total degrees 0..{top}"
                 )
         e2_sums, ledger, einf_sums = lists.values()
@@ -218,7 +214,7 @@ def _check_conservation(p: OddPrime, deep: bool) -> str:
         ):
             if before - killed != after:
                 raise _Failure(
-                    f"{target.value} total degree {d}: E2 {before} - "
+                    f"{target} total degree {d}: E2 {before} - "
                     f"kills {killed} != EINF {after}"
                 )
     return "kill ledgers balance on all three charts"
@@ -433,7 +429,7 @@ def run_checks(primes: list[OddPrime], deep: bool = False) -> list[CheckResult]:
     prime PreconditionError, before any check runs; a check failing for
     any other reason is reported as a fail row, never swallowed."""
     for p in primes:
-        window = chart_window(p, ChartTarget.J_OF_CP)
+        window = chart_window(p, J_OF_CP)
         if window > MAX_CHART_WINDOW:
             raise WindowError(
                 f"the chart window (2p+1)(2p-2) = {window} at p={p.p} "

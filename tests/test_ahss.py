@@ -8,7 +8,9 @@ import pytest
 from whcalc import ahss, emit, stems
 from whcalc.ahss import (
     EINF,
-    ChartTarget,
+    J_OF_CP,
+    S_OF_CP,
+    S_OF_CPBAR,
     _columns,
     _page_classes,
     _under_supplied,
@@ -104,7 +106,7 @@ def _grouped_page_payload(page):
 
     for k in range(1, page.max_total_degree // 2 + 1):
         cell(2 * k, 0)["labels"].append(f"{k}!*b({k})" if einf else f"b({k})")
-    if page.target is ChartTarget.S_OF_CPBAR:
+    if page.target == S_OF_CPBAR:
         cell(-2, 0)["labels"].append("b(-1)")
     summands = page.summands if einf else _e2_summands(page)
     for theta, k, valuation in _survivors(summands):
@@ -115,7 +117,7 @@ def _grouped_page_payload(page):
     return {
         "kind": "ahss-chart",
         "p": page.p.p,
-        "target": page.target.value,
+        "target": page.target,
         "page_label": page.page_label,
         "max_total_degree": page.max_total_degree,
         "cells": [cells[st] for st in sorted(cells)],
@@ -128,24 +130,26 @@ def _cells(page):
 
 
 def test_chart_windows():
-    assert chart_window(P3, ChartTarget.J_OF_CP) == 28
-    assert chart_window(P3, ChartTarget.S_OF_CP) == 28
-    assert chart_window(P3, ChartTarget.S_OF_CPBAR) == 24
-    assert chart_window(P5, ChartTarget.S_OF_CPBAR) == 84
+    assert chart_window(P3, J_OF_CP) == 28
+    assert chart_window(P3, S_OF_CP) == 28
+    assert chart_window(P3, S_OF_CPBAR) == 24
+    assert chart_window(P3, "s-cpbar") == 24  # a string, as argv gives it
+    assert chart_window(P5, S_OF_CPBAR) == 84
     # beta2*b_1 over CP^inf, beta2*b_{-1} over the stunted spectrum
     for pp in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
         p = OddPrime(pp)
         whole = (2 * pp + 1) * p.q
-        assert chart_window(p, ChartTarget.J_OF_CP) == whole
-        assert chart_window(p, ChartTarget.S_OF_CP) == whole
-        assert chart_window(p, ChartTarget.S_OF_CPBAR) == whole - 4
+        assert chart_window(p, J_OF_CP) == whole
+        assert chart_window(p, S_OF_CP) == whole
+        assert chart_window(p, S_OF_CPBAR) == whole - 4
 
 
 def test_window_errors():
-    with pytest.raises(WindowError):
-        build_e2(P3, ChartTarget.S_OF_CPBAR, 24)
+    for target in (S_OF_CPBAR, "s-cpbar"):
+        with pytest.raises(WindowError):
+            build_e2(P3, target, 24)
     with pytest.raises(PreconditionError):
-        build_e2(P3, ChartTarget.J_OF_CP, -1)
+        build_e2(P3, J_OF_CP, -1)
 
 
 def test_emit_refuses_an_unknown_target():
@@ -155,15 +159,40 @@ def test_emit_refuses_an_unknown_target():
         emit.ahss(P3, "s-cpbar", "e3", 20)
 
 
+@pytest.mark.parametrize("bad", ["S-CP", "s-cp "])
+def test_one_gate_refuses_a_target_outside_targets(bad):
+    message = f"unknown target {bad!r}"
+    with pytest.raises(PreconditionError, match=message):
+        chart_window(P3, bad)
+    with pytest.raises(PreconditionError, match=message):
+        build_e2(P3, bad, 20)
+    with pytest.raises(PreconditionError, match=message):
+        emit.ahss(P3, bad, "einf", 20)
+
+
+@pytest.mark.parametrize("p", [P3, P5])
+def test_a_target_is_compared_by_value(p):
+    built = "".join(["s-", "cpbar"])
+    assert built is not S_OF_CPBAR
+    top = chart_window(p, S_OF_CPBAR) - 1
+    e2, want_e2 = build_e2(p, built, top), build_e2(p, S_OF_CPBAR, top)
+    einf, want_einf = run_differentials(e2), run_differentials(want_e2)
+    assert e2 == want_e2 and einf == want_einf
+    for page, want in ((e2, want_e2), (einf, want_einf)):
+        got, expected = page_payload(page), page_payload(want)
+        assert list(got.pop("cells")) == list(expected.pop("cells"))
+        assert got == expected
+
+
 def test_e2_cells_examples():
-    jpage = build_e2(P3, ChartTarget.J_OF_CP, 20)
+    jpage = build_e2(P3, J_OF_CP, 20)
     jcells = _cells(jpage)
     cell = jcells[(2, 3)]
     assert cell["labels"] == ["alpha_bar(1)*b(1)"]
     assert cell["valuation"] == 1
     assert _e2_summands(jpage)[stems.alpha_bar(P3, 1)][1] == 1
 
-    spage = build_e2(P3, ChartTarget.S_OF_CPBAR, 20)
+    spage = build_e2(P3, S_OF_CPBAR, 20)
     scells = _cells(spage)
     cell = scells[(-2, 10)]
     assert cell["labels"] == ["beta1*b(-1)"]
@@ -174,10 +203,10 @@ def test_e2_cells_examples():
 
 
 def test_e2_axis_and_column_rules():
-    scells = _cells(build_e2(P3, ChartTarget.S_OF_CPBAR, 20))
+    scells = _cells(build_e2(P3, S_OF_CPBAR, 20))
     assert (-2, 0) in scells  # bottom cell b(-1)
     assert (0, 0) not in scells  # no k = 0 column
-    jcells = _cells(build_e2(P3, ChartTarget.J_OF_CP, 20))
+    jcells = _cells(build_e2(P3, J_OF_CP, 20))
     assert (-2, 0) not in jcells
     for (s, t) in jcells:
         assert s + t <= 20
@@ -185,20 +214,20 @@ def test_e2_axis_and_column_rules():
 
 
 def test_run_differentials_requires_e2():
-    page = run_differentials(build_e2(P3, ChartTarget.J_OF_CP, 20))
+    page = run_differentials(build_e2(P3, J_OF_CP, 20))
     assert page.page_label == EINF
     with pytest.raises(PreconditionError):
         run_differentials(page)
 
 
 def test_einf_examples():
-    page = run_differentials(build_e2(P3, ChartTarget.S_OF_CPBAR, 23))
+    page = run_differentials(build_e2(P3, S_OF_CPBAR, 23))
     assert page.torsion_by_degree[15] == 1
     assert page.torsion_by_degree[13] == 2
     assert page.torsion_by_degree[0] == 0
     # beta1*b(-1) was killed by the rule crossing into the bottom column
     assert (-2, 10) not in _cells(page)
-    page5 = run_differentials(build_e2(P5, ChartTarget.S_OF_CPBAR, 40))
+    page5 = run_differentials(build_e2(P5, S_OF_CPBAR, 40))
     assert page5.torsion_by_degree[1] == 0
 
 
@@ -211,15 +240,15 @@ def test_j_order_examples():
 
 
 def test_j_chart_matches_j_order_closed_form():
-    top = chart_window(P3, ChartTarget.J_OF_CP) - 1
-    page = run_differentials(build_e2(P3, ChartTarget.J_OF_CP, top))
+    top = chart_window(P3, J_OF_CP) - 1
+    page = run_differentials(build_e2(P3, J_OF_CP, top))
     for n in range(1, (top + 1) // 2 + 1):
         assert page.torsion_by_degree[2 * n - 1] == j_order_valuation(P3, n)
 
 
 def test_axis_budget_is_vp_factorial():
-    top = chart_window(P3, ChartTarget.J_OF_CP) - 1
-    e2 = build_e2(P3, ChartTarget.J_OF_CP, top)
+    top = chart_window(P3, J_OF_CP) - 1
+    e2 = build_e2(P3, J_OF_CP, top)
     before = e2.torsion_by_degree
     after = run_differentials(e2).torsion_by_degree
     for n in range(1, (top + 1) // 2 + 1):
@@ -230,7 +259,7 @@ def test_axis_budget_is_vp_factorial():
 
 def test_kill_ledger_conservation():
     for p in (P3, P5):
-        for target in ChartTarget:
+        for target in emit.TARGETS:
             top = chart_window(p, target) - 1
             e2 = build_e2(p, target, top)
             einf = run_differentials(e2)
@@ -246,7 +275,7 @@ def test_torsion_by_degree_sums_cell_valuations():
     # class, and an EINF page over its survivors; the cells of each page's
     # payload must give the same sums.
     for p in map(OddPrime, (3, 5, 7, 11, 13, 17)):
-        for target in ChartTarget:
+        for target in emit.TARGETS:
             e2 = build_e2(p, target, chart_window(p, target) - 1)
             for page in (e2, run_differentials(e2)):
                 sums = [0] * (page.max_total_degree + 1)
@@ -257,7 +286,7 @@ def test_torsion_by_degree_sums_cell_valuations():
 
 
 def test_einf_imj_cells_are_aggregate_only():
-    e2 = build_e2(P3, ChartTarget.S_OF_CPBAR, 23)
+    e2 = build_e2(P3, S_OF_CPBAR, 23)
     page = run_differentials(e2)
     imj = defaultdict(bool)
     for theta, k, _ in _survivors(page.summands):
@@ -273,7 +302,7 @@ def test_einf_imj_cells_are_aggregate_only():
 
 
 def test_axis_classes_renamed_on_einf():
-    e2 = build_e2(P3, ChartTarget.S_OF_CPBAR, 12)
+    e2 = build_e2(P3, S_OF_CPBAR, 12)
     cells = _cells(run_differentials(e2))
     assert cells[(4, 0)]["labels"] == ["2!*b(2)"]
     assert cells[(-2, 0)]["labels"] == ["b(-1)"]
@@ -283,7 +312,7 @@ def test_axis_classes_renamed_on_einf():
 
 
 def test_page_payload_shape_and_order():
-    page = run_differentials(build_e2(P3, ChartTarget.S_OF_CPBAR, 14))
+    page = run_differentials(build_e2(P3, S_OF_CPBAR, 14))
     payload = page_payload(page)
     assert payload["kind"] == "ahss-chart"
     assert payload["target"] == "s-cpbar"
@@ -300,7 +329,7 @@ def test_page_payload_shape_and_order():
 @pytest.mark.parametrize("pp", [3, 5, 7, 11, 13, 17, 19, 23])
 def test_lazy_cells_match_the_grouped_summands(pp):
     p = OddPrime(pp)
-    for target in ChartTarget:
+    for target in emit.TARGETS:
         last = chart_window(p, target) - 1
         for top in sorted({t for t in (0, 1, 40) if t <= last} | {last}):
             e2 = build_e2(p, target, top)
@@ -316,7 +345,7 @@ def test_lazy_cells_match_the_grouped_summands(pp):
 def test_axis_rule_names_a_missing_summand(monkeypatch):
     # In total degree 9 at p=3 the axis rule needs alpha_bar(2)*b(1): the
     # only other image-of-J cell there, alpha_bar(1)*b(3), has p | k.
-    e2 = build_e2(P3, ChartTarget.J_OF_CP, 20)
+    e2 = build_e2(P3, J_OF_CP, 20)
     assert _cells(e2)[(2, 7)]["labels"] == ["alpha_bar(2)*b(1)"]
     summands = _e2_summands(e2)
     assert summands[stems.alpha_bar(P3, 2)].pop(1) == 1
@@ -336,7 +365,7 @@ def test_axis_rule_names_an_under_supplied_budget(monkeypatch):
         r"^axis rule under-supplied in total degree 5: residual budget 1 "
         r"at p=3$"
     )):
-        run_differentials(build_e2(P3, ChartTarget.J_OF_CP, 27))
+        run_differentials(build_e2(P3, J_OF_CP, 27))
 
 
 @pytest.mark.parametrize("valuation", [None, 2])
@@ -359,7 +388,7 @@ def test_pair_rules_name_a_summand_off_the_page(monkeypatch, valuation):
     with pytest.raises(InconsistencyError, match=(
         r"^R4: expected alpha_bar\(1\)\*b\(3\) with valuation 1 on the page$"
     )):
-        run_differentials(build_e2(P3, ChartTarget.S_OF_CPBAR, 23))
+        run_differentials(build_e2(P3, S_OF_CPBAR, 23))
 
 
 def test_pair_rules_refuse_a_summand_killed_twice(monkeypatch):
@@ -375,7 +404,7 @@ def test_pair_rules_refuse_a_summand_killed_twice(monkeypatch):
     with pytest.raises(InconsistencyError, match=(
         r"^R2: expected beta1\*b\(5\) with valuation 1 on the page$"
     )):
-        run_differentials(build_e2(P5, ChartTarget.S_OF_CP, 87))
+        run_differentials(build_e2(P5, S_OF_CP, 87))
 
 
 def test_pair_rules_refuse_a_class_off_the_page(monkeypatch):
@@ -388,7 +417,7 @@ def test_pair_rules_refuse_a_class_off_the_page(monkeypatch):
     with pytest.raises(InconsistencyError, match=(
         r"^R3: expected alpha_bar\(1\)\*b\(20\) with valuation 1 on the page$"
     )):
-        run_differentials(build_e2(P5, ChartTarget.S_OF_CP, 87))
+        run_differentials(build_e2(P5, S_OF_CP, 87))
 
 
 def _tops(p, target):
@@ -402,7 +431,7 @@ def test_lazy_e2_page_matches_its_materialized_cells(pp, monkeypatch):
     # materialized summands, the reference for the bisection; at p=17 axis
     # budgets run across many indices.
     p = OddPrime(pp)
-    for target in ChartTarget:
+    for target in emit.TARGETS:
         tops = _tops(p, target) if pp < 17 else [chart_window(p, target) - 1]
         for top in tops:
             e2 = build_e2(p, target, top)
@@ -440,7 +469,7 @@ def test_chart_cost_follows_the_window_not_p(monkeypatch):
 
 
 def test_einf_run_leaves_e2_cells_unbuilt():
-    for target in ChartTarget:
+    for target in emit.TARGETS:
         e2 = build_e2(P5, target, chart_window(P5, target) - 1)
         einf = run_differentials(e2)
         assert e2.torsion_by_degree and einf.summands
@@ -452,8 +481,8 @@ def test_whole_window_j_chart_restricts_to_the_stunted_window(pp):
     # verify's chart-adjustment-sets row reads the whole-window image-of-J
     # page at the stunted window's degrees instead of building that chart.
     p = OddPrime(pp)
-    target = ChartTarget.J_OF_CP
-    top = chart_window(p, ChartTarget.S_OF_CPBAR) - 1
+    target = J_OF_CP
+    top = chart_window(p, S_OF_CPBAR) - 1
     whole = run_differentials(build_e2(p, target, chart_window(p, target) - 1))
     short = run_differentials(build_e2(p, target, top))
     assert [
@@ -467,9 +496,9 @@ def test_an_image_of_j_page_gives_the_axis_rule_to_lower_windows(pp):
     # verify builds the whole-window image-of-J page once and hands it to
     # the other two charts, the stunted one to a lower top.
     p = OddPrime(pp)
-    J = ChartTarget.J_OF_CP
+    J = J_OF_CP
     axis = run_differentials(build_e2(p, J, chart_window(p, J) - 1))
-    for target in ChartTarget:
+    for target in emit.TARGETS:
         for top in _tops(p, target):
             e2 = build_e2(p, target, top)
             alone, shared = run_differentials(e2), run_differentials(e2, axis)
@@ -484,11 +513,11 @@ def test_an_axis_page_is_read_by_class_not_by_order(pp):
     # axis page, so the same survivors in another class order give the
     # same pages.
     p = OddPrime(pp)
-    J = ChartTarget.J_OF_CP
+    J = J_OF_CP
     axis = run_differentials(build_e2(p, J, chart_window(p, J) - 1))
     reordered = axis._replace(summands=dict(reversed(axis.summands.items())))
     assert list(reordered.summands) != list(axis.summands)
-    for target in ChartTarget:
+    for target in emit.TARGETS:
         e2 = build_e2(p, target, chart_window(p, target) - 1)
         got, want = run_differentials(e2, reordered), run_differentials(e2, axis)
         assert got == want
@@ -501,12 +530,11 @@ def test_an_axis_page_is_read_by_class_not_by_order(pp):
 
 
 def test_an_axis_page_must_reach_the_window():
-    s_cp = ChartTarget.S_OF_CP
-    e2 = build_e2(P5, s_cp, 60)
+    e2 = build_e2(P5, S_OF_CP, 60)
     for axis in (
-        run_differentials(build_e2(P5, ChartTarget.J_OF_CP, 59)),
-        run_differentials(build_e2(P3, ChartTarget.J_OF_CP, 20)),
-        run_differentials(build_e2(P5, s_cp, 60)),
+        run_differentials(build_e2(P5, J_OF_CP, 59)),
+        run_differentials(build_e2(P3, J_OF_CP, 20)),
+        run_differentials(build_e2(P5, S_OF_CP, 60)),
     ):
         with pytest.raises(PreconditionError, match="cannot give the axis rule"):
             run_differentials(e2, axis)
@@ -514,7 +542,7 @@ def test_an_axis_page_must_reach_the_window():
 
 def test_small_windows_run_clean():
     for p in (P3, P5):
-        for target in ChartTarget:
+        for target in emit.TARGETS:
             for d in (0, 1, 2, 5, 9):
                 run_differentials(build_e2(p, target, d))
 
@@ -566,6 +594,5 @@ EINF_DIGESTS = {
 @pytest.mark.parametrize("pp,target", sorted(EINF_DIGESTS))
 def test_whole_window_einf_pages_pinned(pp, target):
     p = OddPrime(pp)
-    chart = ChartTarget(target)
-    page = run_differentials(build_e2(p, chart, chart_window(p, chart) - 1))
+    page = run_differentials(build_e2(p, target, chart_window(p, target) - 1))
     assert _einf_digest(page) == EINF_DIGESTS[(pp, target)]

@@ -1,8 +1,9 @@
 """The mutant table: every `verify` route must be able to fail.
 
 Each mutant breaks one piece of the package in process, by its patches
-(module, name, replacement), and runs `verify --deep` at its primes, which
-have no golden files, so only the routes count.  A caught mutant names
+(module, name, replacement), and runs `verify --deep` at its primes.  The
+default primes have no golden files, so only the routes count; a mutant
+that only a pinned emission can catch runs at p=3.  A caught mutant names
 the rows that must fail, exactly.  A mutant that no row catches names the
 ROADMAP item whose gap lets it through, and is a strict xfail: the change
 that closes the gap makes it pass, and must move it to caught.  A mutant
@@ -26,6 +27,10 @@ Mutant = namedtuple(
 # captured here, since a mutant may patch `_adem` itself.
 CACHES = (verify._chart, steenrod._nf, steenrod._adem)
 
+_axis_kept = ahss._axis_kept
+_columns = ahss._columns
+_admissible_basis = steenrod.admissible_basis
+_sigma_c_summands = torsion.sigma_c_summands
 _cokernel_classes = stems._cokernel_classes
 _all_torsion_classes = stems.all_torsion_classes
 _adem = steenrod._adem
@@ -84,6 +89,26 @@ def _sigma_beta1_of_order_p2(p):
     return _revalued("beta1", 2, _cokernel_classes(p))
 
 
+def _axis_kept_on_budgets_floor_n_over_p(p, alpha, budgets):
+    # R1 kills floor(n/p), the first term of v_p(n!), in degree 2n-1
+    return _axis_kept(p, alpha, [n // p.p for n in range(len(budgets))])
+
+
+def _columns_without_b_minus_1(target, max_total, t):
+    return [k for k in _columns(target, max_total, t) if k != -1]
+
+
+def _admissible_basis_without_trailing_bocksteins(p, max_degree):
+    return [
+        w for w in _admissible_basis(p, max_degree)
+        if len(w) < 2 or w[-1] != 0
+    ]
+
+
+def _sigma_classes_one_degree_low(p):
+    return {d - 1: theta for d, theta in _sigma_c_summands(p).items()}
+
+
 CHART_ROWS = {
     "chart-adjustment-sets", "chart-conservation", "torsion-vs-charts",
 }
@@ -104,6 +129,29 @@ MUTANTS = (
     Mutant(
         "M7-alpha1_beta1_sq-dropped",
         [(ahss, "all_torsion_classes", _classes_without_alpha1_beta1_sq)],
+        fails=CHART_ROWS,
+    ),
+    Mutant(
+        "M8-axis-budget-floor-n-over-p",
+        [(ahss, "_axis_kept", _axis_kept_on_budgets_floor_n_over_p)],
+        fails={"axis-orders", "chart-conservation", "torsion-vs-charts"},
+    ),
+    Mutant(
+        "M9-admissible-basis-without-trailing-bocksteins",
+        [(module, "admissible_basis",
+          _admissible_basis_without_trailing_bocksteins)
+         for module in (steenrod, verify)],
+        fails={"basis-counts"},
+    ),
+    Mutant(
+        "M10-sigma-classes-one-degree-low",
+        [(torsion, "sigma_c_summands", _sigma_classes_one_degree_low)],
+        primes=(3,),
+        fails={"golden-files"},
+    ),
+    Mutant(
+        "M11-b_-1-column-dropped",
+        [(ahss, "_columns", _columns_without_b_minus_1)],
         fails=CHART_ROWS,
     ),
     Mutant(

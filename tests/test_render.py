@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from whcalc import emit, render
-from whcalc.ahss import ChartTarget, chart_window
+from whcalc.ahss import chart_window
 from whcalc.arith import OddPrime
 
 CHART_FORMATS = ("ascii-chart", "svg-chart")
@@ -17,7 +17,7 @@ CHART_FORMATS = ("ascii-chart", "svg-chart")
 
 def _payload(pp: int, target: str, page: str) -> dict:
     p = OddPrime(pp)
-    top = chart_window(p, ChartTarget(target)) - 1
+    top = chart_window(p, target) - 1
     return emit.ahss(p, target, page, top)[1]
 
 

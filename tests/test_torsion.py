@@ -3,7 +3,7 @@
 import pytest
 
 from whcalc import torsion
-from whcalc.ahss import ChartTarget, chart_window
+from whcalc.ahss import S_OF_CPBAR, chart_window
 from whcalc.arith import OddPrime
 from whcalc.errors import InconsistencyError, PreconditionError, WindowError
 from whcalc.stems import COK_J
@@ -45,7 +45,7 @@ def test_torsion_window():
         assert torsion_window(p) == (2 * p.p + 1) * p.q - 3
         # torsion-vs-charts reads degree d from total degree d-1 of the
         # stunted chart, through the whole window of both
-        assert torsion_window(p) == chart_window(p, ChartTarget.S_OF_CPBAR) + 1
+        assert torsion_window(p) == chart_window(p, S_OF_CPBAR) + 1
 
 
 def test_even_valuation_examples():

@@ -13,7 +13,9 @@ import pytest
 
 from whcalc import cli, whcohomology
 from whcalc import verify as vf
-from whcalc.ahss import ChartTarget, build_e2, chart_window, run_differentials
+from whcalc.ahss import (
+    J_OF_CP, S_OF_CP, S_OF_CPBAR, build_e2, chart_window, run_differentials,
+)
 from whcalc.arith import OddPrime
 
 
@@ -78,10 +80,10 @@ def _charts(top=None, target=None, change=None):
         if top is None:
             last = chart_window(p, t) - 1
         else:
-            last = top - (t is ChartTarget.S_OF_CPBAR)
+            last = top - (t == S_OF_CPBAR)
         e2 = build_e2(p, t, last)
         einf = run_differentials(e2)
-        if t is target:
+        if t == target:
             change(e2, einf)
         return e2, einf
 
@@ -114,7 +116,7 @@ def test_torsion_vs_charts_needs_one_entry_per_degree(monkeypatch):
     def change(e2, einf):
         einf.torsion_by_degree.pop()
 
-    row = _patched_rows(monkeypatch, 5, ChartTarget.S_OF_CPBAR, change)[
+    row = _patched_rows(monkeypatch, 5, S_OF_CPBAR, change)[
         "torsion-vs-charts"
     ]
     assert row.status == vf.FAIL
@@ -127,7 +129,7 @@ def test_axis_orders_catches_a_dropped_summand(monkeypatch):
         k = next(iter(column))
         einf.torsion_by_degree[2 * k + theta.degree] -= column.pop(k)
 
-    row = _patched_rows(monkeypatch, 3, ChartTarget.J_OF_CP, change)[
+    row = _patched_rows(monkeypatch, 3, J_OF_CP, change)[
         "axis-orders"
     ]
     assert row.status == vf.FAIL
@@ -142,7 +144,7 @@ def test_adjustment_sets_catch_a_dropped_summand(monkeypatch):
         )
         del einf.summands[theta][k]
 
-    row = _patched_rows(monkeypatch, 3, ChartTarget.S_OF_CPBAR, change)[
+    row = _patched_rows(monkeypatch, 3, S_OF_CPBAR, change)[
         "chart-adjustment-sets"
     ]
     assert row.status == vf.FAIL
@@ -390,7 +392,7 @@ def test_truncated_torsion_vs_charts_catches_a_lowered_sum(monkeypatch):
     def change(e2, einf):
         einf.torsion_by_degree[449] -= 1
 
-    monkeypatch.setattr(vf, "_chart", _charts(512, ChartTarget.S_OF_CPBAR,
+    monkeypatch.setattr(vf, "_chart", _charts(512, S_OF_CPBAR,
                                               change))
     with pytest.raises(vf._Failure) as failure:
         vf._check_torsion_vs_charts(OddPrime(113), deep=False)
@@ -400,7 +402,7 @@ def test_truncated_torsion_vs_charts_catches_a_lowered_sum(monkeypatch):
 def _conservation_row(monkeypatch, change):
     """The chart-conservation row of `verify --p 5` with `change` applied
     to the E2 and EINF pages of the s-cp chart, whose top is 87."""
-    return _patched_rows(monkeypatch, 5, ChartTarget.S_OF_CP, change)[
+    return _patched_rows(monkeypatch, 5, S_OF_CP, change)[
         "chart-conservation"
     ]
 
