@@ -73,8 +73,7 @@ from .arith import OddPrime, vp_factorial
 from .emit import TARGETS, _Reiterable
 from .errors import InconsistencyError, PreconditionError, WindowError
 from .stems import (
-    IM_J, StemClass, _cokernel_classes, all_torsion_classes, alpha_bar,
-    beta2_degree,
+    StemClass, _cokernel_classes, all_torsion_classes, alpha_bar, beta2_degree,
 )
 
 E2 = "E2"
@@ -132,7 +131,7 @@ def _page_classes(p: OddPrime, target: str, top: int) -> list[StemClass]:
     column reaches, so their number follows the window and not p."""
     classes = all_torsion_classes(p, top + 3)
     if target == J_OF_CP:
-        classes = [c for c in classes if c.kind == IM_J]
+        classes = [c for c in classes if c.index is not None]
     return classes
 
 
@@ -331,7 +330,7 @@ def run_differentials(
     # valuation 1.
     tors: dict[StemClass, dict[int, int]] = {}
     for theta in _page_classes(p, target, top):
-        if theta.kind == IM_J:  # R1 has read the columns k >= 1
+        if theta.index is not None:  # R1 has read the columns k >= 1
             if cpbar:
                 ledger[theta.degree - 2] += theta.order_valuation  # R5
             last = (top - theta.degree) // 2  # its last column in the window
@@ -434,7 +433,7 @@ def _degree_groups(summands, einf: bool) -> list[list]:
         group = groups[-1]
         group[1].append(theta.name)
         group[2] += valuation
-        group[3] |= einf and theta.kind == IM_J
+        group[3] |= einf and theta.index is not None
     return groups
 
 

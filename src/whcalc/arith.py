@@ -54,8 +54,9 @@ class OddPrime:
     __slots__ = ("p",)
 
     def __init__(self, p: int) -> None:
-        if p < 3 or p % 2 == 0 or not _is_prime(p):
-            raise PreconditionError(f"p must be an odd prime, got {p}")
+        if (not isinstance(p, int) or p < 3 or p % 2 == 0
+                or not _is_prime(p)):
+            raise PreconditionError(f"p must be an odd prime, got {p!r}")
         object.__setattr__(self, "p", p)
 
     def __setattr__(self, name: str, value: object = None) -> None:

@@ -12,13 +12,10 @@ from collections import namedtuple
 from .arith import OddPrime, vp
 from .errors import WindowError
 
-IM_J = "im_j"
-COK_J = "cok_j"
-
-
-# kind is IM_J or COK_J; index is i for the alpha_bar family, else None.
+# A class's family is its index: i >= 1 for the image-of-J class
+# alpha_bar(i), None for a cokernel-of-J class.
 StemClass = namedtuple(
-    "StemClass", "name degree order_valuation kind index", defaults=(None,)
+    "StemClass", "name degree order_valuation index", defaults=(None,)
 )
 
 
@@ -31,7 +28,7 @@ def alpha_bar(p: OddPrime, i: int) -> StemClass:
     """Image-of-J generator in degree q*i - 1, order p^(1 + v_p(i))."""
     if i < 1:
         raise WindowError(f"alpha_bar index must be >= 1, got {i}")
-    return StemClass(f"alpha_bar({i})", p.q * i - 1, 1 + vp(p, i), IM_J, i)
+    return StemClass(f"alpha_bar({i})", p.q * i - 1, 1 + vp(p, i), i)
 
 
 def _cokernel_classes(p: OddPrime) -> tuple[StemClass, ...]:
@@ -39,10 +36,10 @@ def _cokernel_classes(p: OddPrime) -> tuple[StemClass, ...]:
     and beta1, in ascending degree."""
     alpha1, beta1 = p.q - 1, p.p * p.q - 2
     return (
-        StemClass("beta1", beta1, 1, COK_J),
-        StemClass("alpha1_beta1", alpha1 + beta1, 1, COK_J),
-        StemClass("beta1_sq", 2 * beta1, 1, COK_J),
-        StemClass("alpha1_beta1_sq", alpha1 + 2 * beta1, 1, COK_J),
+        StemClass("beta1", beta1, 1),
+        StemClass("alpha1_beta1", alpha1 + beta1, 1),
+        StemClass("beta1_sq", 2 * beta1, 1),
+        StemClass("alpha1_beta1_sq", alpha1 + 2 * beta1, 1),
     )
 
 

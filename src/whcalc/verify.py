@@ -18,9 +18,10 @@ from operator import add
 
 from . import emit
 from .ahss import (
-    J_OF_CP, S_OF_CPBAR, ChartPage, build_e2, chart_window, run_differentials,
+    J_OF_CP, S_OF_CPBAR, ChartPage, build_e2, chart_window, j_order_valuation,
+    run_differentials,
 )
-from .arith import OddPrime, ensure_regular, vp
+from .arith import OddPrime, ensure_regular
 from .errors import WhcalcError, WindowError
 from .steenrod import (
     BETA,
@@ -167,20 +168,12 @@ def _check_adjustment_sets(p: OddPrime, deep: bool) -> str:
 def _check_axis_orders(p: OddPrime, deep: bool) -> str:
     """Surviving image-of-J order per odd stem == the closed-form count of
     axis differentials entering minus leaving, `j_order_valuation(p, n)`,
-    read as a running sum: from n-1 to n it gains 1 + v_p(m) when
-    n - 1 = m(p-1) and loses v_p(n)."""
+    which reads only v_p(n!) and floor sums, not the chart engine."""
     _, page = _chart(p, J_OF_CP)
     top = page.max_total_degree
     sums = page.torsion_by_degree
-    pp = p.p
-    want = 0
     for n in range(1, (top + 1) // 2 + 1):
-        m, rest = divmod(n - 1, pp - 1)
-        if m and not rest:
-            want += 1 + vp(p, m)
-        if n % pp == 0:
-            want -= vp(p, n)
-        got = sums[2 * n - 1]
+        got, want = sums[2 * n - 1], j_order_valuation(p, n)
         if got != want:
             raise _Failure(f"stem {2 * n - 1}: chart {got}, closed form {want}")
     return f"{(top + 1) // 2} odd stems agree with the closed form"
@@ -458,7 +451,7 @@ def run_checks(primes: list[OddPrime], deep: bool = False) -> list[CheckResult]:
 
 def format_matrix(results: list[CheckResult]) -> str:
     """Human-readable pass/fail matrix plus a summary line."""
-    width = max(len(r.name) for r in results)
+    width = max((len(r.name) for r in results), default=0)
     lines = [
         f"p={r.p}  {r.name:<{width}}  {r.status:<4}  {r.detail}"
         for r in results

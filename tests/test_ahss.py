@@ -113,7 +113,7 @@ def _grouped_page_payload(page):
         record = cell(2 * k, theta.degree)
         record["labels"].append(f"{theta.name}*b({k})")
         record["valuation"] += valuation
-        record["aggregate_only"] |= einf and theta.kind == "im_j"
+        record["aggregate_only"] |= einf and theta.index is not None
     return {
         "kind": "ahss-chart",
         "p": page.p.p,
@@ -290,7 +290,7 @@ def test_einf_imj_cells_are_aggregate_only():
     page = run_differentials(e2)
     imj = defaultdict(bool)
     for theta, k, _ in _survivors(page.summands):
-        imj[(2 * k, theta.degree)] |= theta.kind == "im_j"
+        imj[(2 * k, theta.degree)] |= theta.index is not None
     for (s, t), cell in _cells(page).items():
         if t == 0:
             assert cell["valuation"] == "infinite"
@@ -412,7 +412,7 @@ def test_pair_rules_refuse_a_class_off_the_page(monkeypatch):
     # first summand R3 kills with it as the source is not there.
     alpha1 = stems.alpha_bar(P5, 1)
     monkeypatch.setattr(
-        ahss, "alpha_bar", lambda p, i: alpha1._replace(kind=stems.COK_J)
+        ahss, "alpha_bar", lambda p, i: alpha1._replace(index=None)
     )
     with pytest.raises(InconsistencyError, match=(
         r"^R3: expected alpha_bar\(1\)\*b\(20\) with valuation 1 on the page$"

@@ -34,6 +34,7 @@ _sigma_c_summands = torsion.sigma_c_summands
 _cokernel_classes = stems._cokernel_classes
 _all_torsion_classes = stems.all_torsion_classes
 _adem = steenrod._adem
+_live_words = steenrod.live_words
 _quotient_module_dims = whcohomology.quotient_module_dims
 _h_sigma_c_dims = whcohomology.h_sigma_c_dims
 
@@ -65,6 +66,24 @@ def _adem_with_b_terms_negated(pp, a, eps, b):
     if eps:
         terms = tuple((w, -c % pp if w[0] == 0 else c) for w, c in terms)
     return terms
+
+
+def _adem_with_one_letter_term_doubled(pp, a, eps, b):
+    terms = _adem(pp, a, eps, b)
+    if not eps:
+        terms = tuple((w, 2 * c % pp if len(w) == 1 else c) for w, c in terms)
+    return terms
+
+
+def _adem_with_two_letter_terms_negated(pp, a, eps, b):
+    terms = _adem(pp, a, eps, b)
+    if not eps:
+        terms = tuple((w, -c % pp if len(w) == 2 else c) for w, c in terms)
+    return terms
+
+
+def _live_words_of_length_below_2(p, a, max_degree):
+    return (w for w in _live_words(p, a, max_degree) if len(w) < 2)
 
 
 def _cpa_without_its_top_class(p, spec, max_degree, a=None):
@@ -155,6 +174,20 @@ MUTANTS = (
         fails=CHART_ROWS,
     ),
     Mutant(
+        "M12-adem-one-letter-term-doubled",
+        [(steenrod, "_adem", _adem_with_one_letter_term_doubled)],
+        fails={"adem-action"},
+    ),
+    Mutant(
+        # p=5 is the one prime whose `annihilators` row reaches a live word
+        # of length 2, P^5 P^1 on y^1
+        "M13-live-words-of-length-below-2",
+        [(module, "live_words", _live_words_of_length_below_2)
+         for module in (steenrod, verify)],
+        primes=(5,),
+        fails={"annihilators", "golden-files"},
+    ),
+    Mutant(
         "M1-adem-bockstein-terms-negated",
         [(steenrod, "_adem", _adem_with_b_terms_negated)],
         gap=9,
@@ -174,6 +207,13 @@ MUTANTS = (
         "M6-sigma-beta1-of-order-p2",
         [(torsion, "_cokernel_classes", _sigma_beta1_of_order_p2)],
         gap=2,
+    ),
+    Mutant(
+        # the first eps=0 relation with two terms, P^p P^2, lies in degree
+        # (p+2)q, beyond every word bound of verify at p >= 7
+        "M14-adem-two-letter-terms-negated",
+        [(steenrod, "_adem", _adem_with_two_letter_terms_negated)],
+        gap=9,
     ),
 )
 

@@ -5,8 +5,6 @@ import pytest
 from whcalc.arith import OddPrime, vp
 from whcalc.errors import WindowError
 from whcalc.stems import (
-    COK_J,
-    IM_J,
     all_torsion_classes,
     alpha_bar,
     beta2_degree,
@@ -33,7 +31,6 @@ def test_alpha_bar_degrees_and_orders():
             c = alpha_bar(p, i)
             assert c.degree == p.q * i - 1
             assert c.order_valuation == 1 + vp(p, i)
-            assert c.kind == IM_J
             assert c.index == i
     with pytest.raises(WindowError):
         alpha_bar(P3, 0)
@@ -41,7 +38,7 @@ def test_alpha_bar_degrees_and_orders():
 
 def test_cokernel_degrees():
     degrees = {
-        c.name: c.degree for c in all_torsion_classes(P5) if c.kind == COK_J
+        c.name: c.degree for c in all_torsion_classes(P5) if c.index is None
     }
     q, p = 8, 5
     assert degrees == {
@@ -53,7 +50,7 @@ def test_cokernel_degrees():
     assert all(
         c.order_valuation == 1
         for c in all_torsion_classes(P5)
-        if c.kind == COK_J
+        if c.index is None
     )
 
 

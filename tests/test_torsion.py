@@ -6,7 +6,6 @@ from whcalc import torsion
 from whcalc.ahss import S_OF_CPBAR, chart_window
 from whcalc.arith import OddPrime
 from whcalc.errors import InconsistencyError, PreconditionError, WindowError
-from whcalc.stems import COK_J
 from whcalc.torsion import (
     _cpbar_valuations,
     _wh_valuations,
@@ -150,7 +149,7 @@ def _sigma_generators(p):
 
 def test_sigma_c_examples():
     theta = sigma_c_summands(P3)[11]
-    assert (theta.name, theta.degree, theta.kind) == ("beta1", 10, COK_J)
+    assert (theta.name, theta.degree, theta.index) == ("beta1", 10, None)
     assert _sigma_generators(P3)[11] == ("sigma(beta1)", 1)
     assert _sigma_generators(P5)[77] == ("sigma(beta1_sq)", 1)
     assert 12 not in sigma_c_summands(P3)

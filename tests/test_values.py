@@ -29,7 +29,7 @@ from whcalc.steenrod import (
     word_degree,
     word_str,
 )
-from whcalc.stems import COK_J, StemClass, alpha_bar
+from whcalc.stems import StemClass, alpha_bar
 from whcalc.torsion import (
     ConcordanceFirstTorsion,
     FirstTorsion,
@@ -44,13 +44,13 @@ from whcalc.whcohomology import h_wh_report
 from test_ahss import _e2_summands
 
 P3 = OddPrime(3)
-BETA1 = StemClass("beta1", 10, 1, COK_J)
+BETA1 = StemClass("beta1", 10, 1)
 
 # Each value with its class's field names, in declaration order.
 VALUES = [
     (P3, ("p",)),
-    (BETA1, ("name", "degree", "order_valuation", "kind", "index")),
-    (alpha_bar(P3, 3), ("name", "degree", "order_valuation", "kind", "index")),
+    (BETA1, ("name", "degree", "order_valuation", "index")),
+    (alpha_bar(P3, 3), ("name", "degree", "order_valuation", "index")),
     (first_p_torsion(P3), ("degree", "valuation", "generator")),
     (
         concordance_first_torsion(P3),
@@ -116,7 +116,7 @@ def test_results_are_their_payloads():
     for dims in (*report["pieces"].values(), report["total"]):
         assert type(dims) is dict and all(type(d) is int for d in dims)
     for d, theta in sigma_c_summands(P3).items():
-        assert type(theta) is StemClass and theta.kind == COK_J
+        assert type(theta) is StemClass and theta.index is None
         assert d == theta.degree + 1
 
 
@@ -195,9 +195,13 @@ def test_chart_summand_is_a_plain_key():
 
 
 def test_odd_prime_validates_and_stays_fixed():
-    for bad in (4, 9, 2, 1, 15):
+    for bad in (4, 9, 2, 1, 15, 3.0, 5.0, "3", None):
         with pytest.raises(PreconditionError):
             OddPrime(bad)
+    with pytest.raises(
+        PreconditionError, match=r"^p must be an odd prime, got 3\.0$"
+    ):
+        OddPrime(3.0)
     with pytest.raises(AttributeError):
         del P3.p
     with pytest.raises(AttributeError):

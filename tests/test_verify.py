@@ -471,6 +471,11 @@ def test_each_chart_is_built_once_per_prime(monkeypatch):
     vf._chart.cache_clear()
 
 
+def test_format_matrix_of_no_rows_is_the_tally():
+    assert vf.run_checks([]) == []
+    assert vf.format_matrix([]) == "0 passed, 0 failed, 0 skipped"
+
+
 def test_verify_refuses_a_prime_beyond_the_chart_bound(monkeypatch, capsys):
     def never(*args):
         raise AssertionError("called before the chart bound was applied")
