@@ -49,7 +49,7 @@ def _is_prime(n: int) -> bool:
 
 class OddPrime:
     """An odd prime p, validated at construction; q = 2p - 2 rides along.
-    Immutable, and equal and hashed as the tuple (p,)."""
+    Immutable; hashed as (p,), but equal only to an OddPrime of the same p."""
 
     __slots__ = ("p",)
 

@@ -73,12 +73,12 @@ def json_chunks(value):
     """Yield the bytes of `json.dumps(value, indent=2) + "\\n"`, in the
     chunks of `batched`, for nested dicts (with str or int keys), lists,
     tuples, str, int, bool and None, and iterators and `_Reiterable` views
-    (a chart's cells), which are written as lists.  Any other type, a float
-    included, and any other key, a bool included, raise TypeError.  Each
-    scalar is written by its type's entry in one table: a str quoted by the
-    C function that `json.dumps` uses, an int (an int key as its quoted
-    digits) by `int.__repr__`; a value of a subclass of those types by the
-    entry of its first base in the table, as `json.dumps` writes it."""
+    (a chart's cells), which are written as lists.  Each scalar is written
+    by its exact type's entry in one table: a str quoted by the C function
+    that `json.dumps` uses, an int (an int key as its quoted digits) by
+    `int.__repr__`.  Any other scalar type, a float or a subclass of an
+    entry's type (an `IntEnum` member, say) included, and any other key, a
+    bool or an int or str subclass included, raise TypeError."""
     try:
         from _json import encode_basestring_ascii as quote
     except ImportError:  # an interpreter without json's C accelerator
@@ -110,7 +110,11 @@ def _json_parts(value, scalars: dict, pad: str, head: str):
         brackets = "[]"
         pairs = zip(repeat(""), value)
     else:
-        yield head + _json_scalar(value, scalars)
+        write = scalars.get(type(value))
+        if write is None:
+            name = type(value).__name__
+            raise TypeError(f"Object of type {name} is not JSON serializable")
+        yield head + write(value)
         return
     yield head + brackets[0]
     inner = pad + "  "
@@ -181,22 +185,11 @@ def batched(parts):
 
 
 def _json_key(key) -> str:
-    if isinstance(key, str):
+    if type(key) is str:
         return key
-    if isinstance(key, int) and not isinstance(key, bool):
+    if type(key) is int:
         return int.__repr__(key)
     raise TypeError(f"keys must be str or int, not {type(key).__name__}")
-
-
-def _json_scalar(value, scalars: dict) -> str:
-    """The text of `value` by the first entry of `scalars` along its
-    type's MRO, so an int or str subclass is written as its base."""
-    for kind in type(value).__mro__:
-        if kind in scalars:
-            return scalars[kind](value)
-    raise TypeError(
-        f"Object of type {type(value).__name__} is not JSON serializable"
-    )
 
 
 def pi_wh(

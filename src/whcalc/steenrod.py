@@ -214,6 +214,8 @@ def live_words(p: OddPrime, a: int, max_degree: int):
     as it does for every s > k >= 0."""
 
     def grow(word: Word, k: int, low: int, budget: int):
+        if budget < 0:
+            return
         yield word
         top = budget // p.q if k < 0 else min(budget // p.q, k)
         for s in range(low, top + 1):

@@ -111,6 +111,8 @@ def delta_star_rank_data(p: OddPrime, max_degree: int) -> dict:
     into {degree: dim}, for consistency checks: in every degree,
     cok - ker = target - source, and below 2p-2 the map is injective so
     cok = target - source there."""
+    if max_degree < 0:
+        raise PreconditionError(f"max_degree must be >= 0, got {max_degree}")
     source = _add(*(
         _shifted(p, "A//E1", max_degree, 4 * i - 1)
         for i in range(1, (p.p - 1) // 2 + 1)

@@ -64,3 +64,28 @@ def test_chart_rendering_stays_small_at_p61(fmt, bound_kb):
     finally:
         tracemalloc.stop()
     assert peak < bound_kb * 1024
+
+
+def test_ascii_chart_leaves_out_a_cell_off_the_columns_parity():
+    # the columns run from the least s in steps of 2, so the cell at s=2,
+    # one past the column s=1, has no column and is not drawn
+    def cell(s, t, valuation, aggregate_only=False):
+        return {"s": s, "t": t, "labels": ["x"], "valuation": valuation,
+                "aggregate_only": aggregate_only}
+
+    payload = {
+        "kind": "ahss-chart", "p": 3, "target": "j-cp", "page_label": "E2",
+        "max_total_degree": 5,
+        "cells": [cell(-1, 0, "infinite"), cell(1, 3, 1), cell(2, 3, 2, True)],
+    }
+    assert render.to_ascii(payload) == (
+        "# chart j-cp page E2 p=3 (total degrees <= 5)\n"
+        "# cell marks: Z = integral class, digit = torsion valuation,"
+        " ~ = aggregate-only\n"
+        "t=3 | .  1 \n"
+        "t=2 | .  . \n"
+        "t=1 | .  . \n"
+        "t=0 | Z  . \n"
+        "      -1  1\n"
+        "     (s)\n"
+    )

@@ -210,6 +210,14 @@ def test_live_words_match_the_unpruned_search_in_order():
             assert list(live_words(p, a, 400)) == want
 
 
+def test_live_words_below_degree_zero_are_none():
+    # not even the unit word, whose degree 0 exceeds a negative budget
+    for budget in (-1, -P5.q):
+        assert list(live_words(P5, 1, budget)) == []
+    # the quotient on y^3 starts in degree 6, beyond max_degree 3
+    assert quotient_module_dims(P5, "CP[a]/A(y^a)", 3, a=3) == {}
+
+
 def test_milnor_primitives():
     assert milnor_primitive(P3, 0) == {BETA: 1}
     assert milnor_primitive(P3, 1) == {(1, 0): 1, (0, 1): 2}

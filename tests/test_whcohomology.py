@@ -130,6 +130,11 @@ def test_report_annotations():
     assert any("sigma y^9" in a and "sigma^2 P2" in a for a in notes)
 
 
+def test_delta_star_rank_data_refuses_a_negative_degree():
+    with pytest.raises(PreconditionError, match="max_degree must be >= 0"):
+        delta_star_rank_data(P5, -1)
+
+
 def test_report_regularity_gate():
     with pytest.raises(PreconditionError):
         h_wh_report(OddPrime(37), 10)
