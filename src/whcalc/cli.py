@@ -303,7 +303,7 @@ def _write(chunks, out: str | None) -> None:
             raise _stdout_error(exc) from exc
         return
     path = os.path.realpath(out)
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = os.path.join(os.path.dirname(path), f".whcalc-{os.getpid()}.tmp")
     try:
         if os.path.exists(out) and not os.path.isfile(out):
             _write_through(out, chunks)  # a device or FIFO

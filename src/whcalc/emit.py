@@ -72,8 +72,8 @@ def envelope_text(command: str, payload: dict) -> str:
 def json_chunks(value):
     """Yield the bytes of `json.dumps(value, indent=2) + "\\n"`, in the
     chunks of `batched`, for nested dicts (with str or int keys), lists,
-    tuples, str, int, bool and None, and iterators and `_Reiterable` views
-    (a chart's cells), which are written as lists.  Each scalar is written
+    tuples, str, int, bool and None, and `_Reiterable` views (a chart's
+    cells), which are written as lists.  Each scalar is written
     by its exact type's entry in one table: a str quoted by the C function
     that `json.dumps` uses, an int (an int key as its quoted digits) by
     `int.__repr__`.  Any other scalar type, a float or a subclass of an
@@ -105,8 +105,7 @@ def _json_parts(value, scalars: dict, pad: str, head: str):
         brackets = "{}"
         keys = map(scalars[str], map(_json_key, value))
         pairs = zip(map("{}: ".format, keys), value.values())
-    elif (isinstance(value, (list, tuple, _Reiterable))
-          or hasattr(value, "__next__")):
+    elif isinstance(value, (list, tuple, _Reiterable)):
         brackets = "[]"
         pairs = zip(repeat(""), value)
     else:

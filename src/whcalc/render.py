@@ -7,10 +7,8 @@ as JSON holds it; so re-parsing emitted JSON and re-rendering reproduces
 the other formats byte for byte.  Each renderer is a generator of lines,
 so the CLI writes them in batches as they are formed.  No renderer keeps
 a chart's cells: CSV writes each as it comes, and the ASCII and SVG
-charts read them twice, once for the grid's bounds and once to draw;
-only a one-shot iterator of cells, which allows no second pass, is
-listed first.  SVG output is static SVG 1.1 with integer coordinates
-only.
+charts read them twice, once for the grid's bounds and once to draw.
+SVG output is static SVG 1.1 with integer coordinates only.
 """
 
 from sys import intern
@@ -84,14 +82,12 @@ def _profile_ascii(payload: dict):
 
 
 def _chart_bounds(cells):
-    """`cells` in a form that can be read twice (a one-shot iterator is
-    listed), and the grid's bounds (smin, smax, tmax) over the cells, or
-    None when there are none."""
-    if iter(cells) is cells:
-        cells = list(cells)
+    """The grid's bounds (smin, smax, tmax) over `cells`, or None when
+    there are none.  `cells` is a list or a chart's view, which the
+    caller reads again to draw."""
     first = next(iter(cells), None)
     if first is None:
-        return cells, None
+        return None
     smin = smax = first["s"]
     tmax = first["t"]
     for c in cells:
@@ -102,7 +98,7 @@ def _chart_bounds(cells):
             smax = s
         if c["t"] > tmax:
             tmax = c["t"]
-    return cells, (smin, smax, tmax)
+    return smin, smax, tmax
 
 
 def _chart_ascii(payload: dict):
@@ -114,7 +110,8 @@ def _chart_ascii(payload: dict):
         "# cell marks: Z = integral class, digit = torsion valuation,"
         " ~ = aggregate-only\n"
     )
-    cells, bounds = _chart_bounds(payload["cells"])
+    cells = payload["cells"]
+    bounds = _chart_bounds(cells)
     if bounds is None:
         yield "(empty)\n"
         return
@@ -204,8 +201,8 @@ def _profile_svg(payload: dict):
 
 def _chart_svg(payload: dict):
     # one pass over the cells sizes the canvas, a second draws them
-    cells, bounds = _chart_bounds(payload["cells"])
-    smin, smax, tmax = bounds or (0, 0, 0)
+    cells = payload["cells"]
+    smin, smax, tmax = _chart_bounds(cells) or (0, 0, 0)
     cell, left, top = 26, 50, 30
     cols = (smax - smin) // 2 + 1
     w = left + cell * cols + 20

@@ -61,10 +61,10 @@ SKIP = "skip"
 # lifted), `verify --p 61` takes 0.094 s of CPU and 17 MB, start-up (0.05
 # s and 13 MB) included; with the bound lifted, p=71 takes 0.115 s and
 # 18 MB, p=97 0.158 s and 22 MB, and p=113 0.210 s and 27 MB.  The bound,
-# the chart window (2p+1)(2p-2) at p=61, was set when the rows kept a
+# the j-cp chart window at p=61 (14760), was set when the rows kept a
 # record per cell (36 MB at p=61, 41 MB at 71); it stays, as the primes
 # it admits are part of the exit-code contract.
-MAX_CHART_WINDOW = 14760
+MAX_CHART_WINDOW = chart_window(OddPrime(61), J_OF_CP)
 
 
 CheckResult = namedtuple("CheckResult", "p name status detail", defaults=("",))

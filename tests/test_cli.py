@@ -96,6 +96,19 @@ def test_out_matches_stdout(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize("length", [250, 255])
+def test_out_with_a_long_file_name(capsys, tmp_path, length):
+    # the temporary file's name does not grow with the target's, so any
+    # name the directory takes is written
+    target = tmp_path / ("w" * length)
+    assert run_cli(
+        capsys, "pi-wh", "--p", "3", "--max-degree", "24", "--out", str(target)
+    ) == (0, "", "")
+    golden = resources.files("whcalc").joinpath("golden", "pi_wh_p3_d24.json")
+    assert target.read_bytes() == golden.read_bytes()
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_unwritable_out_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "report.json"
     code, out, err = run_cli(
