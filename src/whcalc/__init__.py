@@ -8,7 +8,7 @@ The public names are imported from their submodules on first access
 (PEP 562), so a cold CLI call loads only the modules its subcommand
 runs."""
 
-from ._version import __version__
+__version__ = "0.1.0"
 
 # Each public name, by the submodule that defines it.
 _EXPORTS = {

@@ -385,8 +385,7 @@ def page_payload(page: ChartPage) -> dict:
     writer can stream a large page and a renderer can read it twice; an
     E2 page's come straight from the stem table."""
     top = page.max_total_degree
-    ks = [-1] if page.target == S_OF_CPBAR else []
-    ks += range(1, top // 2 + 1)
+    ks = _columns(page.target, top, 0)
     einf = page.page_label == EINF
     if einf:
         columns: dict[int, list[tuple[StemClass, int]]] = defaultdict(list)

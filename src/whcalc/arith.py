@@ -77,9 +77,6 @@ class OddPrime:
     def q(self) -> int:
         return 2 * self.p - 2
 
-    def __str__(self) -> str:
-        return str(self.p)
-
 
 def vp(p: OddPrime, n: int) -> int:
     """p-adic valuation of a positive integer."""

@@ -18,8 +18,7 @@ import atexit
 import os
 import sys
 
-from . import emit
-from ._version import __version__
+from . import __version__, emit
 from .arith import OddPrime, ensure_regular
 from .errors import InconsistencyError, PreconditionError, WindowError
 
@@ -375,6 +374,8 @@ def main(argv: list[str] | None = None) -> int:
         if top < 0:
             raise PreconditionError(f"--max-degree must be >= 0, got {top}")
         cap = _int(os.environ.get(CAP_ENV, str(DEFAULT_CAP)), CAP_ENV)
+        if cap < 0:
+            raise PreconditionError(f"{CAP_ENV} must be >= 0, got {cap}")
         if top > cap:
             raise WindowError(
                 f"--max-degree {top} exceeds the safety cap "

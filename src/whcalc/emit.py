@@ -19,7 +19,7 @@ it is called, so a cold CLI call loads only those.
 
 from itertools import chain, repeat
 
-from ._version import __version__
+from . import __version__
 from .arith import OddPrime
 from .errors import PreconditionError
 

@@ -438,6 +438,17 @@ def test_degree_cap(capsys, monkeypatch):
     assert "torsion profile" in err
 
 
+@pytest.mark.parametrize("command", ["ahss", "pi-wh", "cohomology"])
+def test_negative_cap_is_a_precondition(capsys, monkeypatch, command):
+    # a bad setting is refused as such, not blamed on the query
+    monkeypatch.setenv(cli.CAP_ENV, "-1")
+    code, out, err = run_cli(capsys, command, "--p", "3", "--max-degree", "0")
+    assert (code, out) == (2, "")
+    assert err == f"error: {cli.CAP_ENV} must be >= 0, got -1\n"
+    monkeypatch.setenv(cli.CAP_ENV, "0")
+    assert run_cli(capsys, command, "--p", "3", "--max-degree", "0")[0] == 0
+
+
 def test_bad_integers_name_their_source(capsys, monkeypatch):
     monkeypatch.setenv(cli.CAP_ENV, "abc")
     code, out, err = run_cli(capsys, "pi-wh", "--p", "3", "--max-degree", "5")

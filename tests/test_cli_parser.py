@@ -13,8 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from whcalc import cli, emit
-from whcalc._version import __version__
+from whcalc import __version__, cli, emit
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:

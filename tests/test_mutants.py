@@ -28,6 +28,7 @@ Mutant = namedtuple(
 CACHES = (verify._chart, steenrod._nf, steenrod._adem)
 
 _axis_kept = ahss._axis_kept
+_cpbar_terms = torsion._cpbar_terms
 _columns = ahss._columns
 _admissible_basis = steenrod.admissible_basis
 _sigma_c_summands = torsion.sigma_c_summands
@@ -111,6 +112,31 @@ def _sigma_beta1_of_order_p2(p):
 def _axis_kept_on_budgets_floor_n_over_p(p, alpha, budgets):
     # R1 kills floor(n/p), the first term of v_p(n!), in degree 2n-1
     return _axis_kept(p, alpha, [n // p.p for n in range(len(budgets))])
+
+
+# R1's budget v_p(n!) without its floor(n/p^2) term, in each of its three
+# transcriptions: the v_p(n) sieve of the axis page, `j_order_valuation`'s
+# `vp_factorial` call and the stunted-projective steps.
+def _axis_page_sieving_p_alone(p, top):
+    budgets = [n // p.p for n in range((top + 1) // 2 + 1)]
+    alpha = [None, *ahss._page_classes(p, ahss.J_OF_CP, top)]
+    kept = _axis_kept(p, alpha, budgets)
+    summands = {
+        theta: dict(kept[theta.index])
+        for theta in alpha[1:] if kept.get(theta.index)
+    }
+    ledger = [0] * (top + 1)
+    ledger[1::2] = budgets[1:]
+    return ahss._einf_page(ahss.J_OF_CP, p, top, summands, ledger)
+
+
+def _vp_factorial_without_p2(p, n):
+    return n // p.p
+
+
+def _cpbar_terms_without_p2_step(p):
+    steps, points, odd = _cpbar_terms(p)
+    return steps[:-1], points, odd
 
 
 def _columns_without_b_minus_1(target, max_total, t):
@@ -214,6 +240,14 @@ MUTANTS = (
         "M14-adem-two-letter-terms-negated",
         [(steenrod, "_adem", _adem_with_two_letter_terms_negated)],
         gap=9,
+    ),
+    Mutant(
+        # at p=3 and 5 the golden files catch it, as pinned bytes only
+        "M15-r1-budget-without-p2-term-everywhere",
+        [(ahss, "_axis_page", _axis_page_sieving_p_alone),
+         (ahss, "vp_factorial", _vp_factorial_without_p2),
+         (torsion, "_cpbar_terms", _cpbar_terms_without_p2_step)],
+        gap=15,
     ),
 )
 

@@ -332,7 +332,7 @@ def test_bare_package_import_loads_no_submodule_and_lists_every_name():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["['whcalc', 'whcalc._version']", "[]", ""]
+    assert proc.stdout.split("\n") == ["['whcalc']", "[]", ""]
 
 
 @pytest.mark.parametrize("name,args", [
