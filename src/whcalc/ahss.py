@@ -136,15 +136,16 @@ def _page_classes(p: OddPrime, target: str, top: int) -> list[StemClass]:
 
 
 def _e2_torsion_by_degree(p: OddPrime, target: str, top: int) -> list[int]:
-    """The E2 sums per total degree 0..top.  A class theta sits in total
-    degrees t+2, t+4, ... up to the top (and t-2 on the b_{-1} column), so
-    each class is one range-add on every other degree."""
+    """The E2 sums per total degree 0..top, as a running sum over each
+    parity plus the b_{-1} point.  A class theta sits in total degrees
+    t+2, t+4, ... through the top, so it adds to its parity's running sum
+    from t+2 on; on the b_{-1} column (s-cpbar) it also sits at t-2 alone,
+    a step up at t-2 and down at t, the next degree of that parity."""
     diff = [0] * (top + 3)
     for theta in _page_classes(p, target, top):
         t, v = theta.degree, theta.order_valuation
         if t + 2 <= top:
             diff[t + 2] += v
-            diff[t + 2 * ((top - t) // 2) + 2] -= v
         if target == S_OF_CPBAR and t - 2 <= top:
             diff[t - 2] += v
             diff[t] -= v

@@ -275,14 +275,14 @@ def _emit_for(args: dict) -> tuple[str, dict]:
 
 
 def _chunks(fmt: str, command: str, payload: dict):
-    """The payload rendered in `fmt`, as chunks of about BATCH_CHARS
-    characters.  A payload kind with no renderer is refused here, before
-    any byte."""
+    """The payload rendered in `fmt`, as an iterator of the writer's parts
+    or the renderer's lines.  A payload kind with no renderer is refused
+    here, before any byte."""
     if fmt == "json":
         return emit.envelope_chunks(command, payload)
     from . import render
 
-    return emit.batched(render.lines(fmt, payload))
+    return render.lines(fmt, payload)
 
 
 def _write(chunks, out: str | None) -> None:
@@ -411,7 +411,10 @@ def _observed() -> bool:
 
 def run(argv: list[str] | None = None) -> int:
     """`main(argv)` as the whole process: the entry point of `python -m
-    whcalc` and of every console script.  With the exit code of `main`, or
+    whcalc` and of every console script.  It first turns off stdout's
+    write-through and line buffering, so that stdout's own buffer
+    coalesces every emission's parts, under `python -u` too.  With the
+    exit code of `main`, or
     of the SystemExit that `-h`, `--version` or a usage error raises, it
     runs the `atexit` callbacks, flushes stdout and stderr and ends the
     process by `os._exit`, skipping the interpreter's teardown: the final
@@ -422,6 +425,9 @@ def run(argv: list[str] | None = None) -> int:
     the normal way and a tracer or profiler can write its output.  Any
     other exception propagates, for the interpreter's traceback and exit
     1."""
+    # under -u every part is a raw write (1,645 for a 277 KB page, not 35)
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(write_through=False, line_buffering=False)
     try:
         code = main(argv)
     except SystemExit as exc:

@@ -8,13 +8,11 @@ as its decimal string), two-space indentation and a trailing newline,
 so output is byte-stable across runs and suitable for golden-file
 comparison.  `json_chunks` yields the bytes of `json.dumps(doc, indent=2)`
 without importing `json`, whose encoder runs in pure Python at that
-indent; it writes forward only, as parts of about a line.  `batched` is
-the one chunker: it joins the JSON writer's parts and a renderer's lines
-alike, ending each chunk at the string that brings it to BATCH_CHARS
-characters, so every emission is an iterator of text chunks and the CLI
-never holds a whole document.  `envelope_text` joins an envelope's chunks
-into one string.  Each builder imports the library modules it runs when
-it is called, so a cold CLI call loads only those.
+indent; it writes forward only, as parts of about a line, which the CLI
+hands to the stream as they are formed, so it never holds a whole
+document.  `envelope_text` joins an envelope's parts into one string.
+Each builder imports the library modules it runs when it is called, so a
+cold CLI call loads only those.
 """
 
 from itertools import chain, repeat
@@ -32,11 +30,6 @@ FORMATS = ("json", "csv", "ascii-chart", "svg-chart")
 PIECES = ("all", "sigma-c", "hp", "coker", "ker", "total")
 TARGETS = ("j-cp", "s-cp", "s-cpbar")
 PAGES = ("e2", "einf")
-
-
-# The characters at which `batched` ends a chunk, so a large emission
-# never exists whole, however long its lines or strings run.
-BATCH_CHARS = 8192
 
 
 class _Reiterable:
@@ -70,8 +63,8 @@ def envelope_text(command: str, payload: dict) -> str:
 
 
 def json_chunks(value):
-    """Yield the bytes of `json.dumps(value, indent=2) + "\\n"`, in the
-    chunks of `batched`, for nested dicts (with str or int keys), lists,
+    """The bytes of `json.dumps(value, indent=2) + "\\n"`, as an iterator
+    of the writer's parts, for nested dicts (with str or int keys), lists,
     tuples, str, int, bool and None, and `_Reiterable` views (a chart's
     cells), which are written as lists.  Each scalar is written
     by its exact type's entry in one table: a str quoted by the C function
@@ -90,7 +83,7 @@ def json_chunks(value):
         bool: ("false", "true").__getitem__,
         type(None): lambda _: "null",
     }
-    yield from batched(chain(_json_parts(value, scalars, "", ""), ("\n",)))
+    return chain(_json_parts(value, scalars, "", ""), ("\n",))
 
 
 def _json_parts(value, scalars: dict, pad: str, head: str):
@@ -136,9 +129,9 @@ def _json_parts(value, scalars: dict, pad: str, head: str):
 def _flat_dict_text(value: dict, scalars: dict, pad: str,
                     head: str) -> str | None:
     """The text of a dict at indent `pad` whose values are all scalars of
-    an exact type in `scalars` or lists of str, opened by `head`, as one
-    part, whatever its length, written with no recursion; None for any
-    other dict."""
+    an exact type in `scalars` or lists of exact str, opened by `head`, as
+    one part, whatever its length, written with no recursion; None for any
+    other dict, which the general path writes or refuses."""
     quote = scalars[str]
     inner = pad + "  "
     sep = ",\n" + inner
@@ -149,13 +142,13 @@ def _flat_dict_text(value: dict, scalars: dict, pad: str,
         if write is not None:
             text = write(item)
         elif type(item) is list:
-            try:  # quote refuses anything but a str
-                text = (
-                    opened + rest.join(map(quote, item)) + closed
-                    if item else "[]"
-                )
-            except TypeError:
-                return None
+            for entry in item:
+                if type(entry) is not str:
+                    return None
+            text = (
+                opened + rest.join(map(quote, item)) + closed
+                if item else "[]"
+            )
         else:
             return None
         if type(key) is not str:
@@ -164,23 +157,6 @@ def _flat_dict_text(value: dict, scalars: dict, pad: str,
     if not items:
         return head + "{}"
     return f"{head}{{\n{inner}" + sep.join(items) + f"\n{pad}}}"
-
-
-def batched(parts):
-    """Yield the strings of `parts` (a renderer's lines, or the JSON
-    writer's parts) joined in chunks, each ended by the string that brings
-    it to BATCH_CHARS characters."""
-    chunk: list[str] = []
-    size = 0
-    for part in parts:
-        chunk.append(part)
-        size += len(part)
-        if size >= BATCH_CHARS:
-            yield "".join(chunk)
-            chunk.clear()
-            size = 0
-    if chunk:
-        yield "".join(chunk)
 
 
 def _json_key(key) -> str:

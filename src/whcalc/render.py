@@ -5,7 +5,7 @@ Every renderer is a pure function of the payload dictionary (the
 whether it is an int, as the library returns it, or its decimal string,
 as JSON holds it; so re-parsing emitted JSON and re-rendering reproduces
 the other formats byte for byte.  Each renderer is a generator of lines,
-so the CLI writes them in batches as they are formed.  No renderer keeps
+so the CLI writes them as they are formed.  No renderer keeps
 a chart's cells: CSV writes each as it comes, and the ASCII and SVG
 charts read them twice, once for the grid's bounds and once to draw.
 SVG output is static SVG 1.1 with integer coordinates only.

@@ -21,7 +21,7 @@ exact F_p elimination on dictionaries keyed by words (`_ideal_rows`,
 
 from functools import lru_cache
 
-from .arith import OddPrime, binom_mod_p
+from .arith import OddPrime, _lucas, binom_mod_p
 from .errors import InconsistencyError, PreconditionError
 
 Word = tuple[int, ...]
@@ -49,24 +49,25 @@ def word_str(word: Word) -> str:
 @lru_cache(maxsize=1 << 10)
 def _adem(pp: int, a: int, eps: int, b: int) -> tuple[tuple[Word, int], ...]:
     """Expansion of the inadmissible factor P^a P^b (eps=0, a < p*b) or
-    P^a b P^b (eps=1, a <= p*b) as admissible words with coefficients."""
-    p = OddPrime(pp)
+    P^a b P^b (eps=1, a <= p*b) as admissible words with coefficients.
+    As t <= a/p <= b, no binomial has a negative top: Lucas's theorem
+    reads each one directly."""
     out: dict[Word, int] = {}  # no word arises twice
     if eps == 0:
         for t in range(a // pp + 1):
-            c = binom_mod_p(p, (pp - 1) * (b - t) - 1, a - pp * t)
+            c = _lucas(pp, (pp - 1) * (b - t) - 1, a - pp * t)
             if c:
                 sign = -1 if (a + t) % 2 else 1
                 out[(a + b,) if t == 0 else (a + b - t, t)] = sign * c % pp
     else:
         for t in range(a // pp + 1):
-            c = binom_mod_p(p, (pp - 1) * (b - t), a - pp * t)
+            c = _lucas(pp, (pp - 1) * (b - t), a - pp * t)
             if c:
                 sign = -1 if (a + t) % 2 else 1
                 word = (0, a + b) if t == 0 else (0, a + b - t, t)
                 out[word] = sign * c % pp
             if a - pp * t - 1 >= 0:
-                c = binom_mod_p(p, (pp - 1) * (b - t) - 1, a - pp * t - 1)
+                c = _lucas(pp, (pp - 1) * (b - t) - 1, a - pp * t - 1)
                 if c:
                     sign = 1 if (a + t) % 2 else -1
                     word = (a + b, 0) if t == 0 else (a + b - t, 0, t)

@@ -1,5 +1,5 @@
 """`emit.json_chunks` against `json.dumps(doc, indent=2)`, its reference,
-and the chunk shape of `emit.batched`."""
+and the parts it yields."""
 
 import json
 import sys
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whcalc import emit, render
+from whcalc import emit
 
 SCALARS = st.none() | st.booleans() | st.integers() | st.text()
 DOCS = st.recursive(
@@ -61,6 +61,16 @@ def test_json_text_refuses_other_types(doc):
         json_text(doc)
 
 
+@settings(max_examples=100, deadline=None)
+@given(DOCS)
+def test_json_text_without_the_c_quote_writes_the_bytes_of_json_dumps(doc):
+    # the writer imports its quote function when it starts, so a writer
+    # started with `_json` unset quotes every str in pure Python
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setitem(sys.modules, "_json", None)
+        assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
 def _p13_chart_payload():
     from whcalc.arith import OddPrime
 
@@ -68,96 +78,30 @@ def _p13_chart_payload():
     return {**payload, "cells": list(payload["cells"])}
 
 
-SIZES = [1, 100, 8192]
+@pytest.mark.parametrize("make", [
+    lambda: list(range(5000)),
+    lambda: {"a": [[], {}, [[0]]] * 1000, "b": {"c": [None, True, "x"]}},
+    _p13_chart_payload,
+], ids=["5000-list", "nested", "p13-e2-chart"])
+def test_json_chunks_yield_the_parts_as_formed(make):
+    # the parts are handed to the writer unjoined: many of them, none
+    # empty, and the document's final newline is a part of its own
+    doc = make()
+    parts = list(emit.json_chunks(doc))
+    assert len(parts) > 1000
+    assert all(parts)
+    assert parts[-1] == "\n"
+    assert "".join(parts) == json.dumps(doc, indent=2) + "\n"
 
 
-def _assert_chunk_shape(chunks, parts, size):
-    # `batched` ends a chunk at the part that brings it to `size`
-    # characters: every chunk but the last reaches `size`, and none does
-    # before its last part.
-    rest = iter(parts)
-    for chunk in chunks:
-        before, last = "", next(rest)
-        while len(before) + len(last) < len(chunk):
-            before, last = before + last, next(rest)
-        assert before + last == chunk
-        assert len(before) < size
-    assert all(len(chunk) >= size for chunk in chunks[:-1])
-    assert next(rest, None) is None
-
-
-def _batched(parts, size, monkeypatch):
-    monkeypatch.setattr(emit, "BATCH_CHARS", size)
-    parts = list(parts)
-    chunks = list(emit.batched(parts))
-    _assert_chunk_shape(chunks, parts, size)
-    return chunks
-
-
-def _json_chunks(doc, size, monkeypatch):
-    # `json_chunks` with `batched` listing the parts it is given first
-    parts = []
-    batched = emit.batched
-
-    def listed(it):
-        parts.extend(it)
-        return batched(parts)
-
-    monkeypatch.setattr(emit, "BATCH_CHARS", size)
-    monkeypatch.setattr(emit, "batched", listed)
-    chunks = list(emit.json_chunks(doc))
-    _assert_chunk_shape(chunks, parts, size)
-    return chunks
-
-
-@pytest.mark.parametrize("size", SIZES)
-@settings(max_examples=100, deadline=None)
-@given(doc=DOCS)
-def test_batched_json_text_writes_the_bytes_of_json_dumps(doc, size):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        chunks = _json_chunks(doc, size, monkeypatch)
-        assert "".join(chunks) == json.dumps(doc, indent=2) + "\n"
-
-
-def _json_case(make):
-    def case(size, monkeypatch):
-        doc = make()
-        expected = json.dumps(doc, indent=2) + "\n"
-        return _json_chunks(doc, size, monkeypatch), expected
-
-    return case
-
-
-def _csv_case(size, monkeypatch):
-    payload = _p13_chart_payload()
-    chunks = _batched(render.lines("csv", payload), size, monkeypatch)
-    return chunks, render.to_csv(payload)
-
-
-def _wide_case(size, monkeypatch):
-    # lines of up to 9,000 characters, some longer than BATCH_CHARS alone
-    lines = ["x" * width + "\n" for width in [10, 5000, 9000, 3000, 99] * 80]
-    return _batched(lines, size, monkeypatch), "".join(lines)
-
-
-@pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize("case", [
-    _json_case(lambda: list(range(5000))),
-    _json_case(
-        lambda: {"a": [[], {}, [[0]]] * 1000, "b": {"c": [None, True, "x"]}}
-    ),
-    _json_case(_p13_chart_payload),
-    _csv_case,
-    _wide_case,
-], ids=["5000-list", "nested", "p13-e2-chart", "p13-e2-csv", "wide-lines"])
-def test_batch_boundaries(size, case, monkeypatch):
-    chunks, expected = case(size, monkeypatch)
-    assert len(chunks) > 1
-    assert "".join(chunks) == expected
-
-
-def test_batched_nothing_yields_nothing():
-    assert list(emit.batched(iter(()))) == []
+def test_json_chunks_hold_each_long_string_once():
+    # a string is one part however long, and no part holds two of them
+    word = "x" * 20_000
+    doc = [word] * 64
+    parts = list(emit.json_chunks(doc))
+    assert "".join(parts) == json.dumps(doc, indent=2) + "\n"
+    assert all(part.count(word) <= 1 for part in parts)
+    assert max(map(len, parts)) < 2 * len(word)
 
 
 def test_pure_python_quote_fallback(monkeypatch):
@@ -203,19 +147,10 @@ class _Name(str):
     # a subclass value sends a dict of scalars down the general path,
     # which refuses it too
     [{"s": _Name("x"), "n": _Degree.SEVEN, "l": [_Name("y")]}],
+    # and so does a str subclass in a list, on either path
+    [_Name("y")], [{"l": [_Name("y")]}], [{"l": ["x", _Name("y")]}],
 ])
 def test_int_and_str_subclasses_are_refused(doc):
     # a scalar is written by its exact type alone, as a value or as a key
     with pytest.raises(TypeError):
         json_text(doc)
-
-
-def test_json_chunks_end_at_batch_chars():
-    # each string alone is longer than BATCH_CHARS, so a chunk ends at
-    # the one that brings it past the bound and never holds two
-    word = "x" * 20_000
-    doc = [word] * 64
-    chunks = list(emit.json_chunks(doc))
-    assert "".join(chunks) == json.dumps(doc, indent=2) + "\n"
-    assert all(chunk.count(word) <= 1 for chunk in chunks)
-    assert max(map(len, chunks)) < emit.BATCH_CHARS + len(word)

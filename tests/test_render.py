@@ -34,6 +34,25 @@ def test_chart_text_is_the_same_from_every_form_of_cells(pp, target, page):
         assert "".join(render.lines(fmt, parsed["payload"])) == text
 
 
+@pytest.mark.parametrize("fmt", emit.FORMATS[1:])
+@pytest.mark.parametrize("kind", ["torsion-profile", "ahss-chart",
+                                  "cohomology-report"])
+def test_every_part_ends_a_line(kind, fmt):
+    # `render.lines` yields pieces as they are formed, each ending a
+    # line, for the io buffer to coalesce; their join is the whole text
+    p = OddPrime(13)
+    _, payload = {
+        "torsion-profile": lambda: emit.pi_wh(p, 100),
+        "ahss-chart": lambda: emit.ahss(p, "j-cp", "e2", 392),
+        "cohomology-report": lambda: emit.cohomology(p, 40),
+    }[kind]()
+    assert payload["kind"] == kind
+    parts = list(render.lines(fmt, payload))
+    assert len(parts) > 1
+    assert all(part.endswith("\n") for part in parts)
+    assert "".join(parts) == "".join(render.lines(fmt, payload))
+
+
 @pytest.mark.parametrize("pp,target", [(5, "s-cpbar"), (11, "j-cp")])
 def test_ascii_chart_does_not_depend_on_cell_order(pp, target):
     payload = _payload(pp, target, "einf")
@@ -55,7 +74,7 @@ def test_chart_rendering_stays_small_at_p61(fmt, bound_kb):
     _, payload = emit.ahss(OddPrime(61), "j-cp", "e2", 2000)
     tracemalloc.start()
     try:
-        for _ in emit.batched(render.lines(fmt, payload)):
+        for _ in render.lines(fmt, payload):
             pass
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from whcalc import cli, steenrod
 from whcalc.arith import OddPrime, binom_mod_p
 from whcalc.errors import InconsistencyError, PreconditionError
 from whcalc.steenrod import (
@@ -294,6 +295,20 @@ def test_quotient_guards_and_sanity():
     for spec in ("A//E1", "A//A1", "C/A(b)", "C/A(b,Q1)"):
         for d, v in quotient_module_dims(P3, spec, 30).items():
             assert v <= full.get(d, 0)
+
+
+def test_an_ideal_above_its_numerator_is_an_inconsistency(monkeypatch, capsys):
+    # a series with no classes leaves nothing for the live words' classes
+    # to be subtracted from
+    monkeypatch.setattr(steenrod, "milnor_dual_dims",
+                        lambda p, top, first_exterior=0: {})
+    with pytest.raises(InconsistencyError,
+                       match=r"^C/A\(b\): ideal exceeds numerator in degree 0$"):
+        quotient_module_dims(P3, "C/A(b)", 10)
+    assert cli.main(["cohomology", "--p", "3", "--max-degree", "40"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: C/A(b,Q1): ideal exceeds numerator in degree 0\n"
+    )
 
 
 _tokens = st.integers(0, 6)

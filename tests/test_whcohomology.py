@@ -6,7 +6,7 @@ import pytest
 
 from whcalc import emit, whcohomology
 from whcalc.arith import OddPrime
-from whcalc.errors import PreconditionError
+from whcalc.errors import InconsistencyError, PreconditionError
 from whcalc.steenrod import milnor_dual_dims, quotient_module_dims
 from whcalc.whcohomology import (
     COKER_MAIN_PIECE,
@@ -133,6 +133,16 @@ def test_report_annotations():
 def test_delta_star_rank_data_refuses_a_negative_degree():
     with pytest.raises(PreconditionError, match="max_degree must be >= 0"):
         delta_star_rank_data(P5, -1)
+
+
+def test_a_piece_shifted_below_degree_zero_is_an_inconsistency(monkeypatch):
+    # every shift is positive and every quotient starts at degree 0, so
+    # only a quotient that reaches a negative degree trips the guard
+    monkeypatch.setattr(whcohomology, "quotient_module_dims",
+                        lambda p, spec, top, a=None: {-P3.p * P3.q: 1})
+    with pytest.raises(InconsistencyError,
+                       match="^graded piece reaches negative degree -1 after"):
+        h_sigma_c_dims(P3, 40)
 
 
 def test_report_regularity_gate():
