@@ -113,10 +113,7 @@ def _json_parts(value, scalars: dict, pad: str, head: str):
     sep = first = "\n" + inner
     rest = "," + first
     for key, item in pairs:
-        write = scalars.get(type(item))
-        if write is not None:
-            yield f"{sep}{key}{write(item)}"
-        elif type(item) is dict and (
+        if type(item) is dict and (
             text := _flat_dict_text(item, scalars, inner, sep + key)
         ) is not None:
             yield text

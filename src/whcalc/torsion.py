@@ -109,17 +109,6 @@ def sigma_c_summands(p: OddPrime) -> dict:
     return {theta.degree + 1: theta for theta in _cokernel_classes(p)}
 
 
-def _wh_valuations(p: OddPrime, top: int) -> tuple[list[int], dict]:
-    """The torsion valuation of every Whitehead degree 0..top, for
-    top < torsion_window(p), with `sigma_c_summands(p)`."""
-    vals = _cpbar_valuations(p, top)
-    sigma = sigma_c_summands(p)
-    for d, theta in sigma.items():
-        if d <= top:
-            vals[d] += theta.order_valuation
-    return vals, sigma
-
-
 def wh_torsion_profile(
     p: OddPrime, max_degree: int, *, assume_regular: bool = False
 ) -> dict:
@@ -138,7 +127,11 @@ def wh_torsion_profile(
             f"torsion profile is determined for degrees < {torsion_window(p)} "
             f"at p={p.p}; got max_degree={max_degree}"
         )
-    vals, sigma = _wh_valuations(p, max_degree)
+    vals = _cpbar_valuations(p, max_degree)
+    sigma = sigma_c_summands(p)
+    for d, theta in sigma.items():
+        if d <= max_degree:
+            vals[d] += theta.order_valuation
     entries = [
         {
             "degree": d,
@@ -166,22 +159,21 @@ FirstTorsion = namedtuple("FirstTorsion", "degree valuation generator")
 
 
 def first_p_torsion(p: OddPrime, *, assume_regular: bool = False) -> FirstTorsion:
-    """First degree with nonzero p-torsion, scanned to tops that double."""
+    """First degree with nonzero p-torsion, by its closed form: degree
+    4p-2 with valuation 1 at p >= 5, and sigma(beta1) in degree pq-1 = 11
+    at p = 3.  The profile is its second route.
+
+    In the formulas of `_cpbar_terms`, the first n whose base term is
+    nonzero is n = 2p-1, where it is 2 - 1 = 1.  Its -1 correction first
+    applies at n = p^2-p-1, which equals 2p-1 only at p = 3, where degree
+    4p-2 = 10 has none.  The odd runs start in degree 2p^2-2p+1, and the
+    sigma classes at pq-1 = 2p^2-2p-1: both lie above 4p-2 for p >= 5.
+    """
     ensure_regular(p, assume_regular)
-    top, last = 64, torsion_window(p) - 1
-    while True:
-        vals, sigma = _wh_valuations(p, min(top, last))
-        for d, val in enumerate(vals):
-            if val:
-                theta = sigma.get(d)
-                return FirstTorsion(
-                    d, val, None if theta is None else f"sigma({theta.name})"
-                )
-        if top >= last:
-            raise InconsistencyError(
-                f"no torsion found below the validity window at p={p.p}"
-            )
-        top *= 2
+    if p.p > 3:
+        return FirstTorsion(4 * p.p - 2, 1, None)
+    d, theta = min(sigma_c_summands(p).items())
+    return FirstTorsion(d, theta.order_valuation, f"sigma({theta.name})")
 
 
 ConcordanceFirstTorsion = namedtuple(

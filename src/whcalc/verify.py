@@ -60,10 +60,9 @@ SKIP = "skip"
 # CPU and peak RSS from os.wait4, medians of 15 runs, of 7 with the bound
 # lifted), `verify --p 61` takes 0.094 s of CPU and 17 MB, start-up (0.05
 # s and 13 MB) included; with the bound lifted, p=71 takes 0.115 s and
-# 18 MB, p=97 0.158 s and 22 MB, and p=113 0.210 s and 27 MB.  The bound,
-# the j-cp chart window at p=61 (14760), was set when the rows kept a
-# record per cell (36 MB at p=61, 41 MB at 71); it stays, as the primes
-# it admits are part of the exit-code contract.
+# 18 MB, p=97 0.158 s and 22 MB, and p=113 0.210 s and 27 MB.  The bound
+# is the j-cp chart window at p=61 (14760): the primes it admits are part
+# of the exit-code contract.
 MAX_CHART_WINDOW = chart_window(OddPrime(61), J_OF_CP)
 
 

@@ -8,7 +8,6 @@ from whcalc.arith import OddPrime
 from whcalc.errors import InconsistencyError, PreconditionError, WindowError
 from whcalc.torsion import (
     _cpbar_valuations,
-    _wh_valuations,
     concordance_first_torsion,
     first_p_torsion,
     sigma_c_summands,
@@ -22,6 +21,10 @@ P7 = OddPrime(7)
 PRIMES_TO_61 = [
     OddPrime(pp)
     for pp in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+]
+ODD_PRIMES_BELOW_1000 = [
+    n for n in range(3, 1000, 2)
+    if all(n % k for k in range(3, int(n ** 0.5) + 1, 2))
 ]
 
 P3_TABLE = {11: 1, 14: 3, 16: 1, 18: 1, 20: 1, 21: 1, 22: 1, 24: 2}
@@ -109,18 +112,22 @@ def _odd_by_hand(pp, n):
 @pytest.mark.parametrize("p", PRIMES_TO_61, ids=str)
 def test_degree_arrays_match_the_formulas_degree_by_degree(p):
     # One pass over the whole window against the formulas written out by
-    # hand, and the Whitehead degrees against them plus the sigma classes.
+    # hand, and the profile's Whitehead degrees against them plus the
+    # sigma classes.
     top = torsion_window(p) - 1
     vals = _cpbar_valuations(p, top)
-    whole, _ = _wh_valuations(p, top)
+    profile = wh_torsion_profile(p, top, assume_regular=True)
+    whole = {e["degree"]: e["valuation"] for e in profile["entries"]}
     sigma = sigma_c_summands(p)
-    assert len(vals) == len(whole) == top + 1
-    assert vals[0] == whole[0] == 0
+    assert len(vals) == top + 1
+    assert vals[0] == 0 and 0 not in whole
     for d in range(1, top + 1):
         n = d // 2
         want = _odd_by_hand(p.p, n) if d % 2 else _even_by_hand(p.p, n)
         assert vals[d] == want
-        assert whole[d] == want + (sigma[d].order_valuation if d in sigma else 0)
+        assert whole.get(d, 0) == want + (
+            sigma[d].order_valuation if d in sigma else 0
+        )
 
 
 def test_negative_valuation_is_an_inconsistency(monkeypatch):
@@ -230,8 +237,6 @@ def test_first_torsion():
 
 
 def test_first_torsion_at_a_large_prime():
-    # the scan stops at degree 4p-2, far below the whole window (about
-    # 4p^2 degrees), which holds more degrees than memory allows
     p = OddPrime(100003)
     assert first_p_torsion(p, assume_regular=True) == torsion.FirstTorsion(
         400010, 1, None
@@ -243,17 +248,30 @@ def test_first_torsion_at_a_large_prime():
     )
 
 
-def test_first_torsion_scans_tops_that_double(monkeypatch):
-    tops = []
+def test_first_torsion_is_the_profiles_one_entry_to_its_degree():
+    # The profile is the second route: to the first torsion's degree it
+    # holds that degree's entry and nothing lower.
+    for pp in (*ODD_PRIMES_BELOW_1000, 100003):
+        p = OddPrime(pp)
+        first = first_p_torsion(p, assume_regular=True)
+        profile = wh_torsion_profile(p, first.degree, assume_regular=True)
+        generators = [] if first.generator is None else [first.generator]
+        assert profile["entries"] == [{
+            "degree": first.degree,
+            "valuation": first.valuation,
+            "generators": generators,
+        }], pp
 
-    def no_torsion(p, top):
-        tops.append(top)
-        return [0] * (top + 1), {}
 
-    monkeypatch.setattr(torsion, "_wh_valuations", no_torsion)
-    with pytest.raises(InconsistencyError, match="below the validity window"):
-        first_p_torsion(OddPrime(11))
-    assert tops == [64, 128, 256, torsion_window(OddPrime(11)) - 1]
+def test_first_torsion_reads_no_valuations(monkeypatch):
+    # the closed form, not a scan: no profile at p=1000003 is built
+    def no_scan(p, top):
+        raise AssertionError(f"valuations read to degree {top}")
+
+    monkeypatch.setattr(torsion, "_cpbar_valuations", no_scan)
+    assert first_p_torsion(OddPrime(1000003), assume_regular=True) == (
+        4000010, 1, None
+    )
 
 
 def test_concordance_first_torsion():
